@@ -94,33 +94,27 @@ def _token_seed(token: str, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-class SyntheticVocabulary:
-    """Lazy token -> unit projection map for one (dim, seed) pair.
-
-    The same (token, seed, dim) always yields the identical vector; the
-    per-instance cache only avoids recomputation, so racing lookups from
-    concurrent workers are benign.
-    """
-
-    def __init__(self, dim: int, seed: int):
-        self.dim = dim
-        self.seed = seed
-        self._cache: dict[str, np.ndarray] = {}
-
-    def vector(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            rng = np.random.default_rng(_token_seed(token, self.seed))
-            raw = rng.standard_normal(self.dim)
-            vec = raw / np.linalg.norm(raw)
-            vec.flags.writeable = False
-            self._cache[token] = vec
-        return vec
-
-
 @lru_cache(maxsize=16)
-def _vocabulary(dim: int, seed: int) -> SyntheticVocabulary:
-    return SyntheticVocabulary(dim, seed)
+def _vocabulary(dim: int, seed: int) -> dict[str, np.ndarray]:
+    """The token -> unit projection cache of one (dim, seed) pair."""
+    return {}
+
+
+def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
+    """Unit projection of one token, cached per (dim, seed).
+
+    The same (token, dim, seed) always yields the identical vector, so
+    racing fills of the cache from concurrent workers are benign.
+    """
+    vocab = _vocabulary(dim, seed)
+    vec = vocab.get(token)
+    if vec is None:
+        rng = np.random.default_rng(_token_seed(token, seed))
+        raw = rng.standard_normal(dim)
+        vec = raw / np.linalg.norm(raw)
+        vec.flags.writeable = False
+        vocab[token] = vec
+    return vec
 
 
 def encode_text_synthetic(text: str, spec: EncoderSpec) -> EmbeddingVector:
@@ -134,10 +128,9 @@ def encode_text_synthetic(text: str, spec: EncoderSpec) -> EmbeddingVector:
     tokens = tokenize(text)
     if not tokens:
         raise EmptyTextError(f"no tokens survive in {text!r}")
-    vocab = _vocabulary(spec.dim, spec.seed)
     total = np.zeros(spec.dim, dtype=np.float64)
     for tok in sorted(tokens):
-        total += vocab.vector(tok)
+        total += _token_vector(tok, spec.dim, spec.seed)
     norm = float(np.linalg.norm(total))
     if norm <= ZERO_NORM_EPS:
         raise ZeroVectorError("token projections cancelled out")

@@ -18,7 +18,7 @@ import io
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     MalformedLineError,
     UnknownCandidateIdError,
 )
-from .index import CaptionIndex
+from .index import CaptionIndex, read_jsonl
 from .rerank import default_pool_size, parse_items, retrieve_and_rerank
 from .search import (
     QueryBundle,
@@ -243,16 +243,7 @@ def sweep_fusion_weight(
 
     values = []
     for g in grid:
-        point = EvalConfig(
-            encoder=config.encoder,
-            weights=FusionWeights(1.0 - g, g),
-            index_weights=config.index_weights,
-            text_source=config.text_source,
-            bidirectional=config.bidirectional,
-            rerank=config.rerank,
-            pool_size=config.pool_size,
-            workers=config.workers,
-        )
+        point = replace(config, weights=FusionWeights(1.0 - g, g))
         report = evaluate_corpus(bundles, index, point)
         value = getattr(report, metric)
         if value is None:
@@ -328,15 +319,8 @@ def load_bundles(bundles_path, embeddings_path) -> list[QueryBundle]:
     """
     by_id = dict(load_embedding_file(embeddings_path))
     bundles = []
-    text = Path(bundles_path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(line_no, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "image_id" not in obj:
+    for line_no, obj in read_jsonl(bundles_path):
+        if "image_id" not in obj:
             raise MalformedLineError(line_no, "expected an object with image_id")
         image_id = obj["image_id"]
         if image_id not in by_id:

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,6 +104,18 @@ class CaptionIndex:
     @cached_property
     def _row_by_id(self) -> dict[str, int]:
         return {cap.id: i for i, cap in enumerate(self.captions)}
+
+    @cached_property
+    def _id_rank(self) -> np.ndarray:
+        """Each row's position in ascending caption-id order: the tie-break key.
+
+        Python string order, not a numpy ``<U`` array, which drops trailing
+        NULs and would make distinct ids compare equal.
+        """
+        by_id = [i for _, i in sorted((cap.id, i) for i, cap in enumerate(self.captions))]
+        rank = np.empty(len(by_id), dtype=np.intp)
+        rank[by_id] = np.arange(len(by_id))
+        return rank
 
     def row_of(self, caption_id: str) -> int:
         return self._row_by_id[caption_id]
@@ -227,13 +239,12 @@ def load_index(path) -> CaptionIndex:
     return CaptionIndex(tuple(captions), matrix, kind, fingerprint)
 
 
-def ingest_captions(path) -> list[Caption]:
-    """Parse a JSONL caption file: one {"id", "text", "kind"} object per line.
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, object)`` for each non-blank line of a JSONL file.
 
-    Blank lines are skipped; order is preserved.
+    Line numbers are 1-based; a line that is not a JSON object raises
+    ``MalformedLineError`` with its number.
     """
-    captions = []
-    seen: set[str] = set()
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -244,6 +255,17 @@ def ingest_captions(path) -> list[Caption]:
             raise MalformedLineError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedLineError(line_no, "expected a JSON object")
+        yield line_no, obj
+
+
+def ingest_captions(path) -> list[Caption]:
+    """Parse a JSONL caption file: one {"id", "text", "kind"} object per line.
+
+    Blank lines are skipped; order is preserved.
+    """
+    captions = []
+    seen: set[str] = set()
+    for line_no, obj in read_jsonl(path):
         missing = {"id", "text", "kind"} - obj.keys()
         if missing:
             raise MalformedLineError(line_no, f"missing fields {sorted(missing)}")

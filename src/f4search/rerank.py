@@ -21,9 +21,10 @@ from .search import (
     STAGE_RERANKED,
     QueryBundle,
     RankedList,
+    _rank,
     search_fused_topk,
 )
-from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights, clamp_score
+from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights
 
 if TYPE_CHECKING:
     from .index import CaptionIndex
@@ -73,20 +74,17 @@ def rerank(
     items: ParsedItems,
     index: "CaptionIndex",
     encoder: EncoderSpec,
-    blend: float = 0.0,
 ) -> RankedList:
     """Re-order candidates by max item-level cosine similarity.
 
-    The candidate set is preserved; scores are replaced by
-    ``max_j cos(row, item_j)`` (optionally blended with the incoming score
-    when ``blend`` > 0, default is pure replacement). Because max is
+    The candidate set is preserved and each score is replaced by
+    ``max_j cos(row, item_j)``; the list is then ordered like every other
+    ranked result, by score desc and caption id asc. Because max is
     commutative the item order never matters, and re-ranking an already
     re-ranked list with the same items is a no-op.
     """
-    if not 0.0 <= blend < 1.0:
-        raise ValueError("blend must lie in [0, 1)")
     rows = []
-    for cid, _ in candidates.entries:
+    for cid in candidates.ids:
         if not index.has_id(cid):
             raise UnknownCandidateIdError(f"candidate id {cid!r} not in index")
         rows.append(index.row_of(cid))
@@ -98,17 +96,7 @@ def rerank(
     # einsum keeps each (candidate, item) dot independent of matrix layout,
     # so the max is bitwise stable under item permutations.
     max_sim = np.einsum("ij,kj->ik", cand_matrix, item_matrix).max(axis=1)
-
-    scores = max_sim
-    if blend > 0.0:
-        initial = np.array([score for _, score in candidates.entries])
-        scores = (1.0 - blend) * max_sim + blend * initial
-    scores = [clamp_score(s) for s in scores]
-
-    ids = [cid for cid, _ in candidates.entries]
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    entries = tuple((ids[i], scores[i]) for i in order)
-    return RankedList(entries, k=candidates.k, stage=STAGE_RERANKED)
+    return _rank(index, max_sim, candidates.k, STAGE_RERANKED, rows)
 
 
 def retrieve_and_rerank(
@@ -118,7 +106,6 @@ def retrieve_and_rerank(
     N: int | None = None,
     k: int = 5,
     encoder: EncoderSpec | None = None,
-    workers: int = 1,
 ) -> RankedList:
     """Two-stage pipeline: fused top-N retrieval, item re-rank, cut to top-k.
 
@@ -135,9 +122,7 @@ def retrieve_and_rerank(
         raise MissingPredictionTextError(
             f"bundle {bundle.image_id!r} has no sparse prediction text"
         )
-    initial = search_fused_topk(
-        bundle, index, w, text_source="sparse", encoder=encoder, k=N, workers=workers
-    )
+    initial = search_fused_topk(bundle, index, w, text_source="sparse", encoder=encoder, k=N)
     items = parse_items(bundle.sparse_pred_text)
     reordered = rerank(initial, items, index, encoder)
     k_eff = min(k, len(reordered.entries))

@@ -1,11 +1,14 @@
 """Exact cosine retrieval over a caption index.
 
 Two scan implementations share one contract: an optimized scan that
-partitions rows across workers and keeps per-chunk top-k candidates, and
-a deliberately naive single-pass full sort kept around as the reference
-oracle. Both compute scores in double precision over the float32 index
-rows, sort descending by score with ties broken by ascending caption id,
-and must agree exactly.
+scores every row in one vectorized pass and selects the top k with numpy,
+and a deliberately naive single-pass full sort kept around as the
+reference oracle. Both compute scores in double precision over the
+float32 index rows, clamp them into [-1, 1], sort descending by score
+with ties broken by ascending caption id, and must agree exactly.
+
+Every ranked result in the package (top-k, bi-directional and re-ranked
+lists) is ordered by one routine, ``_rank``.
 
 Fused variants improve the query side (weighted image+text sum) or, in
 bi-directional mode, additionally fuse every index row with the query
@@ -14,9 +17,8 @@ image at scoring time; the stored index is never mutated.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -95,58 +97,42 @@ def _query_direction(query: EmbeddingVector, index: "CaptionIndex") -> tuple[np.
     return query.values, norm
 
 
-def _finalize(
-    ids: Sequence[str], scores: Sequence[float], k: int, stage: str
+def _rank(
+    index: "CaptionIndex",
+    scores: np.ndarray,
+    k: int,
+    stage: str,
+    rows: list[int] | None = None,
 ) -> RankedList:
-    clamped = [clamp_score(s) for s in scores]
-    order = sorted(range(len(ids)), key=lambda i: (-clamped[i], ids[i]))[:k]
-    return RankedList(tuple((ids[i], clamped[i]) for i in order), k=k, stage=stage)
+    """Best k of the scored rows: score desc, then caption id asc.
 
-
-def _chunk_candidates(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the chunk's top-k scores, boundary ties included."""
-    n = scores.shape[0]
-    if k >= n:
-        return np.arange(n)
-    part = np.argpartition(scores, n - k)[n - k :]
-    threshold = scores[part].min()
-    return np.flatnonzero(scores >= threshold)
-
-
-def search_topk(
-    query: EmbeddingVector, index: "CaptionIndex", k: int, workers: int = 1
-) -> RankedList:
-    """Exact top-k cosine retrieval (optimized scan).
-
-    Rows are partitioned into one chunk per worker; each chunk keeps its
-    local best k (plus boundary ties) and the candidates are merged with
-    the global tie rule, so results are identical for any worker count.
+    ``scores[i]`` belongs to index row ``rows[i]`` (row ``i`` when ``rows``
+    is None). Scores are clamped before selection, so selection and
+    ordering see the same values and ties at +-1 break by id, as in the
+    oracle. Rows tied with the k-th score all reach the id tie-break.
     """
+    scores = np.clip(scores, -1.0, 1.0)
+    n = scores.shape[0]
+    if k < n:
+        keep = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    else:
+        keep = np.arange(n)
+    rows = keep if rows is None else np.asarray(rows, dtype=np.intp)[keep]
+    scores = scores[keep]
+    order = np.lexsort((index._id_rank[rows], -scores))[:k]
+    ids = [index.captions[i].id for i in rows[order].tolist()]
+    return RankedList(tuple(zip(ids, scores[order].tolist())), k=k, stage=stage)
+
+
+def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
+    """Exact top-k cosine retrieval (optimized scan)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q, qnorm = _query_direction(query, index)
-    n = len(index)
-    k_eff = min(k, n)
-    workers = max(1, min(workers, n))
-
-    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        # einsum keeps each row's reduction independent of the chunk shape,
-        # so scores are bitwise identical for any worker count.
-        scores = np.einsum("ij,j->i", index.embeddings[lo:hi], q) / qnorm
-        local = _chunk_candidates(scores, k_eff)
-        return local + lo, scores[local]
-
-    bounds = [n * i // workers for i in range(workers + 1)]
-    if workers == 1:
-        parts = [scan(0, n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: scan(*b), zip(bounds[:-1], bounds[1:])))
-
-    rows = np.concatenate([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
-    ids = [index.captions[i].id for i in rows]
-    return _finalize(ids, scores, k_eff, STAGE_INITIAL)
+    # einsum rather than a BLAS product: every row reduces on its own, so a
+    # row's score bits do not depend on the matrix shape or the BLAS build.
+    scores = np.einsum("ij,j->i", index.embeddings, q) / qnorm
+    return _rank(index, scores, min(k, len(index)), STAGE_INITIAL)
 
 
 def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
@@ -197,10 +183,9 @@ def search_fused_topk(
     text_source: str = "dense",
     encoder: EncoderSpec | None = None,
     k: int = 1,
-    workers: int = 1,
 ) -> RankedList:
     """Uni-directional fused retrieval: fused query against stored rows."""
-    return search_topk(fused_query(bundle, w, text_source, encoder), index, k, workers)
+    return search_topk(fused_query(bundle, w, text_source, encoder), index, k)
 
 
 def search_top1_fused(
@@ -244,5 +229,4 @@ def search_bidirectional(
     if np.any(norms <= ZERO_NORM_EPS):
         raise ZeroVectorError("a candidate fusion collapsed to the zero vector")
     scores = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
-    ids = [cap.id for cap in index.captions]
-    return _finalize(ids, scores, k_eff, STAGE_INITIAL)
+    return _rank(index, scores, k_eff, STAGE_INITIAL)

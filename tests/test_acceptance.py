@@ -81,7 +81,7 @@ def test_criterion_2_oracle_equivalence(make_index):
             query = unit(rng.standard_normal(dim))
             slow = search_topk_naive(query, index, 37)
             for k in (1, 5, 37):
-                fast = search_topk(query, index, k, workers=2)
+                fast = search_topk(query, index, k)
                 if fast.ids != slow.ids[:k]:
                     ok, detail = False, f"id mismatch seed={seed} dim={dim} k={k}"
                     break

@@ -107,18 +107,6 @@ class TestRerank:
         with pytest.raises(UnknownCandidateIdError, match="zz"):
             rerank(fake, parse_items("a"), index, synthetic_spec)
 
-    def test_blend_keeps_candidate_set(self, synthetic_spec):
-        index = word_index([f"w{j}" for j in range(8)], synthetic_spec)
-        initial = search_topk(encode_text_synthetic("w0 w1", synthetic_spec), index, k=5)
-        blended = rerank(initial, parse_items("w3"), index, synthetic_spec, blend=0.5)
-        assert sorted(blended.ids) == sorted(initial.ids)
-
-    def test_blend_range_checked(self, synthetic_spec):
-        index = word_index(["a"], synthetic_spec)
-        initial = search_topk(encode_text_synthetic("a", synthetic_spec), index, k=1)
-        with pytest.raises(ValueError):
-            rerank(initial, parse_items("a"), index, synthetic_spec, blend=1.0)
-
 
 class TestRetrieveAndRerank:
     # Geometry chosen so the five distractors dominate the image embedding,
