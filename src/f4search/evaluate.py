@@ -35,8 +35,10 @@ from .rerank import default_pool_size, parse_items, retrieve_and_rerank
 from .search import (
     QueryBundle,
     RankedList,
-    search_bidirectional,
-    search_fused_topk,
+    _bidirectional_scores,
+    _gt_ranks,
+    _query_scores,
+    fused_query,
 )
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights
 
@@ -55,13 +57,16 @@ def average_precision(ranked: RankedList, gt_ids: Iterable[str], k: int) -> floa
     gt = set(gt_ids)
     if not gt:
         raise EmptyGroundTruthError("average precision needs at least one gt id")
-    hits = 0
+    hit_ranks = [r for r, (cid, _) in enumerate(ranked.entries[:k], start=1) if cid in gt]
+    return _ap_from_ranks(hit_ranks, len(gt))
+
+
+def _ap_from_ranks(hit_ranks: Sequence[int], num_gt: int) -> float:
+    """Truncated AP from the ascending ranks of the gt hits within the cutoff."""
     total = 0.0
-    for rank, (cid, _) in enumerate(ranked.entries[:k], start=1):
-        if cid in gt:
-            hits += 1
-            total += hits / rank
-    return total / len(gt)
+    for hits, rank in enumerate(hit_ranks, start=1):
+        total += hits / rank
+    return total / num_gt
 
 
 def derive_k(gt_sparse_caption: str) -> int:
@@ -169,30 +174,31 @@ def _evaluate_bundle(
             bundle, index, config.weights, N=max(pool, k_out), k=k_out,
             encoder=config.encoder,
         )
-    elif config.bidirectional:
-        ranked = search_bidirectional(
-            bundle, index, config.weights, config.index_weights,
-            config.text_source, config.encoder,
-        )
+        ranks = [r for r, cid in enumerate(ranked.ids, start=1) if cid in gt]
     else:
-        ranked = search_fused_topk(
-            bundle, index, config.weights, config.text_source, config.encoder,
-            k=len(index),
-        )
+        # The metrics read only where the ground truth lands, so count its
+        # ranks on the score vector instead of ranking every row.
+        if config.bidirectional:
+            scores = _bidirectional_scores(
+                bundle, index, config.weights, config.index_weights,
+                config.text_source, config.encoder,
+            )
+        else:
+            query = fused_query(bundle, config.weights, config.text_source, config.encoder)
+            scores = _query_scores(query, index)
+        ranks = _gt_ranks(index, scores, [index.row_of(cid) for cid in gt])
 
-    gt_rank = None
-    for rank, (cid, _) in enumerate(ranked.entries, start=1):
-        if cid in gt:
-            gt_rank = rank
-            break
-    ap = average_precision(ranked, gt, k_q) if index.kind == "sparse" else None
+    gt_rank = ranks[0] if ranks else None
+    ap = None
+    if index.kind == "sparse":
+        ap = _ap_from_ranks([r for r in ranks if r <= k_q], k_q)
     return QueryOutcome(
         image_id=bundle.image_id,
         k=k_q,
         gt_rank=gt_rank,
         ap=ap,
-        hit_at_1=recall_at_k(ranked, bundle.gt_caption_ids, 1),
-        hit_at_5=recall_at_k(ranked, bundle.gt_caption_ids, 5),
+        hit_at_1=int(gt_rank is not None and gt_rank <= 1),
+        hit_at_5=int(gt_rank is not None and gt_rank <= 5),
     )
 
 

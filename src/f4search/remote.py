@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import requests
 
 from .encoders import EncoderSpec
@@ -22,6 +23,7 @@ from .vectors import EmbeddingVector, l2_normalize
 ENDPOINT_ENV_VAR = "F4_ENCODER_ENDPOINT"
 MAX_ATTEMPTS = 3
 MAX_TEXT_BYTES = 8192
+_JSON_NUMBER_TYPES = {int, float}
 
 
 def default_endpoint() -> str:
@@ -104,9 +106,16 @@ def _parse_batch(payload, expected_count: int, expected_dim: int) -> list[Embedd
             f"service returned {len(rows) if isinstance(rows, list) else '?'} vectors "
             f"for {expected_count} texts"
         )
-    out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != expected_dim:
             raise MalformedResponseError("vector length does not match dim")
-        out.append(l2_normalize(EmbeddingVector(row)))
-    return out
+        # Exact types: bool is an int subclass, and numpy would parse "1.0".
+        if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+            raise MalformedResponseError("vector entries must be JSON numbers")
+    try:
+        matrix = np.array(rows, dtype=np.float64)
+    except OverflowError as exc:
+        raise MalformedResponseError("vector entry out of float range") from exc
+    if not np.isfinite(matrix).all():
+        raise MalformedResponseError("vector entries must be finite")
+    return [l2_normalize(EmbeddingVector(row)) for row in matrix]

@@ -8,11 +8,15 @@ float32 index rows, clamp them into [-1, 1], sort descending by score
 with ties broken by ascending caption id, and must agree exactly.
 
 Every ranked result in the package (top-k, bi-directional and re-ranked
-lists) is ordered by one routine, ``_rank``.
+lists) is ordered by one routine, ``_rank``. Evaluation needs only where
+the ground-truth rows land, so it skips the ranking: ``_gt_ranks`` counts
+each ground-truth row's rank on the same clamped score vector with the
+same id tie-break.
 
 Fused variants improve the query side (weighted image+text sum) or, in
 bi-directional mode, additionally fuse every index row with the query
-image at scoring time; the stored index is never mutated.
+image at scoring time, one block of rows at a time; the stored index is
+never mutated.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ if TYPE_CHECKING:
 
 STAGE_INITIAL = "initial"
 STAGE_RERANKED = "reranked"
+
+# Bi-directional scoring fuses this many bytes of float64 rows at a time,
+# so its temporaries stay small and cache-resident at any index size.
+_BIDIR_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,15 +132,39 @@ def _rank(
     return RankedList(tuple(zip(ids, scores[order].tolist())), k=k, stage=stage)
 
 
+def _gt_ranks(index: "CaptionIndex", scores: np.ndarray, rows: list[int]) -> list[int]:
+    """Ascending 1-based ranks that ``_rank`` would give the given rows.
+
+    ``scores`` holds one raw score per index row. A row's rank is one plus
+    the rows with a higher clamped score plus the rows tied with it whose
+    caption id sorts first, so no ranking is built.
+    """
+    scores = np.clip(scores, -1.0, 1.0)
+    ranks = []
+    for row in rows:
+        s = scores[row]
+        ties = np.flatnonzero(scores == s)
+        ranks.append(
+            1
+            + int(np.count_nonzero(scores > s))
+            + int(np.count_nonzero(index._id_rank[ties] < index._id_rank[row]))
+        )
+    return sorted(ranks)
+
+
+def _query_scores(query: EmbeddingVector, index: "CaptionIndex") -> np.ndarray:
+    """Raw cosine of ``query`` with every index row, in row order."""
+    q, qnorm = _query_direction(query, index)
+    # einsum rather than a BLAS product: every row reduces on its own, so a
+    # row's score bits do not depend on the matrix shape or the BLAS build.
+    return np.einsum("ij,j->i", index.embeddings, q) / qnorm
+
+
 def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
     """Exact top-k cosine retrieval (optimized scan)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    q, qnorm = _query_direction(query, index)
-    # einsum rather than a BLAS product: every row reduces on its own, so a
-    # row's score bits do not depend on the matrix shape or the BLAS build.
-    scores = np.einsum("ij,j->i", index.embeddings, q) / qnorm
-    return _rank(index, scores, min(k, len(index)), STAGE_INITIAL)
+    return _rank(index, _query_scores(query, index), min(k, len(index)), STAGE_INITIAL)
 
 
 def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
@@ -199,6 +231,38 @@ def search_top1_fused(
     return search_fused_topk(bundle, index, w, text_source, encoder, k=1)
 
 
+def _bidirectional_scores(
+    bundle: QueryBundle,
+    index: "CaptionIndex",
+    w_query: FusionWeights,
+    w_index: FusionWeights,
+    text_source: str,
+    encoder: EncoderSpec | None,
+) -> np.ndarray:
+    """Raw bi-directional score of every index row, in row order.
+
+    Rows are fused in blocks of ``_BIDIR_BLOCK_BYTES``; each row's
+    arithmetic is the one-shot ``w_img * e_img + w_text * row`` formula, so
+    the block size never changes a score bit.
+    """
+    query = fused_query(bundle, w_query, text_source, encoder)
+    if w_index.w_img == 0.0:
+        return _query_scores(query, index)
+    q, qnorm = _query_direction(query, index)
+    img = w_index.w_img * bundle.e_img.values
+    scores = np.empty(len(index))
+    step = max(1, _BIDIR_BLOCK_BYTES // (8 * index.dim))
+    for start in range(0, len(index), step):
+        fused_rows = index.embeddings[start : start + step].astype(np.float64)
+        fused_rows *= w_index.w_text
+        fused_rows += img
+        norms = np.linalg.norm(fused_rows, axis=1)
+        if np.any(norms <= ZERO_NORM_EPS):
+            raise ZeroVectorError("a candidate fusion collapsed to the zero vector")
+        scores[start : start + step] = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
+    return scores
+
+
 def search_bidirectional(
     bundle: QueryBundle,
     index: "CaptionIndex",
@@ -211,22 +275,13 @@ def search_bidirectional(
     """Fused query scored against per-candidate fusions of image and row.
 
     Each candidate is re-fused on the fly as
-    ``normalize(w_index.w_img * e_img + w_index.w_text * row)``; the stored
-    index is never written to. ``w_index = (0, 1)`` degenerates to the
-    uni-directional search.
+    ``normalize(w_index.w_img * e_img + w_index.w_text * row)``, one block
+    of rows at a time, so memory per query is bounded by the block, not by
+    the index; the stored index is never written to. ``w_index = (0, 1)``
+    degenerates to the uni-directional search.
     """
-    query = fused_query(bundle, w_query, text_source, encoder)
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    scores = _bidirectional_scores(bundle, index, w_query, w_index, text_source, encoder)
     k_eff = min(k if k is not None else len(index), len(index))
-    if w_index.w_img == 0.0:
-        return search_topk(query, index, k_eff)
-
-    q, qnorm = _query_direction(query, index)
-    fused_rows = (
-        w_index.w_img * bundle.e_img.values[None, :]
-        + w_index.w_text * index.embeddings.astype(np.float64)
-    )
-    norms = np.linalg.norm(fused_rows, axis=1)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroVectorError("a candidate fusion collapsed to the zero vector")
-    scores = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
     return _rank(index, scores, k_eff, STAGE_INITIAL)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from f4search import evaluate, search
 from f4search.encoders import EncoderSpec, encode_text_synthetic
 from f4search.errors import (
     ConfigConflictError,
@@ -12,6 +13,7 @@ from f4search.errors import (
 )
 from f4search.evaluate import (
     EvalConfig,
+    QueryOutcome,
     average_precision,
     derive_k,
     evaluate_corpus,
@@ -23,8 +25,15 @@ from f4search.evaluate import (
     write_sweep,
 )
 from f4search.embfile import write_embedding_file
-from f4search.index import Caption, build_index
-from f4search.search import QueryBundle, RankedList
+from f4search.index import Caption, CaptionIndex, build_index
+from f4search.rerank import retrieve_and_rerank
+from f4search.search import (
+    QueryBundle,
+    RankedList,
+    fused_query,
+    search_bidirectional,
+    search_fused_topk,
+)
 from f4search.vectors import FusionWeights
 
 from conftest import unit
@@ -214,6 +223,127 @@ class TestEvaluateCorpus:
         b = evaluate_corpus(bundles, index, boosted)
         assert (a.recall_at_1, a.recall_at_5, a.mean_ap) == (b.recall_at_1, b.recall_at_5, b.mean_ap)
         assert [o.gt_rank for o in a.per_query] == [o.gt_rank for o in b.per_query]
+
+
+def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6):
+    """Bundles whose ground truth sits among exact ties and clamped scores.
+
+    Every bundle adds, next to random rows: near-duplicates of its image and
+    of its fused query (cosines that can round above 1.0 and clamp to a tie),
+    two exact copies of one image near-duplicate and three of a random row.
+    Ids are shuffled against row order, so a row-order tie-break gives
+    different ranks than the id order.
+    """
+    rng = np.random.default_rng(seed)
+    spec = EncoderSpec("synthetic", dim, seed=seed)
+    weights = FusionWeights(0.7, 0.3)
+    rows = [rng.standard_normal(dim) for _ in range(n_random)]
+    pending = []
+    for j in range(n_bundles):
+        e_img = unit(rng.standard_normal(dim))
+        bundle = QueryBundle(f"q{j}", e_img, dense_pred_text=f"dish{j} sauce", sparse_pred_text=f"dish{j}")
+        fused = fused_query(bundle, weights, "dense", spec).values
+        first = len(rows)
+        rows += [e_img.values + 1e-8 * rng.standard_normal(dim) for _ in range(2)]
+        rows += [fused + 1e-8 * rng.standard_normal(dim) for _ in range(2)]
+        rows += [rows[first]] * 2 + [rows[int(rng.integers(n_random))]] * 3
+        special = list(range(first, len(rows)))
+        candidates = special + rng.choice(n_random, size=3, replace=False).tolist()
+        gt_rows = rng.choice(candidates, size=1 + j % 5, replace=False).tolist()
+        pending.append((bundle, gt_rows))
+    matrix = np.array([r / np.linalg.norm(r) for r in rows], dtype=np.float32)
+    ids = [f"c{i:03d}" for i in rng.permutation(len(rows))]
+    text = "herb oil, rice" if kind == "sparse" else "a plated dish"
+    index = CaptionIndex(
+        tuple(Caption(cid, text, kind) for cid in ids), matrix, kind, spec.fingerprint()
+    )
+    bundles = [
+        QueryBundle(b.image_id, b.e_img, b.dense_pred_text, b.sparse_pred_text,
+                    tuple(ids[r] for r in gt_rows))
+        for b, gt_rows in pending
+    ]
+    return spec, index, bundles
+
+
+def full_ranking_outcome(bundle, index, config):
+    """The outcome read off a complete ranking with the public metrics."""
+    if config.rerank:
+        k_out = max(5, len(set(bundle.gt_caption_ids)))
+        ranked = retrieve_and_rerank(
+            bundle, index, config.weights, N=max(config.pool_size, k_out), k=k_out,
+            encoder=config.encoder,
+        )
+    elif config.bidirectional:
+        ranked = search_bidirectional(
+            bundle, index, config.weights, config.index_weights,
+            config.text_source, config.encoder,
+        )
+    else:
+        ranked = search_fused_topk(
+            bundle, index, config.weights, config.text_source, config.encoder, k=len(index),
+        )
+    gt = set(bundle.gt_caption_ids)
+    gt_rank = next((r for r, cid in enumerate(ranked.ids, start=1) if cid in gt), None)
+    return QueryOutcome(
+        image_id=bundle.image_id,
+        k=len(gt),
+        gt_rank=gt_rank,
+        ap=average_precision(ranked, gt, len(gt)) if index.kind == "sparse" else None,
+        hit_at_1=recall_at_k(ranked, bundle.gt_caption_ids, 1),
+        hit_at_5=recall_at_k(ranked, bundle.gt_caption_ids, 5),
+    )
+
+
+COUNTED_MODES = {
+    "image_only": dict(weights=FusionWeights(1.0, 0.0)),
+    "fused": dict(weights=FusionWeights(0.7, 0.3)),
+    "bidirectional": dict(weights=FusionWeights(0.7, 0.3), bidirectional=True),
+}
+
+
+class TestCountedOutcome:
+    """Outcomes counted on the score vector equal those of a full ranking."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("mode", sorted(COUNTED_MODES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_full_ranking(self, seed, mode, kind, monkeypatch):
+        spec, index, bundles = tie_corpus(seed, kind)
+        config = EvalConfig(encoder=spec, **COUNTED_MODES[mode])
+        counted = evaluate_corpus(bundles, index, config)
+        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        ranked = evaluate_corpus(bundles, index, config)
+        assert counted.per_query == ranked.per_query
+        for o in counted.per_query:
+            assert type(o.gt_rank) is int
+            assert type(o.hit_at_1) is int and type(o.hit_at_5) is int
+            assert type(o.ap) is (float if kind == "sparse" else type(None))
+        for fmt in ("json", "csv"):
+            assert render_report(counted, fmt) == render_report(ranked, fmt)
+
+    def test_rerank_matches_full_ranking(self, monkeypatch):
+        spec, index, bundles = tie_corpus(0, "sparse")
+        config = EvalConfig(encoder=spec, rerank=True, text_source="sparse", pool_size=20)
+        counted = evaluate_corpus(bundles, index, config)
+        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        assert render_report(counted) == render_report(evaluate_corpus(bundles, index, config))
+
+    def test_corpus_has_clamped_ties(self):
+        # Guard the fixture: some gt row must score above 1.0 before clamping
+        # and some gt rank must depend on the id tie-break.
+        clamped = tie_broken = False
+        for seed in range(5):
+            _, index, bundles = tie_corpus(seed, "dense")
+            for b in bundles:
+                scores = search._query_scores(b.e_img, index)
+                for cid in b.gt_caption_ids:
+                    row = index.row_of(cid)
+                    clamped |= bool(scores[row] > 1.0)
+                    tied = np.flatnonzero(np.clip(scores, -1, 1) == min(scores[row], 1.0))
+                    by_row = int(np.count_nonzero(tied < row))
+                    by_id = int(np.count_nonzero(index._id_rank[tied] < index._id_rank[row]))
+                    tie_broken |= by_row != by_id
+        assert clamped and tie_broken
 
 
 class TestSweep:

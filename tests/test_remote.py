@@ -14,7 +14,7 @@ from f4search.errors import (
     RemoteError,
     ServiceUnreachableError,
 )
-from f4search.remote import encode_remote
+from f4search.remote import _parse_batch, encode_remote
 
 
 class StubHandler(http.server.BaseHTTPRequestHandler):
@@ -192,3 +192,26 @@ def test_default_endpoint_from_env(monkeypatch):
     assert default_endpoint() == ""
     monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://embedder:9000")
     assert default_endpoint() == "http://embedder:9000"
+
+
+def test_parse_batch_accepts_ints_and_floats():
+    [vec] = _parse_batch({"dim": 4, "vectors": [[3, 4.0, 0, 0.0]]}, 1, 4)
+    assert vec.values.tolist() == [0.6, 0.8, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ("1.0", "JSON numbers"),
+        (True, "JSON numbers"),
+        (None, "JSON numbers"),
+        ([1.0], "JSON numbers"),
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (10**400, "float range"),
+    ],
+)
+def test_parse_batch_rejects_non_numbers(entry, reason):
+    payload = {"dim": 8, "vectors": [[1.0] * 8, [entry, 1.0] + [0] * 6]}
+    with pytest.raises(MalformedResponseError, match=reason):
+        _parse_batch(payload, 2, 8)

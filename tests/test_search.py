@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from f4search import search
 from f4search.encoders import EncoderSpec, encode_image_synthetic, encode_text_synthetic
 from f4search.errors import (
     DimensionMismatchError,
     MissingPredictionTextError,
     ZeroVectorError,
 )
-from f4search.index import Caption, build_index
+from f4search.index import Caption, CaptionIndex, build_index
 from f4search.search import (
     QueryBundle,
     RankedList,
@@ -245,3 +246,65 @@ class TestBidirectional:
         bundle = QueryBundle("q", unit([1.0, 1.0]))
         search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), FusionWeights(0.3, 0.7))
         assert index.embeddings.tobytes() == before
+
+
+def block_index(n, dim, seed, rows=None):
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((n, dim))
+    for i, row in (rows or {}).items():
+        matrix[i] = row
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    captions = tuple(Caption(f"v{i:05d}", "a dish", "dense") for i in range(n))
+    return CaptionIndex(captions, matrix.astype(np.float32), "dense", "test")
+
+
+def one_shot_scores(e_img, index, w_index):
+    fused = w_index.w_img * e_img[None, :] + w_index.w_text * index.embeddings.astype(np.float64)
+    norms = np.linalg.norm(fused, axis=1)
+    return np.einsum("ij,j->i", fused, e_img) / (norms * float(np.linalg.norm(e_img)))
+
+
+class TestBidirectionalBlocks:
+    """Row-blocked bi-directional scoring keeps the one-shot score bits."""
+
+    BLOCK = 16
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_bits_equal_one_shot(self, dim, monkeypatch):
+        monkeypatch.setattr(search, "_BIDIR_BLOCK_BYTES", self.BLOCK * 8 * dim)
+        rng = np.random.default_rng(dim)
+        for n in (5, self.BLOCK, 3 * self.BLOCK, 3 * self.BLOCK + 1, 3 * self.BLOCK + 7):
+            index = block_index(n, dim, seed=n)
+            bundle = QueryBundle("q", unit(rng.standard_normal(dim)))
+            for w_index in (FusionWeights(0.3, 0.7), FusionWeights(0.5, 0.5)):
+                got = search._bidirectional_scores(
+                    bundle, index, FusionWeights(1.0, 0.0), w_index, "dense", None
+                )
+                want = one_shot_scores(bundle.e_img.values, index, w_index)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_default_block_spans_blocks(self, dim):
+        step = search._BIDIR_BLOCK_BYTES // (8 * dim)
+        index = block_index(2 * step + 3, dim, seed=dim)
+        bundle = QueryBundle("q", unit(np.random.default_rng(dim + 1).standard_normal(dim)))
+        w_index = FusionWeights(0.3, 0.7)
+        want = one_shot_scores(bundle.e_img.values, index, w_index)
+        got = search._bidirectional_scores(
+            bundle, index, FusionWeights(1.0, 0.0), w_index, "dense", None
+        )
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        ranked = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=10)
+        clamped = np.clip(want, -1.0, 1.0)
+        assert list(ranked.scores) == [clamped[index.row_of(cid)] for cid in ranked.ids]
+
+    @pytest.mark.parametrize("collapsing_row", [3, 2 * BLOCK + 5])
+    def test_zero_fusion_raises_in_any_block(self, collapsing_row, monkeypatch):
+        dim = 8
+        monkeypatch.setattr(search, "_BIDIR_BLOCK_BYTES", self.BLOCK * 8 * dim)
+        e_img = np.zeros(dim)
+        e_img[0] = 1.0
+        index = block_index(3 * self.BLOCK, dim, seed=1, rows={collapsing_row: -e_img})
+        bundle = QueryBundle("q", unit(e_img))
+        with pytest.raises(ZeroVectorError, match="collapsed"):
+            search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), FusionWeights(0.5, 0.5))
