@@ -7,6 +7,7 @@ Layout, all integers little-endian, no padding:
 
 Vectors are stored in 32-bit floats and re-normalized (in double
 precision) on load, so every loaded vector carries the unit-norm flag.
+``_Reader`` and ``_pack_text`` are shared with the F4I format (``index.py``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    CorruptFileError,
     DuplicateIdError,
     MixedDimsError,
     TruncatedFileError,
@@ -32,6 +34,64 @@ _HEADER = struct.Struct("<4sHIQ")
 _ID_LEN = struct.Struct("<H")
 
 Record = tuple[str, EmbeddingVector]
+
+
+def _pack_text(length: struct.Struct, s: str) -> bytes:
+    """UTF-8 bytes of ``s`` behind their byte count packed with ``length``."""
+    raw = s.encode("utf-8")
+    try:
+        return length.pack(len(raw)) + raw
+    except struct.error:
+        too_long = f"string of {len(raw)} UTF-8 bytes too long to store: {s[:40]!r}"
+        raise ValueError(too_long) from None
+
+
+class _Reader:
+    """Sequential reads over one F4E/F4I file, each checked against the bytes left.
+
+    Construction checks the header's magic, then its version, and keeps the
+    remaining header fields in ``fields``. As a context manager it turns a
+    ``ValueError`` raised while decoding (invalid UTF-8, or records built
+    from the decoded values) into ``CorruptFileError``.
+    """
+
+    def __init__(self, path, header: struct.Struct, magic: bytes, version: int):
+        self.path, self.data, self.pos = path, Path(path).read_bytes(), 0
+        got_magic, got_version, *self.fields = self.unpack(header)
+        if got_magic != magic:
+            raise BadMagicError(f"{path}: expected magic {magic!r}, got {got_magic!r}")
+        if got_version != version:
+            raise VersionUnsupportedError(f"{path}: version {got_version}, expected {version}")
+
+    def __enter__(self) -> _Reader:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, ValueError):
+            reason = f"bad content before byte {self.pos}: {exc}"
+            raise CorruptFileError(f"{self.path}: {reason}") from exc
+
+    def _take(self, n: int) -> int:
+        start = self.pos
+        self.pos += n
+        if self.pos > len(self.data):
+            raise TruncatedFileError(f"{self.path}: {n} bytes needed at byte {start}, too few left")
+        return start
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack_from(self.data, self._take(fmt.size))
+
+    def text(self, length: struct.Struct) -> str:
+        (n,) = self.unpack(length)
+        start = self._take(n)
+        return self.data[start : start + n].decode("utf-8")
+
+    def floats(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.data, dtype="<f4", count=count, offset=self._take(4 * count))
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise TruncatedFileError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
 
 
 def write_embedding_file(records: Sequence[Record], path) -> None:
@@ -52,11 +112,7 @@ def write_embedding_file(records: Sequence[Record], path) -> None:
     dim = dims.pop() if dims else 0
     parts = [_HEADER.pack(F4E_MAGIC, F4E_VERSION, dim, len(records))]
     for rid, vec in records:
-        id_bytes = rid.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise ValueError(f"record id too long: {rid!r}")
-        parts.append(_ID_LEN.pack(len(id_bytes)))
-        parts.append(id_bytes)
+        parts.append(_pack_text(_ID_LEN, rid))
         parts.append(vec.values.astype("<f4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
@@ -65,39 +121,19 @@ def load_embedding_file(path) -> list[Record]:
     """Load all records from an F4E file, in file order.
 
     Every vector is L2-normalized on load. Raises BadMagicError,
-    VersionUnsupportedError, TruncatedFileError or DuplicateIdError on
-    malformed input.
+    VersionUnsupportedError, TruncatedFileError, CorruptFileError or
+    DuplicateIdError on malformed input.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: shorter than the F4E header")
-    magic, version, dim, count = _HEADER.unpack_from(data, 0)
-    if magic != F4E_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {F4E_MAGIC!r}, got {magic!r}")
-    if version != F4E_VERSION:
-        raise VersionUnsupportedError(f"{path}: F4E version {version}")
-
-    offset = _HEADER.size
     records: list[Record] = []
     seen: set[str] = set()
-    vec_bytes = 4 * dim
-    for _ in range(count):
-        if offset + _ID_LEN.size > len(data):
-            raise TruncatedFileError(f"{path}: record header past end of file")
-        (id_len,) = _ID_LEN.unpack_from(data, offset)
-        offset += _ID_LEN.size
-        if offset + id_len + vec_bytes > len(data):
-            raise TruncatedFileError(f"{path}: record body past end of file")
-        rid = data[offset : offset + id_len].decode("utf-8")
-        offset += id_len
-        raw = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset += vec_bytes
-        if rid in seen:
-            raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
-        seen.add(rid)
-        records.append((rid, l2_normalize(EmbeddingVector(raw))))
-    if offset != len(data):
-        raise TruncatedFileError(
-            f"{path}: {len(data) - offset} trailing bytes beyond header-implied length"
-        )
+    with _Reader(path, _HEADER, F4E_MAGIC, F4E_VERSION) as reader:
+        dim, count = reader.fields
+        for _ in range(count):
+            rid = reader.text(_ID_LEN)
+            raw = reader.floats(dim)
+            if rid in seen:
+                raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
+            seen.add(rid)
+            records.append((rid, l2_normalize(EmbeddingVector(raw))))
+        reader.end()
     return records

@@ -34,6 +34,10 @@ class TruncatedFileError(F4SearchError):
     """File byte length does not match what its header implies."""
 
 
+class CorruptFileError(F4SearchError):
+    """File is complete but its content does not decode to valid records."""
+
+
 class DuplicateIdError(F4SearchError):
     """An id appears more than once where uniqueness is required."""
 

@@ -18,7 +18,7 @@ import io
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -258,31 +258,10 @@ def sweep_fusion_weight(
     return SweepResult(tuple(float(g) for g in grid), tuple(values), metric)
 
 
-def _report_payload(report: EvalReport) -> dict:
-    return {
-        "corpus_name": report.corpus_name,
-        "config": report.config,
-        "recall_at_1": report.recall_at_1,
-        "recall_at_5": report.recall_at_5,
-        "mean_ap": report.mean_ap,
-        "per_query": [
-            {
-                "image_id": o.image_id,
-                "k": o.k,
-                "gt_rank": o.gt_rank,
-                "ap": o.ap,
-                "hit_at_1": o.hit_at_1,
-                "hit_at_5": o.hit_at_5,
-            }
-            for o in report.per_query
-        ],
-    }
-
-
 def render_report(report: EvalReport, fmt: str = "json") -> str:
     """Serialize a report deterministically; identical reports give identical bytes."""
     if fmt == "json":
-        return json.dumps(_report_payload(report), indent=2) + "\n"
+        return json.dumps(asdict(report), indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -23,16 +23,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .embfile import Record
+from .embfile import Record, _pack_text, _Reader
 from .encoders import EncoderSpec, encode_texts
 from .errors import (
-    BadMagicError,
+    CorruptFileError,
     DuplicateIdError,
     EmptyCorpusError,
     MalformedLineError,
-    TruncatedFileError,
     UnknownKindError,
-    VersionUnsupportedError,
 )
 from .vectors import UNIT_NORM_TOL
 
@@ -80,7 +78,7 @@ class CaptionIndex:
         if mat.ndim != 2 or mat.shape[0] != len(self.captions):
             raise ValueError("embedding matrix must have one row per caption")
         norms = np.linalg.norm(mat.astype(np.float64), axis=1)
-        if mat.shape[0] and np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
             raise ValueError("index rows must be unit-norm")
         seen = set()
         for cap in self.captions:
@@ -131,12 +129,9 @@ def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionInd
     """Encode every caption text and assemble an immutable index."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    kinds = {c.kind for c in captions}
-    if len(kinds) > 1:
-        raise ValueError("captions must all share one kind within an index")
     vectors = encode_texts([c.text for c in captions], encoder)
-    matrix = np.stack([v.values for v in vectors]).astype(np.float32)
-    return CaptionIndex(tuple(captions), matrix, kinds.pop(), encoder.fingerprint())
+    records = list(zip([c.id for c in captions], vectors))
+    return build_index_from_records(captions, records, encoder.fingerprint())
 
 
 def build_index_from_records(
@@ -177,66 +172,31 @@ def save_index(index: CaptionIndex, path) -> None:
         )
     ]
     for cap in index.captions:
-        id_bytes = cap.id.encode("utf-8")
-        text_bytes = cap.text.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise ValueError(f"caption id too long: {cap.id!r}")
-        parts.append(_U16.pack(len(id_bytes)))
-        parts.append(id_bytes)
-        parts.append(_U32.pack(len(text_bytes)))
-        parts.append(text_bytes)
+        parts.append(_pack_text(_U16, cap.id))
+        parts.append(_pack_text(_U32, cap.text))
     parts.append(index.embeddings.astype("<f4").tobytes())
-    fp_bytes = index.encoder_fingerprint.encode("utf-8")
-    parts.append(_U32.pack(len(fp_bytes)))
-    parts.append(fp_bytes)
+    parts.append(_pack_text(_U32, index.encoder_fingerprint))
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_index(path) -> CaptionIndex:
-    """Load an F4I file written by save_index."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: shorter than the F4I header")
-    magic, version, kind_byte, dim, count = _HEADER.unpack_from(data, 0)
-    if magic != F4I_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {F4I_MAGIC!r}, got {magic!r}")
-    if version != F4I_VERSION:
-        raise VersionUnsupportedError(f"{path}: F4I version {version}")
-    if kind_byte >= len(CAPTION_KINDS):
-        raise TruncatedFileError(f"{path}: invalid kind byte {kind_byte}")
-    kind = CAPTION_KINDS[kind_byte]
+    """Load an F4I file written by save_index.
 
-    offset = _HEADER.size
-    captions = []
-    for _ in range(count):
-        if offset + _U16.size > len(data):
-            raise TruncatedFileError(f"{path}: caption block past end of file")
-        (id_len,) = _U16.unpack_from(data, offset)
-        offset += _U16.size
-        if offset + id_len + _U32.size > len(data):
-            raise TruncatedFileError(f"{path}: caption block past end of file")
-        cid = data[offset : offset + id_len].decode("utf-8")
-        offset += id_len
-        (text_len,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        if offset + text_len > len(data):
-            raise TruncatedFileError(f"{path}: caption block past end of file")
-        text = data[offset : offset + text_len].decode("utf-8")
-        offset += text_len
-        captions.append(Caption(cid, text, kind))
-
-    emb_bytes = 4 * dim * count
-    if offset + emb_bytes + _U32.size > len(data):
-        raise TruncatedFileError(f"{path}: embedding block past end of file")
-    matrix = np.frombuffer(data, dtype="<f4", count=dim * count, offset=offset)
-    matrix = matrix.reshape(count, dim)
-    offset += emb_bytes
-    (fp_len,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    if offset + fp_len != len(data):
-        raise TruncatedFileError(f"{path}: fingerprint block length mismatch")
-    fingerprint = data[offset : offset + fp_len].decode("utf-8")
-    return CaptionIndex(tuple(captions), matrix, kind, fingerprint)
+    Raises BadMagicError, VersionUnsupportedError, TruncatedFileError,
+    CorruptFileError or DuplicateIdError on malformed input.
+    """
+    with _Reader(path, _HEADER, F4I_MAGIC, F4I_VERSION) as reader:
+        kind_byte, dim, count = reader.fields
+        if kind_byte >= len(CAPTION_KINDS):
+            raise CorruptFileError(f"{path}: invalid kind byte {kind_byte}")
+        kind = CAPTION_KINDS[kind_byte]
+        captions = tuple(
+            Caption(reader.text(_U16), reader.text(_U32), kind) for _ in range(count)
+        )
+        matrix = reader.floats(count * dim).reshape(count, dim)
+        fingerprint = reader.text(_U32)
+        reader.end()
+        return CaptionIndex(captions, matrix, kind, fingerprint)
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:

@@ -6,7 +6,9 @@ import pytest
 from f4search.embfile import F4E_MAGIC, load_embedding_file, write_embedding_file
 from f4search.errors import (
     BadMagicError,
+    CorruptFileError,
     DuplicateIdError,
+    F4SearchError,
     MixedDimsError,
     TruncatedFileError,
     VersionUnsupportedError,
@@ -96,6 +98,13 @@ def test_truncated_file(tmp_path):
         load_embedding_file(path)
 
 
+def test_overlong_id_rejected_on_write(tmp_path):
+    with pytest.raises(ValueError, match="too long"):
+        write_embedding_file([("x" * 0x10000, unit([1.0, 0.0]))], tmp_path / "bad.f4e")
+    write_embedding_file([("x" * 0xFFFF, unit([1.0, 0.0]))], tmp_path / "ok.f4e")
+    assert load_embedding_file(tmp_path / "ok.f4e")[0][0] == "x" * 0xFFFF
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "long.f4e"
     write_embedding_file(random_records(3, 8), path)
@@ -113,3 +122,39 @@ def test_vectors_normalized_on_load(tmp_path):
     [(rid, vec)] = load_embedding_file(path)
     assert rid == "x"
     np.testing.assert_allclose(vec.values, [0.6, 0.8], atol=1e-7)
+
+
+def test_every_prefix_truncated_and_every_bit_flip_domain_error(tmp_path):
+    records = [("crème", unit(np.arange(1.0, 9.0)))] + random_records(2, 8, seed=3)
+    path = tmp_path / "tiny.f4e"
+    write_embedding_file(records, path)
+    data = path.read_bytes()
+    for end in range(len(data)):
+        path.write_bytes(data[:end])
+        with pytest.raises(TruncatedFileError):
+            load_embedding_file(path)
+    with np.errstate(invalid="ignore"):
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_embedding_file(path)
+            except F4SearchError:
+                pass
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        struct.pack("<H", 2) + b"\xc3\x28" + np.array([1.0, 0.0], "<f4").tobytes(),
+        struct.pack("<H", 1) + b"x" + np.array([np.nan, 1.0], "<f4").tobytes(),
+        struct.pack("<H", 1) + b"x" + np.array([np.inf, 1.0], "<f4").tobytes(),
+    ],
+    ids=["invalid-utf8-id", "nan", "inf"],
+)
+def test_corrupt_content_raises_corrupt_file_error(tmp_path, record):
+    path = tmp_path / "bad.f4e"
+    path.write_bytes(struct.pack("<4sHIQ", F4E_MAGIC, 1, 2, 1) + record)
+    with pytest.raises(CorruptFileError, match="bad.f4e"):
+        load_embedding_file(path)

@@ -13,6 +13,7 @@ from f4search.errors import (
 )
 from f4search.evaluate import (
     EvalConfig,
+    EvalReport,
     QueryOutcome,
     average_precision,
     derive_k,
@@ -410,6 +411,53 @@ class TestReports:
         payload = json.loads(p1.read_text())
         assert payload["recall_at_1"] == report.recall_at_1
         assert len(payload["per_query"]) == len(report.per_query)
+
+    def test_json_layout_is_pinned(self):
+        report = EvalReport(
+            corpus_name="tiny",
+            config={"k": 5, "weights": [0.7, 0.3], "encoder_fingerprint": None},
+            recall_at_1=0.5,
+            recall_at_5=1.0,
+            mean_ap=None,
+            per_query=(
+                QueryOutcome("img-1", 2, 3, 0.1 + 0.2, 0, 1),
+                QueryOutcome("img-2", 5, None, None, 0, 0),
+            ),
+        )
+        assert render_report(report) == (
+            "{\n"
+            '  "corpus_name": "tiny",\n'
+            '  "config": {\n'
+            '    "k": 5,\n'
+            '    "weights": [\n'
+            "      0.7,\n"
+            "      0.3\n"
+            "    ],\n"
+            '    "encoder_fingerprint": null\n'
+            "  },\n"
+            '  "recall_at_1": 0.5,\n'
+            '  "recall_at_5": 1.0,\n'
+            '  "mean_ap": null,\n'
+            '  "per_query": [\n'
+            "    {\n"
+            '      "image_id": "img-1",\n'
+            '      "k": 2,\n'
+            '      "gt_rank": 3,\n'
+            '      "ap": 0.30000000000000004,\n'
+            '      "hit_at_1": 0,\n'
+            '      "hit_at_5": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "image_id": "img-2",\n'
+            '      "k": 5,\n'
+            '      "gt_rank": null,\n'
+            '      "ap": null,\n'
+            '      "hit_at_1": 0,\n'
+            '      "hit_at_5": 0\n'
+            "    }\n"
+            "  ]\n"
+            "}\n"
+        )
 
     def test_unwritable_path(self, tmp_path):
         report = self.make_report()

@@ -5,8 +5,10 @@ import pytest
 
 from f4search.errors import (
     BadMagicError,
+    CorruptFileError,
     DuplicateIdError,
     EmptyCorpusError,
+    F4SearchError,
     MalformedLineError,
     NoItemsError,
     TruncatedFileError,
@@ -14,6 +16,7 @@ from f4search.errors import (
     VersionUnsupportedError,
 )
 from f4search.index import (
+    F4I_MAGIC,
     Caption,
     CaptionIndex,
     build_index,
@@ -203,3 +206,56 @@ def test_index_validates_unit_rows():
     captions = [Caption("a", "rice", "dense")]
     with pytest.raises(ValueError, match="unit-norm"):
         CaptionIndex(tuple(captions), np.array([[3.0, 4.0]], dtype=np.float32), "dense", "file:dim=2")
+
+
+def test_index_rejects_non_finite_rows():
+    captions = [Caption("a", "rice", "dense")]
+    with pytest.raises(ValueError, match="unit-norm"):
+        CaptionIndex(tuple(captions), np.array([[np.nan, 1.0]], dtype=np.float32), "dense", "f")
+
+
+class TestCorruptFiles:
+    def test_every_prefix_truncated_and_every_bit_flip_domain_error(self, tmp_path):
+        rng = np.random.default_rng(5)
+        captions = [
+            Caption("a", "crème brûlée", "dense"),
+            Caption("b", "rice bowl", "dense"),
+            Caption("c", "beans", "dense"),
+        ]
+        records = [(c.id, unit(rng.standard_normal(8))) for c in captions]
+        path = tmp_path / "tiny.f4i"
+        save_index(build_index_from_records(captions, records), path)
+        data = path.read_bytes()
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(TruncatedFileError):
+                load_index(path)
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_index(path)
+            except F4SearchError:
+                pass
+
+    @staticmethod
+    def one_caption_file(path, kind=0, text=b"rice", row=(1.0, 0.0)):
+        header = struct.pack("<4sHBIQ", F4I_MAGIC, 1, kind, 2, 1)
+        caption = struct.pack("<H", 1) + b"a" + struct.pack("<I", len(text)) + text
+        fingerprint = struct.pack("<I", 10) + b"file:dim=2"
+        path.write_bytes(header + caption + np.array(row, "<f4").tobytes() + fingerprint)
+
+    def test_hand_built_file_loads(self, tmp_path):
+        self.one_caption_file(tmp_path / "ok.f4i")
+        assert load_index(tmp_path / "ok.f4i").text_of("a") == "rice"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"text": b"r\xffce"}, {"kind": 7}, {"row": (np.nan, 0.0)}, {"text": b" "}],
+        ids=["invalid-utf8-text", "kind-byte-7", "nan-row", "blank-text"],
+    )
+    def test_corrupt_content_raises_corrupt_file_error(self, tmp_path, fields):
+        self.one_caption_file(tmp_path / "bad.f4i", **fields)
+        with pytest.raises(CorruptFileError, match="bad.f4i"):
+            load_index(tmp_path / "bad.f4i")
