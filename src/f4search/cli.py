@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .embfile import load_embedding_file
 from .encoders import EncoderSpec
@@ -103,9 +102,7 @@ def _parse_image_embedding(value: str) -> EmbeddingVector:
         floats = [float(x) for x in value.split(",") if x.strip()]
     except ValueError as exc:
         raise ValueError(f"cannot parse image embedding {value!r}") from exc
-    if not floats:
-        raise ValueError("inline image embedding is empty")
-    return l2_normalize(EmbeddingVector(np.array(floats)))
+    return l2_normalize(floats)
 
 
 @main.command("search")

@@ -87,7 +87,11 @@ class _Reader:
         return self.data[start : start + n].decode("utf-8")
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.data, dtype="<f4", count=count, offset=self._take(4 * count))
+        arr = np.frombuffer(self.data, dtype="<f4", count=count, offset=self._take(4 * count))
+        # Checked on the float32 view: casting a signalling NaN to float64 warns.
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite float")
+        return arr
 
     def end(self) -> None:
         if self.pos != len(self.data):
@@ -134,6 +138,6 @@ def load_embedding_file(path) -> list[Record]:
             if rid in seen:
                 raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
             seen.add(rid)
-            records.append((rid, l2_normalize(EmbeddingVector(raw))))
+            records.append((rid, l2_normalize(raw)))
         reader.end()
     return records

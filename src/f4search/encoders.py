@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyTextError, ZeroVectorError
-from .vectors import ZERO_NORM_EPS, EmbeddingVector
+from .errors import EmptyTextError
+from .vectors import EmbeddingVector, _unit
 
 MIN_DIM = 8
 ENCODER_KINDS = ("file", "synthetic", "remote")
@@ -110,10 +110,7 @@ def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
     vec = vocab.get(token)
     if vec is None:
         rng = np.random.default_rng(_token_seed(token, seed))
-        raw = rng.standard_normal(dim)
-        vec = raw / np.linalg.norm(raw)
-        vec.flags.writeable = False
-        vocab[token] = vec
+        vec = vocab[token] = _unit(rng.standard_normal(dim)).values
     return vec
 
 
@@ -131,10 +128,7 @@ def encode_text_synthetic(text: str, spec: EncoderSpec) -> EmbeddingVector:
     total = np.zeros(spec.dim, dtype=np.float64)
     for tok in sorted(tokens):
         total += _token_vector(tok, spec.dim, spec.seed)
-    norm = float(np.linalg.norm(total))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("token projections cancelled out")
-    return EmbeddingVector(total / norm, normalized=True)
+    return _unit(total)
 
 
 def encode_image_synthetic(
@@ -155,19 +149,15 @@ def encode_image_synthetic(
     if noise_sigma == 0:
         return clean
     rng = np.random.default_rng(noise_seed)
-    noisy = clean.values + noise_sigma * rng.standard_normal(spec.dim)
-    norm = float(np.linalg.norm(noisy))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("noise cancelled the caption embedding")
-    return EmbeddingVector(noisy / norm, normalized=True)
+    return _unit(clean.values + noise_sigma * rng.standard_normal(spec.dim))
 
 
-def encode_texts(texts: list[str], spec: EncoderSpec, batch_size: int = 64) -> list[EmbeddingVector]:
+def encode_texts(texts: list[str], spec: EncoderSpec) -> list[EmbeddingVector]:
     """Encode a batch of texts with whatever source ``spec`` names."""
     if spec.kind == "synthetic":
         return [encode_text_synthetic(t, spec) for t in texts]
     if spec.kind == "remote":
         from .remote import encode_remote
 
-        return encode_remote(texts, spec, batch_size=batch_size)
+        return encode_remote(texts, spec)
     raise ValueError("file-backed encoder specs cannot encode new text")

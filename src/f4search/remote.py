@@ -21,6 +21,9 @@ from .errors import MalformedResponseError, RemoteError, ServiceUnreachableError
 from .vectors import EmbeddingVector, l2_normalize
 
 ENDPOINT_ENV_VAR = "F4_ENCODER_ENDPOINT"
+BATCH_SIZE = 64
+TIMEOUT_S = 10.0
+RETRY_DELAY_S = 0.5
 MAX_ATTEMPTS = 3
 MAX_TEXT_BYTES = 8192
 _JSON_NUMBER_TYPES = {int, float}
@@ -34,24 +37,19 @@ def default_endpoint() -> str:
 def encode_remote(
     texts: list[str],
     spec: EncoderSpec,
-    batch_size: int = 64,
-    timeout: float = 10.0,
-    retry_delay: float = 0.5,
     bearer_token: str | None = None,
-    session: requests.Session | None = None,
 ) -> list[EmbeddingVector]:
     """Embed ``texts`` via the remote service named by ``spec``.
 
-    Texts are sent in batches of at most ``batch_size``; batches are
-    issued and appended strictly in input order, so outputs line up with
-    inputs one-to-one. Each returned vector is normalized on receipt.
+    Texts are sent in batches of at most ``BATCH_SIZE`` over one session
+    that is closed on return; batches are issued and appended strictly in
+    input order, so outputs line up with inputs one-to-one. Each returned
+    vector is normalized on receipt.
     """
     if spec.kind != "remote":
         raise ValueError("encode_remote needs a remote encoder spec")
     if not texts:
         raise ValueError("texts must be non-empty")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     for text in texts:
         if len(text.encode("utf-8")) > MAX_TEXT_BYTES:
             raise ValueError(f"text exceeds {MAX_TEXT_BYTES} bytes")
@@ -60,22 +58,22 @@ def encode_remote(
     headers = {}
     if bearer_token:
         headers["Authorization"] = f"Bearer {bearer_token}"
-    sess = session or requests.Session()
 
     vectors: list[EmbeddingVector] = []
-    for start in range(0, len(texts), batch_size):
-        batch = texts[start : start + batch_size]
-        payload = _post_with_retry(sess, url, {"texts": batch}, timeout, retry_delay, headers)
-        vectors.extend(_parse_batch(payload, len(batch), spec.dim))
+    with requests.Session() as sess:
+        for start in range(0, len(texts), BATCH_SIZE):
+            batch = texts[start : start + BATCH_SIZE]
+            payload = _post_with_retry(sess, url, {"texts": batch}, headers)
+            vectors.extend(_parse_batch(payload, len(batch), spec.dim))
     return vectors
 
 
-def _post_with_retry(sess, url, body, timeout, retry_delay, headers):
-    delay = retry_delay
+def _post_with_retry(sess, url, body, headers):
+    delay = RETRY_DELAY_S
     last_exc = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            resp = sess.post(url, json=body, timeout=timeout, headers=headers)
+            resp = sess.post(url, json=body, timeout=TIMEOUT_S, headers=headers)
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_exc = exc
             if attempt < MAX_ATTEMPTS - 1:
@@ -118,4 +116,4 @@ def _parse_batch(payload, expected_count: int, expected_dim: int) -> list[Embedd
         raise MalformedResponseError("vector entry out of float range") from exc
     if not np.isfinite(matrix).all():
         raise MalformedResponseError("vector entries must be finite")
-    return [l2_normalize(EmbeddingVector(row)) for row in matrix]
+    return [l2_normalize(row) for row in matrix]

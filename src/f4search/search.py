@@ -205,7 +205,7 @@ def fused_query(
     if encoder is None:
         raise ValueError("text fusion requires an encoder spec")
     e_text = encode_texts([text], encoder)[0]
-    return fuse(bundle.e_img, e_text, w, renormalize=True)
+    return fuse(bundle.e_img, e_text, w)
 
 
 def search_fused_topk(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -168,43 +168,27 @@ def generate_corpus(config: SyntheticCorpusConfig, out_dir) -> dict:
         for d in dishes
     ]
 
-    _write_jsonl(
-        out / "captions_dense.jsonl",
-        [{"id": c.id, "text": c.text, "kind": c.kind} for c in dense_captions],
-    )
-    _write_jsonl(
-        out / "captions_sparse.jsonl",
-        [{"id": c.id, "text": c.text, "kind": c.kind} for c in sparse_captions],
-    )
-    _write_jsonl(
-        out / "captions_items.jsonl",
-        [{"id": c.id, "text": c.text, "kind": c.kind} for c in item_captions],
-    )
+    for name, captions in (
+        ("dense", dense_captions),
+        ("sparse", sparse_captions),
+        ("items", item_captions),
+    ):
+        _write_jsonl(out / f"captions_{name}.jsonl", [asdict(c) for c in captions])
     write_embedding_file(images, out / "images.f4e")
-    _write_jsonl(
-        out / "bundles.jsonl",
-        [
+    for name, gt_ids in (
+        ("bundles", [[d["id"]] for d in dishes]),
+        ("bundles_items", [[item_ids[w] for w in d["items"]] for d in dishes]),
+    ):
+        rows = [
             {
                 "image_id": d["id"],
                 "dense_pred_text": d["dense_pred"],
                 "sparse_pred_text": d["sparse_pred"],
-                "gt_caption_ids": [d["id"]],
+                "gt_caption_ids": gt,
             }
-            for d in dishes
-        ],
-    )
-    _write_jsonl(
-        out / "bundles_items.jsonl",
-        [
-            {
-                "image_id": d["id"],
-                "dense_pred_text": d["dense_pred"],
-                "sparse_pred_text": d["sparse_pred"],
-                "gt_caption_ids": [item_ids[w] for w in d["items"]],
-            }
-            for d in dishes
-        ],
-    )
+            for d, gt in zip(dishes, gt_ids)
+        ]
+        _write_jsonl(out / f"{name}.jsonl", rows)
 
     metrics = _baseline_metrics(dishes, images, dense_captions, item_captions, item_ids, encoder)
     manifest = {

@@ -1,9 +1,9 @@
 """Vector primitives: L2 normalization, cosine similarity and weighted fusion.
 
 All similarity math runs in double precision regardless of how vectors are
-stored. Fused vectors are renormalized by default so that queries and index
-rows stay on the unit sphere and scores remain plain dot products; cosine is
-scale-invariant, so renormalization never changes a ranking.
+stored. Fused vectors are always scaled back to unit norm so that queries
+and index rows stay on the unit sphere and scores remain plain dot products;
+cosine is scale-invariant, so renormalization never changes a ranking.
 """
 
 from __future__ import annotations
@@ -16,6 +16,16 @@ from .errors import DimensionMismatchError, ZeroVectorError
 
 ZERO_NORM_EPS = 1e-12
 UNIT_NORM_TOL = 1e-6
+
+
+def _checked(values) -> np.ndarray:
+    """A float64 copy of raw input, rejected unless 1-D, non-empty and finite."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("embedding must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("embedding entries must be finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,11 +41,7 @@ class EmbeddingVector:
     normalized: bool = False
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("embedding must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("embedding entries must be finite")
+        arr = _checked(self.values)
         if self.normalized:
             norm = float(np.linalg.norm(arr))
             if abs(norm - 1.0) > UNIT_NORM_TOL:
@@ -48,6 +54,14 @@ class EmbeddingVector:
     @property
     def dim(self) -> int:
         return int(self.values.shape[0])
+
+
+def _unit(values: np.ndarray) -> EmbeddingVector:
+    """``values`` over its L2 norm: the one place a unit vector is made."""
+    norm = float(np.linalg.norm(values))
+    if norm <= ZERO_NORM_EPS:
+        raise ZeroVectorError("cannot normalize a zero vector")
+    return EmbeddingVector(values / norm, normalized=True)
 
 
 @dataclass(frozen=True)
@@ -77,12 +91,11 @@ def clamp_score(x: float) -> float:
     return min(1.0, max(-1.0, float(x)))
 
 
-def l2_normalize(v: EmbeddingVector) -> EmbeddingVector:
-    """Scale ``v`` to unit L2 norm, preserving direction."""
-    norm = float(np.linalg.norm(v.values))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("cannot normalize a zero vector")
-    return EmbeddingVector(v.values / norm, normalized=True)
+def l2_normalize(v: EmbeddingVector | np.ndarray) -> EmbeddingVector:
+    """Scale ``v``, a vector or a raw 1-D array checked like one, to unit L2 norm."""
+    if isinstance(v, EmbeddingVector):
+        return _unit(v.values)
+    return _unit(_checked(v))
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -107,14 +120,13 @@ def fuse(
     e_img: EmbeddingVector,
     e_text: EmbeddingVector,
     w: FusionWeights = DEFAULT_QUERY_WEIGHTS,
-    renormalize: bool = True,
 ) -> EmbeddingVector:
     """Weighted sum of a unit image embedding and a unit text embedding.
 
-    Returns ``w.w_img * e_img + w.w_text * e_text``. A zero weight on
-    either side returns the other input unchanged, so degenerate weights
-    reproduce single-modality retrieval bit-for-bit. With ``renormalize``
-    the result is scaled back onto the unit sphere.
+    Returns ``w.w_img * e_img + w.w_text * e_text`` scaled back onto the
+    unit sphere. A zero weight on either side returns the other input
+    unchanged, so degenerate weights reproduce single-modality retrieval
+    bit-for-bit.
     """
     if e_img.dim != e_text.dim:
         raise DimensionMismatchError(f"dim {e_img.dim} vs {e_text.dim}")
@@ -124,10 +136,4 @@ def fuse(
         return e_img
     if w.w_img == 0.0:
         return e_text
-    combined = w.w_img * e_img.values + w.w_text * e_text.values
-    norm = float(np.linalg.norm(combined))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("weighted sum collapsed to the zero vector")
-    if renormalize:
-        return EmbeddingVector(combined / norm, normalized=True)
-    return EmbeddingVector(combined, normalized=False)
+    return _unit(w.w_img * e_img.values + w.w_text * e_text.values)

@@ -24,6 +24,10 @@ from f4search import (
 from f4search.synthetic import SyntheticCorpusConfig
 
 
+# A float32 signalling NaN (bits 0x7F800001) followed by 1.0.
+SIGNALLING_NAN_ROW = np.array([0x7F800001, 0x3F800000], "<u4").view("<f4")
+
+
 def unit(values) -> EmbeddingVector:
     return l2_normalize(EmbeddingVector(np.asarray(values, dtype=np.float64)))
 

@@ -164,6 +164,18 @@ class TestSearch:
         assert result.output.startswith("# stage=initial")
         assert len(result.output.splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "inline, reason",
+        [(",", "non-empty"), ("nan,1", "finite"), ("0,0", "zero vector"), ("x,1", "cannot parse")],
+    )
+    def test_bad_inline_embedding_exits_one(self, runner, dense_index_path, inline, reason):
+        result = runner.invoke(
+            main,
+            ["search", "--index", str(dense_index_path), "--image-embedding", inline, "--w-text", "0"],
+        )
+        assert result.exit_code == 1
+        assert reason in result.output
+
     def test_rerank_prints_reranked_stage(self, runner, corpus_dir, items_index_path):
         records = load_embedding_file(corpus_dir / "images.f4e")
         image_id, _ = records[0]

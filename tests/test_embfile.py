@@ -14,7 +14,7 @@ from f4search.errors import (
     VersionUnsupportedError,
 )
 
-from conftest import unit
+from conftest import SIGNALLING_NAN_ROW, unit
 
 
 def random_records(n, dim, seed=0):
@@ -150,8 +150,9 @@ def test_every_prefix_truncated_and_every_bit_flip_domain_error(tmp_path):
         struct.pack("<H", 2) + b"\xc3\x28" + np.array([1.0, 0.0], "<f4").tobytes(),
         struct.pack("<H", 1) + b"x" + np.array([np.nan, 1.0], "<f4").tobytes(),
         struct.pack("<H", 1) + b"x" + np.array([np.inf, 1.0], "<f4").tobytes(),
+        struct.pack("<H", 1) + b"x" + SIGNALLING_NAN_ROW.tobytes(),
     ],
-    ids=["invalid-utf8-id", "nan", "inf"],
+    ids=["invalid-utf8-id", "nan", "inf", "signalling-nan"],
 )
 def test_corrupt_content_raises_corrupt_file_error(tmp_path, record):
     path = tmp_path / "bad.f4e"

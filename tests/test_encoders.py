@@ -3,6 +3,7 @@ import pytest
 
 from f4search.encoders import (
     EncoderSpec,
+    _token_seed,
     encode_image_synthetic,
     encode_text_synthetic,
     encode_texts,
@@ -109,6 +110,16 @@ class TestSyntheticText:
         assert v.dim == synthetic_spec.dim
         assert np.linalg.norm(v.values) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bits_equal_sum_divided_by_norm(self):
+        spec = EncoderSpec("synthetic", 48, seed=11)
+        for text in ("rice", "beans, rice and lime", "lime lime rice"):
+            total = np.zeros(spec.dim)
+            for tok in sorted(tokenize(text)):
+                raw = np.random.default_rng(_token_seed(tok, spec.seed)).standard_normal(spec.dim)
+                total += raw / float(np.linalg.norm(raw))
+            expected = total / float(np.linalg.norm(total))
+            assert encode_text_synthetic(text, spec).values.tobytes() == expected.tobytes()
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
             encode_text_synthetic("rice", EncoderSpec("file", 32))
@@ -136,6 +147,15 @@ class TestSyntheticImage:
         a = encode_image_synthetic("rice bowl", 0.5, synthetic_spec, noise_seed=11)
         b = encode_image_synthetic("rice bowl", 0.5, synthetic_spec, noise_seed=11)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_bits_equal_sum_divided_by_norm(self, synthetic_spec):
+        clean = encode_text_synthetic("a plate of rice", synthetic_spec)
+        for sigma, seed in ((0.25, 1), (2.0, 2)):
+            noise = np.random.default_rng(seed).standard_normal(synthetic_spec.dim)
+            x = clean.values + sigma * noise
+            expected = x / float(np.linalg.norm(x))
+            got = encode_image_synthetic("a plate of rice", sigma, synthetic_spec, seed)
+            assert got.values.tobytes() == expected.tobytes()
 
     def test_negative_sigma_rejected(self, synthetic_spec):
         with pytest.raises(ValueError):

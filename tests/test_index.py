@@ -26,7 +26,7 @@ from f4search.index import (
     save_index,
 )
 
-from conftest import unit
+from conftest import SIGNALLING_NAN_ROW, unit
 
 
 def sample_captions(n, kind="dense"):
@@ -252,8 +252,14 @@ class TestCorruptFiles:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"text": b"r\xffce"}, {"kind": 7}, {"row": (np.nan, 0.0)}, {"text": b" "}],
-        ids=["invalid-utf8-text", "kind-byte-7", "nan-row", "blank-text"],
+        [
+            {"text": b"r\xffce"},
+            {"kind": 7},
+            {"row": (np.nan, 0.0)},
+            {"row": SIGNALLING_NAN_ROW},
+            {"text": b" "},
+        ],
+        ids=["invalid-utf8-text", "kind-byte-7", "nan-row", "signalling-nan-row", "blank-text"],
     )
     def test_corrupt_content_raises_corrupt_file_error(self, tmp_path, fields):
         self.one_caption_file(tmp_path / "bad.f4i", **fields)

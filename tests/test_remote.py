@@ -7,7 +7,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import requests
 
+from f4search import remote
 from f4search.encoders import EncoderSpec
 from f4search.errors import (
     MalformedResponseError,
@@ -15,6 +17,11 @@ from f4search.errors import (
     ServiceUnreachableError,
 )
 from f4search.remote import _parse_batch, encode_remote
+
+
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    monkeypatch.setattr(remote, "RETRY_DELAY_S", 0.01)
 
 
 class StubHandler(http.server.BaseHTTPRequestHandler):
@@ -85,55 +92,74 @@ def stub_service(mode="ok", dim=16):
 
 def test_three_texts_three_vectors_in_order():
     with stub_service() as (server, spec):
-        vecs = encode_remote(["a", "b", "c"], spec, retry_delay=0.01)
+        vecs = encode_remote(["a", "b", "c"], spec)
     assert len(vecs) == 3
     for j, vec in enumerate(vecs):
         assert vec.values[j] == pytest.approx(1.0)
         assert vec.normalized
 
 
-def test_batching_never_reorders_or_drops():
+def test_batching_never_reorders_or_drops(monkeypatch):
+    monkeypatch.setattr(remote, "BATCH_SIZE", 2)
     texts = [f"t{i}" for i in range(5)]
     with stub_service() as (server, spec):
-        vecs = encode_remote(texts, spec, batch_size=2, retry_delay=0.01)
+        vecs = encode_remote(texts, spec)
         assert server.received == [["t0", "t1"], ["t2", "t3"], ["t4"]]
     assert [int(np.argmax(v.values)) for v in vecs] == [0, 1, 2, 3, 4]
 
 
 def test_vectors_normalized_on_receipt():
     with stub_service(mode="scaled") as (server, spec):
-        [vec] = encode_remote(["a"], spec, retry_delay=0.01)
+        [vec] = encode_remote(["a"], spec)
     assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_short_response_rejected():
     with stub_service(mode="short") as (server, spec):
         with pytest.raises(MalformedResponseError, match="2 vectors"):
-            encode_remote(["a", "b", "c"], spec, retry_delay=0.01)
+            encode_remote(["a", "b", "c"], spec)
 
 
 def test_wrong_dim_rejected():
     with stub_service(mode="wrong_dim") as (server, spec):
         with pytest.raises(MalformedResponseError, match="dim"):
-            encode_remote(["a"], spec, retry_delay=0.01)
+            encode_remote(["a"], spec)
 
 
 def test_http_error_is_remote_error():
     with stub_service(mode="http_error") as (server, spec):
         with pytest.raises(RemoteError, match="503"):
-            encode_remote(["a"], spec, retry_delay=0.01)
+            encode_remote(["a"], spec)
 
 
 def test_non_json_body_rejected():
     with stub_service(mode="not_json") as (server, spec):
         with pytest.raises(MalformedResponseError, match="JSON"):
-            encode_remote(["a"], spec, retry_delay=0.01)
+            encode_remote(["a"], spec)
 
 
 def test_bearer_token_passthrough():
     with stub_service() as (server, spec):
-        encode_remote(["a"], spec, retry_delay=0.01, bearer_token="sesame")
+        encode_remote(["a"], spec, bearer_token="sesame")
         assert server.auth_headers == ["Bearer sesame"]
+
+
+def test_each_call_closes_its_session(monkeypatch):
+    closed = []
+
+    class RecordingSession(requests.Session):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    with stub_service() as (server, spec):
+        encode_remote(["a"], spec)
+        assert len(closed) == 1
+        server.mode = "short"
+        with pytest.raises(MalformedResponseError):
+            encode_remote(["a", "b"], spec)
+    assert len(closed) == 2
 
 
 class _Slammer(socketserver.ThreadingTCPServer):
@@ -156,7 +182,7 @@ def test_unreachable_after_three_attempts():
     try:
         spec = EncoderSpec("remote", 16, endpoint=f"http://127.0.0.1:{server.server_address[1]}")
         with pytest.raises(ServiceUnreachableError, match="3 attempts"):
-            encode_remote(["a"], spec, retry_delay=0.01)
+            encode_remote(["a"], spec)
     finally:
         server.shutdown()
         server.server_close()
@@ -170,7 +196,7 @@ def test_dead_port_unreachable():
     sock.close()
     spec = EncoderSpec("remote", 16, endpoint=f"http://127.0.0.1:{port}")
     with pytest.raises(ServiceUnreachableError):
-        encode_remote(["a"], spec, retry_delay=0.01)
+        encode_remote(["a"], spec)
 
 
 def test_oversized_text_rejected():

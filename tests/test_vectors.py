@@ -52,6 +52,29 @@ class TestL2Normalize:
         with pytest.raises(ZeroVectorError):
             l2_normalize(EmbeddingVector([0.0, 0.0]))
 
+    def test_raw_array_matches_vector_input_bitwise(self):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 16, 257):
+            arr = rng.standard_normal(dim) * 10.0 ** rng.integers(-5, 5)
+            from_raw = l2_normalize(arr)
+            assert from_raw.normalized
+            assert from_raw.values.tobytes() == l2_normalize(EmbeddingVector(arr)).values.tobytes()
+        with pytest.raises(ZeroVectorError):
+            l2_normalize(np.zeros(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "raw",
+        [[1.0, float("nan")], [float("inf"), 0.0], [], [[1.0, 0.0], [0.0, 1.0]]],
+        ids=["nan", "inf", "empty", "2-d"],
+    )
+    def test_raw_array_rejected_like_vector(self, raw):
+        with pytest.raises(ValueError) as expected:
+            EmbeddingVector(np.array(raw))
+        with pytest.raises(ValueError) as got:
+            l2_normalize(np.array(raw))
+        assert str(got.value) == str(expected.value)
+
 
 class TestCosineSimilarity:
     def test_identical_unit_vectors(self):
@@ -128,15 +151,15 @@ class TestFuse:
     def test_weighted_sum_unnormalized(self):
         e_img = EmbeddingVector([1.0, 0.0], normalized=True)
         e_text = EmbeddingVector([0.0, 1.0], normalized=True)
-        fused = fuse(e_img, e_text, FusionWeights(0.7, 0.3), renormalize=False)
-        np.testing.assert_allclose(fused.values, [0.7, 0.3])
-        assert not fused.normalized
+        fused = fuse(e_img, e_text, FusionWeights(0.7, 0.3))
+        np.testing.assert_allclose(fused.values * np.linalg.norm([0.7, 0.3]), [0.7, 0.3])
+        assert fused.normalized
 
     def test_weighted_sum_renormalized(self):
         # Analytic oracle: divide [0.7, 0.3] by its norm sqrt(0.58).
         e_img = EmbeddingVector([1.0, 0.0], normalized=True)
         e_text = EmbeddingVector([0.0, 1.0], normalized=True)
-        fused = fuse(e_img, e_text, FusionWeights(0.7, 0.3), renormalize=True)
+        fused = fuse(e_img, e_text, FusionWeights(0.7, 0.3))
         expected = np.array([0.7, 0.3]) / np.linalg.norm([0.7, 0.3])
         np.testing.assert_allclose(fused.values, expected, atol=1e-12)
         np.testing.assert_allclose(fused.values, [0.91914503, 0.39391930], atol=1e-6)
@@ -152,6 +175,15 @@ class TestFuse:
     def test_requires_unit_inputs(self):
         with pytest.raises(ValueError, match="unit-norm"):
             fuse(EmbeddingVector([3.0, 4.0]), EmbeddingVector([0.0, 1.0], normalized=True))
+
+    def test_bits_equal_sum_divided_by_norm(self):
+        rng = np.random.default_rng(6)
+        for w in (FusionWeights(0.7, 0.3), FusionWeights(0.5, 0.5), FusionWeights(0.05, 0.95)):
+            e_img = unit(rng.standard_normal(64))
+            e_text = unit(rng.standard_normal(64))
+            x = w.w_img * e_img.values + w.w_text * e_text.values
+            expected = x / float(np.linalg.norm(x))
+            assert fuse(e_img, e_text, w).values.tobytes() == expected.tobytes()
 
     def test_antipodal_equal_weights_collapse(self):
         e_img = EmbeddingVector([1.0, 0.0], normalized=True)
@@ -178,8 +210,8 @@ class TestFuse:
         for _ in range(20):
             e_img = unit(rng.standard_normal(16))
             e_text = unit(rng.standard_normal(16))
-            raw = fuse(e_img, e_text, FusionWeights(0.7, 0.3), renormalize=False)
-            renorm = fuse(e_img, e_text, FusionWeights(0.7, 0.3), renormalize=True)
-            order_raw = np.argsort(-(rows @ raw.values))
+            raw = 0.7 * e_img.values + 0.3 * e_text.values
+            renorm = fuse(e_img, e_text, FusionWeights(0.7, 0.3))
+            order_raw = np.argsort(-(rows @ raw))
             order_renorm = np.argsort(-(rows @ renorm.values))
             np.testing.assert_array_equal(order_raw, order_renorm)
