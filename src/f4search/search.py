@@ -1,11 +1,13 @@
 """Exact cosine retrieval over a caption index.
 
-Two scan implementations share one contract: an optimized scan that
-scores every row in one vectorized pass and selects the top k with numpy,
-and a deliberately naive single-pass full sort kept around as the
-reference oracle. Both compute scores in double precision over the
-float32 index rows, clamp them into [-1, 1], sort descending by score
-with ties broken by ascending caption id, and must agree exactly.
+Scores are cosines computed in double precision over the float32 index
+rows, clamped into [-1, 1] and sorted descending with ties broken by
+ascending caption id. ``search_topk`` first screens every row with one
+float32 mat-vec, then re-scores in double precision only the band of rows
+whose screen score lies within the proven screen error of the k-th, so its
+ids and score bits are those of the full double-precision scan.
+``search_topk_naive`` is the reference oracle: a plain float64 product sum
+over every row and one full sort, with no partition and no screen.
 
 Every ranked result in the package (top-k, bi-directional and re-ranked
 lists) is ordered by one routine, ``_rank``. Evaluation needs only where
@@ -35,10 +37,10 @@ from .errors import (
 from .vectors import (
     DEFAULT_INDEX_WEIGHTS,
     DEFAULT_QUERY_WEIGHTS,
+    UNIT_NORM_TOL,
     ZERO_NORM_EPS,
     EmbeddingVector,
     FusionWeights,
-    clamp_score,
     fuse,
 )
 
@@ -48,9 +50,10 @@ if TYPE_CHECKING:
 STAGE_INITIAL = "initial"
 STAGE_RERANKED = "reranked"
 
-# Bi-directional scoring fuses this many bytes of float64 rows at a time,
-# so its temporaries stay small and cache-resident at any index size.
-_BIDIR_BLOCK_BYTES = 1 << 20
+# Bi-directional scoring and the oracle widen this many bytes of float64
+# rows at a time, so their temporaries stay small and cache-resident at any
+# index size.
+_ROW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,33 +155,97 @@ def _gt_ranks(index: "CaptionIndex", scores: np.ndarray, rows: list[int]) -> lis
     return sorted(ranks)
 
 
+def _cosines(
+    embeddings: np.ndarray, q: np.ndarray, qnorm: float, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Raw cosine of ``q`` with the given rows (every row when ``rows`` is None)."""
+    if rows is not None:
+        embeddings = embeddings[rows]
+    # einsum rather than a BLAS product: every row reduces on its own, so a
+    # row's score bits do not depend on the matrix shape, the row subset or
+    # the BLAS build.
+    return np.einsum("ij,j->i", embeddings, q) / qnorm
+
+
 def _query_scores(query: EmbeddingVector, index: "CaptionIndex") -> np.ndarray:
     """Raw cosine of ``query`` with every index row, in row order."""
-    q, qnorm = _query_direction(query, index)
-    # einsum rather than a BLAS product: every row reduces on its own, so a
-    # row's score bits do not depend on the matrix shape or the BLAS build.
-    return np.einsum("ij,j->i", index.embeddings, q) / qnorm
+    return _cosines(index.embeddings, *_query_direction(query, index))
+
+
+def _screen_delta(dim: int) -> float:
+    """Largest possible |screen score - exact score| of any row at ``dim``.
+
+    Proof. Let c = qnorm, t = row.q / c exactly, u = 2^-24 and v = 2^-53,
+    and g_n(w) = n w / (1 - n w) (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1: |fl(x.y) - x.y| <= g_n |x|.|y| for any
+    summation order, blocking or FMA). The index check |fl(|row|) - 1| <= tol
+    and c = fl(sqrt(fl(q.q))) give |row| <= (1 + tol) / (1 - g) and
+    |q| / c <= 1 / (1 - g) with g = g_{d+1}(v), so |row| |q| / c <= S (``scale``).
+    The exact score fl(fl(row.q) / c) is within g S of t (the einsum's g_d
+    plus the division's v). The screen rounds q / c to float64 and then to
+    float32 (each component off by at most u + 2v relative) and takes a
+    float32 dot product (g_d(u) times |row| |q32| <= (1 + 2u) S), so it is
+    within ((g_d(u) + u)(1 + 2u) + g) S of t. Underflow anywhere and the
+    rounding of the band threshold add less than the final 2^-40.
+    """
+    u, v = 2.0**-24, 2.0**-53
+    if dim * u >= 0.5:
+        return np.inf
+    g32 = dim * u / (1 - dim * u)
+    g = (dim + 1) * v / (1 - (dim + 1) * v)
+    scale = (1 + UNIT_NORM_TOL) / (1 - g) ** 2
+    return scale * ((g32 + u) * (1 + 2 * u) + 2 * g) + 2.0**-40
+
+
+def _screen(embeddings: np.ndarray, q: np.ndarray, qnorm: float, k: int) -> np.ndarray | None:
+    """Rows that can reach the exact top k, or None when every row can.
+
+    The screen score s' of every row is within delta of its exact score s.
+    With theta the k-th largest s', at least k rows have s >= theta - delta.
+    When theta - delta > -1, those rows clamp above -1 and to at least
+    min(theta, 1) - delta, so a row with s' < min(theta, 1) - 2 delta has
+    s < min(theta, 1) - delta and clamps strictly below all of them: it is
+    neither in the top k nor tied with it. Otherwise a row below the band
+    could clamp to a tie at -1, so every row is kept. Screening the unit
+    direction keeps this valid at any query scale, even where ``q`` itself
+    would overflow float32.
+    """
+    n, dim = embeddings.shape
+    if k >= n:
+        return None
+    screen = embeddings @ (q / qnorm).astype(np.float32)
+    theta = float(np.partition(screen, n - k)[n - k])
+    delta = _screen_delta(dim)
+    if theta - delta <= -1.0:
+        return None
+    # A float64 threshold, so the comparison is not rounded to float32.
+    return np.flatnonzero(screen >= np.float64(min(theta, 1.0) - 2 * delta))
 
 
 def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
-    """Exact top-k cosine retrieval (optimized scan)."""
+    """Exact top-k cosine retrieval: float32 screen, then exact re-score."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _rank(index, _query_scores(query, index), min(k, len(index)), STAGE_INITIAL)
+    k = min(k, len(index))
+    q, qnorm = _query_direction(query, index)
+    rows = _screen(index.embeddings, q, qnorm, k)
+    return _rank(index, _cosines(index.embeddings, q, qnorm, rows), k, STAGE_INITIAL, rows)
 
 
 def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
-    """Reference oracle: score every row in a plain loop, full sort, cut at k."""
+    """Reference oracle: a plain float64 product sum per row, full sort, cut at k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q, qnorm = _query_direction(query, index)
-    scored = []
-    for cap, row in zip(index.captions, index.embeddings):
-        score = clamp_score(float(np.dot(row.astype(np.float64), q)) / qnorm)
-        scored.append((cap.id, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    k_eff = min(k, len(index))
-    return RankedList(tuple(scored[:k_eff]), k=k_eff, stage=STAGE_INITIAL)
+    sums = np.empty(len(index))
+    step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
+    for start in range(0, len(index), step):
+        block = index.embeddings[start : start + step].astype(np.float64)
+        sums[start : start + step] = (block * q).sum(axis=1)
+    scores = np.clip(sums / qnorm, -1.0, 1.0)
+    order = np.lexsort((index._id_rank, -scores))[: min(k, len(index))]
+    ids = [index.captions[i].id for i in order.tolist()]
+    return RankedList(tuple(zip(ids, scores[order].tolist())), k=len(ids), stage=STAGE_INITIAL)
 
 
 def fused_query(
@@ -241,7 +308,7 @@ def _bidirectional_scores(
 ) -> np.ndarray:
     """Raw bi-directional score of every index row, in row order.
 
-    Rows are fused in blocks of ``_BIDIR_BLOCK_BYTES``; each row's
+    Rows are fused in blocks of ``_ROW_BLOCK_BYTES``; each row's
     arithmetic is the one-shot ``w_img * e_img + w_text * row`` formula, so
     the block size never changes a score bit.
     """
@@ -251,7 +318,7 @@ def _bidirectional_scores(
     q, qnorm = _query_direction(query, index)
     img = w_index.w_img * bundle.e_img.values
     scores = np.empty(len(index))
-    step = max(1, _BIDIR_BLOCK_BYTES // (8 * index.dim))
+    step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
     for start in range(0, len(index), step):
         fused_rows = index.embeddings[start : start + step].astype(np.float64)
         fused_rows *= w_index.w_text

@@ -29,6 +29,10 @@ def random_index(make_index, n, dim, seed, kind="dense"):
     return make_index({i: rng.standard_normal(dim) for i in ids}, kind=kind)
 
 
+def score_bits(ranked):
+    return np.array(ranked.scores, dtype=np.float64).view(np.uint64).tolist()
+
+
 def test_query_bundle_requires_unit_image():
     with pytest.raises(ValueError, match="unit-norm"):
         QueryBundle("q", EmbeddingVector([3.0, 4.0]))
@@ -103,9 +107,15 @@ class TestSearchTopk:
         rng = np.random.default_rng(10)
         query = rng.standard_normal(16)
         base = search_topk(EmbeddingVector(query), index, 10).ids
-        for lam in (0.5, 2.0, 100.0):
-            scaled = search_topk(EmbeddingVector(lam * query), index, 10).ids
-            assert scaled == base
+        # At 1e39 the query itself overflows float32, so only a screen on the
+        # unit direction keeps the exact result.
+        for lam in (0.5, 2.0, 100.0, 1e-10, 1e39):
+            scaled = EmbeddingVector(lam * query)
+            got = search_topk(scaled, index, 10)
+            assert got.ids == base
+            want = search._rank(index, search._query_scores(scaled, index), 10, "initial")
+            assert got.entries == want.entries
+            assert score_bits(got) == score_bits(want)
 
     def test_naive_dimension_mismatch(self, make_index):
         index = make_index({"a": [1.0, 0.0]})
@@ -271,7 +281,7 @@ class TestBidirectionalBlocks:
 
     @pytest.mark.parametrize("dim", [8, 64, 256])
     def test_bits_equal_one_shot(self, dim, monkeypatch):
-        monkeypatch.setattr(search, "_BIDIR_BLOCK_BYTES", self.BLOCK * 8 * dim)
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", self.BLOCK * 8 * dim)
         rng = np.random.default_rng(dim)
         for n in (5, self.BLOCK, 3 * self.BLOCK, 3 * self.BLOCK + 1, 3 * self.BLOCK + 7):
             index = block_index(n, dim, seed=n)
@@ -285,7 +295,7 @@ class TestBidirectionalBlocks:
 
     @pytest.mark.parametrize("dim", [8, 64, 256])
     def test_default_block_spans_blocks(self, dim):
-        step = search._BIDIR_BLOCK_BYTES // (8 * dim)
+        step = search._ROW_BLOCK_BYTES // (8 * dim)
         index = block_index(2 * step + 3, dim, seed=dim)
         bundle = QueryBundle("q", unit(np.random.default_rng(dim + 1).standard_normal(dim)))
         w_index = FusionWeights(0.3, 0.7)
@@ -301,10 +311,108 @@ class TestBidirectionalBlocks:
     @pytest.mark.parametrize("collapsing_row", [3, 2 * BLOCK + 5])
     def test_zero_fusion_raises_in_any_block(self, collapsing_row, monkeypatch):
         dim = 8
-        monkeypatch.setattr(search, "_BIDIR_BLOCK_BYTES", self.BLOCK * 8 * dim)
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", self.BLOCK * 8 * dim)
         e_img = np.zeros(dim)
         e_img[0] = 1.0
         index = block_index(3 * self.BLOCK, dim, seed=1, rows={collapsing_row: -e_img})
         bundle = QueryBundle("q", unit(e_img))
         with pytest.raises(ZeroVectorError, match="collapsed"):
             search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), FusionWeights(0.5, 0.5))
+
+
+def screen_case(dim, seed):
+    """A shuffled-id index built to stress the screen's band around the k-th score.
+
+    Rows: random directions; near-duplicates of the query, whose float32
+    rounding lifts their raw cosines above 1.0; 40 rows whose cosines are
+    spaced across +-4 delta around 0.95, so the 5th and 37th scores sit
+    among rows that the float32 screen cannot order; and exact duplicates
+    of those and of random rows, which tie.
+    """
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(dim)
+    q /= np.linalg.norm(q)
+    delta = search._screen_delta(dim)
+    rows = list(rng.standard_normal((150, dim)))
+    rows += [q + 1e-8 * rng.standard_normal(dim) for _ in range(4)]
+    for c in 0.95 + delta * np.linspace(-4.0, 4.0, 40):
+        side = rng.standard_normal(dim)
+        side -= (side @ q) * q
+        rows.append(c * q + np.sqrt(1.0 - c * c) * side / np.linalg.norm(side))
+    rows += [rows[i] for i in rng.choice(np.arange(154, 194), 10, replace=False)]
+    rows += [rows[i] for i in rng.choice(150, 5, replace=False)]
+    matrix = np.array(rows)
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    captions = tuple(Caption(f"s{i:04d}", "a dish", "dense") for i in rng.permutation(len(rows)))
+    index = CaptionIndex(captions, matrix.astype(np.float32), "dense", "test")
+    return index, EmbeddingVector(q)
+
+
+class TestScreen:
+    """The float32 screen plus exact re-score returns the full scan's bits."""
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    @pytest.mark.parametrize("k", [1, 5, 37])
+    def test_matches_unscreened_reference(self, dim, k):
+        clamped_ties = wide_bands = 0
+        for seed in range(10):
+            index, query = screen_case(dim, seed)
+            raw = search._query_scores(query, index)
+            got = search_topk(query, index, k)
+            want = search._rank(index, raw, k, "initial")
+            assert got.entries == want.entries
+            assert score_bits(got) == score_bits(want)
+            clamped_ties += int(np.count_nonzero(raw > 1.0) >= 2)
+            band = search._screen(index.embeddings, *search._query_direction(query, index), k)
+            wide_bands += int(len(band) > k)
+        # Fixture guards: ties at 1.0 occur, and the band re-scores rows beyond k.
+        assert clamped_ties > 0
+        assert wide_bands > 0
+
+    @pytest.mark.parametrize(
+        "rows, k, expected",
+        [
+            ({"z": 1.00000095, "a": 1.0, "m": -1.0}, 1, (("a", 1.0),)),
+            ({"z": 1.0, "b": -1.0, "a": -1.00000095}, 2, (("z", 1.0), ("a", -1.0))),
+        ],
+        ids=["tie-at-plus-one", "tie-at-minus-one"],
+    )
+    def test_rows_beyond_unit_norm_tie_at_the_clamp(self, rows, k, expected):
+        # At dim 1 the screen error is below the unit-norm tolerance, so a
+        # row of norm 1 + 9.5e-7 screens more than 2 delta away from a row of
+        # norm 1 and still clamps to a tie with it; the id then decides.
+        assert 2 * search._screen_delta(1) < 9e-7
+        captions = tuple(Caption(cid, "a dish", "dense") for cid in rows)
+        matrix = np.array([[v] for v in rows.values()], dtype=np.float32)
+        index = CaptionIndex(captions, matrix, "dense", "test")
+        assert search_topk(EmbeddingVector([1.0]), index, k).entries == expected
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_row_subset_cosines_bit_equal(self, dim):
+        # The re-score relies on a row's einsum bits not depending on which
+        # other rows are scored with it.
+        n = 300
+        rng = np.random.default_rng(dim)
+        embeddings = block_index(n, dim, seed=dim).embeddings
+        q = rng.standard_normal(dim)
+        qnorm = float(np.linalg.norm(q))
+        full = search._cosines(embeddings, q, qnorm)
+        for size in (1, 10, n - 1):
+            for _ in range(5):
+                rows = rng.choice(n, size, replace=False)
+                sub = search._cosines(embeddings, q, qnorm, rows)
+                assert sub.view(np.uint64).tolist() == full[rows].view(np.uint64).tolist()
+
+    def test_band_stays_near_k(self):
+        # A bound that silently widened to every row would stay exact but
+        # lose the speed-up; noisy copies of rows re-score about k rows.
+        n, dim, k = 5000, 64, 10
+        index = block_index(n, dim, seed=3)
+        rng = np.random.default_rng(4)
+        bands = []
+        for row in rng.integers(n, size=50):
+            noise = rng.standard_normal(dim)
+            q = index.embeddings[row] + 0.5 * noise / np.linalg.norm(noise)
+            q, qnorm = search._query_direction(EmbeddingVector(q), index)
+            bands.append(len(search._screen(index.embeddings, q, qnorm, k)))
+        assert np.median(bands) <= k + 2
