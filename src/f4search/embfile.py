@@ -7,11 +7,13 @@ Layout, all integers little-endian, no padding:
 
 Vectors are stored in 32-bit floats and re-normalized (in double
 precision) on load, so every loaded vector carries the unit-norm flag.
-``_Reader`` and ``_pack_text`` are shared with the F4I format (``index.py``).
+``_Reader`` and ``_pack_text`` are shared with the F4I format (``index.py``);
+every file the package writes goes through ``_write_atomic``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -44,6 +46,24 @@ def _pack_text(length: struct.Struct, s: str) -> bytes:
     except struct.error:
         too_long = f"string of {len(raw)} UTF-8 bytes too long to store: {s[:40]!r}"
         raise ValueError(too_long) from None
+
+
+def _write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data``: write a sibling temp file, then ``os.replace``.
+
+    Readers see the old file or the new one, never a part of either. When
+    the write fails the old file is left as it was and the temp file is
+    removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -118,7 +138,7 @@ def write_embedding_file(records: Sequence[Record], path) -> None:
     for rid, vec in records:
         parts.append(_pack_text(_ID_LEN, rid))
         parts.append(vec.values.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 def load_embedding_file(path) -> list[Record]:

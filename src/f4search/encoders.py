@@ -152,8 +152,14 @@ def encode_image_synthetic(
     return _unit(clean.values + noise_sigma * rng.standard_normal(spec.dim))
 
 
-def encode_texts(texts: list[str], spec: EncoderSpec) -> list[EmbeddingVector]:
-    """Encode a batch of texts with whatever source ``spec`` names."""
+def encode_texts(texts: list[str], spec: EncoderSpec | None) -> list[EmbeddingVector]:
+    """Encode a batch of texts with whatever source ``spec`` names.
+
+    Each text's vector depends on that text alone, never on the rest of the
+    batch, so callers may batch and deduplicate texts freely.
+    """
+    if spec is None:
+        raise ValueError("encoding text requires an encoder spec")
     if spec.kind == "synthetic":
         return [encode_text_synthetic(t, spec) for t in texts]
     if spec.kind == "remote":

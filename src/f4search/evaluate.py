@@ -9,6 +9,16 @@ Average precision is the standard truncated form
 with the denominator fixed at |gt|, so candidates lost in stage 1 keep
 hurting the score. In the sparse-ingredient task k varies per query and
 equals the number of ground-truth items.
+
+An evaluation first encodes, then scores. It collects the distinct texts
+the call needs, in bundle order: each bundle's prediction text when some
+weight fuses text, and for re-ranking the sparse text's item phrases. It
+encodes them with one ``encode_texts`` call, so a remote encoder sends
+them in batches over one session, and a sweep encodes once for its whole
+grid. Scoring then runs the same private cores as the per-bundle search
+functions on the encoded vectors. An encoder returns each text's vector
+independently of the rest of its batch, so the reports are byte-identical
+to encoding one bundle at a time.
 """
 
 from __future__ import annotations
@@ -19,11 +29,12 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .embfile import load_embedding_file
-from .encoders import EncoderSpec
+import numpy as np
+
+from .embfile import _write_atomic, load_embedding_file
+from .encoders import EncoderSpec, encode_texts
 from .errors import (
     ConfigConflictError,
     EmptyGroundTruthError,
@@ -31,16 +42,21 @@ from .errors import (
     UnknownCandidateIdError,
 )
 from .index import CaptionIndex, read_jsonl
-from .rerank import default_pool_size, parse_items, retrieve_and_rerank
+from .rerank import _item_matrix, _retrieve_and_rerank, default_pool_size, parse_items
 from .search import (
     QueryBundle,
     RankedList,
     _bidirectional_scores,
+    _fused_query,
     _gt_ranks,
+    _pred_text,
     _query_scores,
-    fused_query,
 )
-from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights
+from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights
+
+# One bundle's encoded texts: the prediction-text vector (None when no
+# weight fuses text) and, for re-ranking, the item matrix (else None).
+Encoded = tuple[EmbeddingVector | None, np.ndarray | None]
 
 
 def recall_at_k(ranked: RankedList, gt_ids: Sequence[str], k: int) -> int:
@@ -162,29 +178,47 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
             )
 
 
+def _encode_bundles(
+    bundles: Sequence[QueryBundle], config: EvalConfig, weights: Iterable[FusionWeights]
+) -> list[Encoded]:
+    """Every bundle's encoded texts under any of ``weights``, from one encoding call.
+
+    The distinct texts are collected in bundle order first, so a missing
+    prediction text or an empty item list raises before anything is encoded.
+    """
+    fuse_text = any(w.w_text > 0.0 for w in weights)
+    source = "sparse" if config.rerank else config.text_source
+    needed = []
+    for bundle in bundles:
+        text = _pred_text(bundle, source) if fuse_text or config.rerank else None
+        phrases = parse_items(text).phrases if config.rerank else ()
+        needed.append((text if fuse_text else None, phrases))
+    distinct = list(dict.fromkeys(t for text, phrases in needed for t in (text, *phrases) if t))
+    vectors = dict(zip(distinct, encode_texts(distinct, config.encoder))) if distinct else {}
+    return [
+        (vectors.get(text), _item_matrix(vectors[p] for p in phrases) if phrases else None)
+        for text, phrases in needed
+    ]
+
+
 def _evaluate_bundle(
-    bundle: QueryBundle, index: CaptionIndex, config: EvalConfig
+    bundle: QueryBundle, index: CaptionIndex, config: EvalConfig, encoded: Encoded
 ) -> QueryOutcome:
+    e_text, items = encoded
     gt = set(bundle.gt_caption_ids)
     k_q = len(gt)
+    query = _fused_query(bundle, e_text, config.weights)
     if config.rerank:
         k_out = max(5, k_q)
         pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-        ranked = retrieve_and_rerank(
-            bundle, index, config.weights, N=max(pool, k_out), k=k_out,
-            encoder=config.encoder,
-        )
+        ranked = _retrieve_and_rerank(query, index, items, max(pool, k_out), k_out)
         ranks = [r for r, cid in enumerate(ranked.ids, start=1) if cid in gt]
     else:
         # The metrics read only where the ground truth lands, so count its
         # ranks on the score vector instead of ranking every row.
         if config.bidirectional:
-            scores = _bidirectional_scores(
-                bundle, index, config.weights, config.index_weights,
-                config.text_source, config.encoder,
-            )
+            scores = _bidirectional_scores(query, bundle.e_img, index, config.index_weights)
         else:
-            query = fused_query(bundle, config.weights, config.text_source, config.encoder)
             scores = _query_scores(query, index)
         ranks = _gt_ranks(index, scores, [index.row_of(cid) for cid in gt])
 
@@ -202,25 +236,21 @@ def _evaluate_bundle(
     )
 
 
-def evaluate_corpus(
+def _evaluate(
     bundles: Sequence[QueryBundle],
     index: CaptionIndex,
     config: EvalConfig,
-    corpus_name: str = "corpus",
+    encoded: Sequence[Encoded],
+    corpus_name: str,
 ) -> EvalReport:
-    """Run the configured pipeline over every bundle and aggregate metrics.
-
-    Per-bundle evaluation is embarrassingly parallel; outcomes are kept in
-    bundle order, so reports are byte-identical for any worker count.
-    """
-    _check_config(bundles, index, config)
+    """Score already-checked and encoded bundles and aggregate the metrics."""
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = tuple(
-                pool.map(lambda b: _evaluate_bundle(b, index, config), bundles)
+                pool.map(lambda b, e: _evaluate_bundle(b, index, config, e), bundles, encoded)
             )
     else:
-        outcomes = tuple(_evaluate_bundle(b, index, config) for b in bundles)
+        outcomes = tuple(_evaluate_bundle(b, index, config, e) for b, e in zip(bundles, encoded))
 
     n = len(outcomes)
     r1 = sum(o.hit_at_1 for o in outcomes) / n
@@ -230,6 +260,23 @@ def evaluate_corpus(
     return EvalReport(corpus_name, config.as_dict(), r1, r5, mean_ap, outcomes)
 
 
+def evaluate_corpus(
+    bundles: Sequence[QueryBundle],
+    index: CaptionIndex,
+    config: EvalConfig,
+    corpus_name: str = "corpus",
+) -> EvalReport:
+    """Run the configured pipeline over every bundle and aggregate metrics.
+
+    The call's distinct texts are encoded once, up front. Per-bundle scoring
+    is embarrassingly parallel; outcomes are kept in bundle order, so
+    reports are byte-identical for any worker count.
+    """
+    _check_config(bundles, index, config)
+    encoded = _encode_bundles(bundles, config, [config.weights])
+    return _evaluate(bundles, index, config, encoded, corpus_name)
+
+
 def sweep_fusion_weight(
     bundles: Sequence[QueryBundle],
     index: CaptionIndex,
@@ -237,7 +284,10 @@ def sweep_fusion_weight(
     config: EvalConfig,
     metric: str = "recall_at_1",
 ) -> SweepResult:
-    """Evaluate the corpus once per grid point with weights (1 - g, g)."""
+    """Evaluate the corpus once per grid point with weights (1 - g, g).
+
+    The texts of the whole grid are encoded once, before the first point.
+    """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     if any(not 0.0 <= g <= 1.0 for g in grid):
@@ -247,11 +297,12 @@ def sweep_fusion_weight(
     if metric not in ("recall_at_1", "recall_at_5", "mean_ap"):
         raise ValueError(f"unknown sweep metric {metric!r}")
 
+    _check_config(bundles, index, config)
+    points = [replace(config, weights=FusionWeights(1.0 - g, g)) for g in grid]
+    encoded = _encode_bundles(bundles, config, [p.weights for p in points])
     values = []
-    for g in grid:
-        point = replace(config, weights=FusionWeights(1.0 - g, g))
-        report = evaluate_corpus(bundles, index, point)
-        value = getattr(report, metric)
+    for point in points:
+        value = getattr(_evaluate(bundles, index, point, encoded, "corpus"), metric)
         if value is None:
             raise ConfigConflictError(f"metric {metric} unavailable on a dense index")
         values.append(float(value))
@@ -282,7 +333,7 @@ def render_report(report: EvalReport, fmt: str = "json") -> str:
 
 
 def write_report(report: EvalReport, path, fmt: str = "json") -> None:
-    Path(path).write_text(render_report(report, fmt), encoding="utf-8")
+    _write_atomic(path, render_report(report, fmt).encode("utf-8"))
 
 
 def write_sweep(sweep: SweepResult, path) -> None:
@@ -292,7 +343,7 @@ def write_sweep(sweep: SweepResult, path) -> None:
     writer.writerow(["w_text", sweep.metric_name])
     for g, v in zip(sweep.grid, sweep.values):
         writer.writerow([repr(g), repr(v)])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    _write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def load_bundles(bundles_path, embeddings_path) -> list[QueryBundle]:

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .embfile import Record, _pack_text, _Reader
+from .embfile import Record, _pack_text, _Reader, _write_atomic
 from .encoders import EncoderSpec, encode_texts
 from .errors import (
     CorruptFileError,
@@ -176,7 +176,7 @@ def save_index(index: CaptionIndex, path) -> None:
         parts.append(_pack_text(_U32, cap.text))
     parts.append(index.embeddings.astype("<f4").tobytes())
     parts.append(_pack_text(_U32, index.encoder_fingerprint))
-    Path(path).write_bytes(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 def load_index(path) -> CaptionIndex:

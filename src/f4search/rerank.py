@@ -11,20 +11,22 @@ similar dish mentioning "chicken".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .encoders import EncoderSpec, encode_texts
-from .errors import MissingPredictionTextError, NoItemsError, UnknownCandidateIdError
+from .errors import NoItemsError, UnknownCandidateIdError
 from .search import (
     STAGE_RERANKED,
     QueryBundle,
     RankedList,
+    _pred_text,
     _rank,
-    search_fused_topk,
+    fused_query,
+    search_topk,
 )
-from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights
+from .vectors import DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights
 
 if TYPE_CHECKING:
     from .index import CaptionIndex
@@ -69,6 +71,18 @@ def default_pool_size(k: int) -> int:
     return max(DEFAULT_POOL_FLOOR, DEFAULT_POOL_FACTOR * k)
 
 
+def _rerank(index: "CaptionIndex", rows: list[int], items: np.ndarray, k: int) -> RankedList:
+    """Best k of the index ``rows`` by max cosine with any row of ``items``.
+
+    ``items`` stacks the unit vectors of the item phrases, one per row.
+    """
+    cand_matrix = index.embeddings[rows].astype(np.float64)
+    # einsum keeps each (candidate, item) dot independent of matrix layout,
+    # so the max is bitwise stable under item permutations.
+    max_sim = np.einsum("ij,kj->ik", cand_matrix, items).max(axis=1)
+    return _rank(index, max_sim, k, STAGE_RERANKED, rows)
+
+
 def rerank(
     candidates: RankedList,
     items: ParsedItems,
@@ -88,15 +102,22 @@ def rerank(
         if not index.has_id(cid):
             raise UnknownCandidateIdError(f"candidate id {cid!r} not in index")
         rows.append(index.row_of(cid))
-
     # parse_items already deduplicated, so each phrase is encoded once.
-    item_vecs = encode_texts(list(items.phrases), encoder)
-    item_matrix = np.stack([v.values for v in item_vecs])
-    cand_matrix = index.embeddings[rows].astype(np.float64)
-    # einsum keeps each (candidate, item) dot independent of matrix layout,
-    # so the max is bitwise stable under item permutations.
-    max_sim = np.einsum("ij,kj->ik", cand_matrix, item_matrix).max(axis=1)
-    return _rank(index, max_sim, candidates.k, STAGE_RERANKED, rows)
+    item_matrix = _item_matrix(encode_texts(list(items.phrases), encoder))
+    return _rerank(index, rows, item_matrix, candidates.k)
+
+
+def _item_matrix(vectors: Iterable[EmbeddingVector]) -> np.ndarray:
+    return np.stack([v.values for v in vectors])
+
+
+def _retrieve_and_rerank(
+    query: EmbeddingVector, index: "CaptionIndex", items: np.ndarray, N: int, k: int
+) -> RankedList:
+    """Top-N retrieval for ``query``, re-ranked by the item matrix and cut to top-k."""
+    initial = search_topk(query, index, N)
+    rows = [index.row_of(cid) for cid in initial.ids]
+    return _rerank(index, rows, items, min(k, len(rows)))
 
 
 def retrieve_and_rerank(
@@ -118,12 +139,7 @@ def retrieve_and_rerank(
         N = default_pool_size(k)
     if N < k:
         raise ValueError(f"initial pool N={N} must be >= k={k}")
-    if not bundle.sparse_pred_text:
-        raise MissingPredictionTextError(
-            f"bundle {bundle.image_id!r} has no sparse prediction text"
-        )
-    initial = search_fused_topk(bundle, index, w, text_source="sparse", encoder=encoder, k=N)
-    items = parse_items(bundle.sparse_pred_text)
-    reordered = rerank(initial, items, index, encoder)
-    k_eff = min(k, len(reordered.entries))
-    return RankedList(reordered.entries[:k_eff], k=k_eff, stage=STAGE_RERANKED)
+    text = _pred_text(bundle, "sparse")
+    query = fused_query(bundle, w, "sparse", encoder)
+    items = _item_matrix(encode_texts(list(parse_items(text).phrases), encoder))
+    return _retrieve_and_rerank(query, index, items, N, k)

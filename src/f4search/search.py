@@ -248,6 +248,27 @@ def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> 
     return RankedList(tuple(zip(ids, scores[order].tolist())), k=len(ids), stage=STAGE_INITIAL)
 
 
+def _pred_text(bundle: QueryBundle, text_source: str) -> str:
+    """The bundle's prediction text from ``text_source``, which must be present."""
+    if text_source not in ("dense", "sparse"):
+        raise ValueError(f"unknown text source {text_source!r}")
+    text = bundle.dense_pred_text if text_source == "dense" else bundle.sparse_pred_text
+    if not text:
+        raise MissingPredictionTextError(
+            f"bundle {bundle.image_id!r} has no {text_source} prediction text"
+        )
+    return text
+
+
+def _fused_query(
+    bundle: QueryBundle, e_text: EmbeddingVector | None, w: FusionWeights
+) -> EmbeddingVector:
+    """The query vector from an already-encoded text (None when ``w.w_text`` is 0)."""
+    if w.w_text == 0.0:
+        return bundle.e_img
+    return fuse(bundle.e_img, e_text, w)
+
+
 def fused_query(
     bundle: QueryBundle,
     w: FusionWeights,
@@ -262,17 +283,8 @@ def fused_query(
     """
     if w.w_text == 0.0:
         return bundle.e_img
-    if text_source not in ("dense", "sparse"):
-        raise ValueError(f"unknown text source {text_source!r}")
-    text = bundle.dense_pred_text if text_source == "dense" else bundle.sparse_pred_text
-    if not text:
-        raise MissingPredictionTextError(
-            f"bundle {bundle.image_id!r} has no {text_source} prediction text"
-        )
-    if encoder is None:
-        raise ValueError("text fusion requires an encoder spec")
-    e_text = encode_texts([text], encoder)[0]
-    return fuse(bundle.e_img, e_text, w)
+    text = _pred_text(bundle, text_source)
+    return _fused_query(bundle, encode_texts([text], encoder)[0], w)
 
 
 def search_fused_topk(
@@ -299,24 +311,22 @@ def search_top1_fused(
 
 
 def _bidirectional_scores(
-    bundle: QueryBundle,
+    query: EmbeddingVector,
+    e_img: EmbeddingVector,
     index: "CaptionIndex",
-    w_query: FusionWeights,
     w_index: FusionWeights,
-    text_source: str,
-    encoder: EncoderSpec | None,
 ) -> np.ndarray:
-    """Raw bi-directional score of every index row, in row order.
+    """Raw bi-directional score of every index row against a fused query, in row order.
 
-    Rows are fused in blocks of ``_ROW_BLOCK_BYTES``; each row's
-    arithmetic is the one-shot ``w_img * e_img + w_text * row`` formula, so
-    the block size never changes a score bit.
+    Rows are fused with the image embedding ``e_img`` in blocks of
+    ``_ROW_BLOCK_BYTES``; each row's arithmetic is the one-shot
+    ``w_img * e_img + w_text * row`` formula, so the block size never
+    changes a score bit.
     """
-    query = fused_query(bundle, w_query, text_source, encoder)
     if w_index.w_img == 0.0:
         return _query_scores(query, index)
     q, qnorm = _query_direction(query, index)
-    img = w_index.w_img * bundle.e_img.values
+    img = w_index.w_img * e_img.values
     scores = np.empty(len(index))
     step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
     for start in range(0, len(index), step):
@@ -349,6 +359,7 @@ def search_bidirectional(
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    scores = _bidirectional_scores(bundle, index, w_query, w_index, text_source, encoder)
+    query = fused_query(bundle, w_query, text_source, encoder)
+    scores = _bidirectional_scores(query, bundle.e_img, index, w_index)
     k_eff = min(k if k is not None else len(index), len(index))
     return _rank(index, scores, k_eff, STAGE_INITIAL)

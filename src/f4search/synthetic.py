@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embfile import write_embedding_file
+from .embfile import _write_atomic, write_embedding_file
 from .encoders import EncoderSpec, encode_image_synthetic, tokenize
 from .evaluate import average_precision, recall_at_k
 from .index import Caption, build_index
@@ -214,9 +214,7 @@ def generate_corpus(config: SyntheticCorpusConfig, out_dir) -> dict:
         },
         "metrics": metrics,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return manifest
 
 
@@ -249,4 +247,4 @@ def _baseline_metrics(dishes, images, dense_captions, item_captions, item_ids, e
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
     lines = [json.dumps(row, ensure_ascii=False) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

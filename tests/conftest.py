@@ -1,6 +1,10 @@
-"""Shared fixtures: tiny hand-built indexes, a generated corpus, and the
-constructed ingredient-retrieval fixture used by re-ranking tests."""
+"""Shared fixtures: tiny hand-built indexes, a generated corpus, the
+constructed ingredient-retrieval fixture used by re-ranking tests, and a
+counting embedding service."""
 
+import http.server
+import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,3 +121,55 @@ def rerank_fixture() -> RerankFixture:
             )
         )
     return RerankFixture(index, bundles, spec)
+
+
+class _EmbedHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        spec = self.server.stub.spec
+        vectors = [encode_text_synthetic(t, spec).values.tolist() for t in texts]
+        data = json.dumps({"dim": spec.dim, "vectors": vectors}).encode()
+        # Counted before replying: the client reads the counts once answered.
+        self.server.stub.requests += 1
+        self.server.stub.texts += len(texts)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class EmbedStub:
+    """A 127.0.0.1 embedding service answering the vectors of synthetic ``spec``.
+
+    It counts the requests and texts it has served; ``remote`` is the
+    remote encoder spec that calls it.
+    """
+
+    def __init__(self, spec: EncoderSpec):
+        self.spec = spec
+        self.requests = self.texts = 0
+        self._server = http.server.HTTPServer(("127.0.0.1", 0), _EmbedHandler)
+        self._server.stub = self
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,))
+        self._thread.start()
+        self.remote = EncoderSpec(
+            "remote", spec.dim, endpoint=f"http://127.0.0.1:{self._server.server_address[1]}"
+        )
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive(), "embedding stub did not stop"
+
+
+@pytest.fixture
+def embed_stub(synthetic_spec):
+    """A counting embedding service for ``synthetic_spec``, stopped after the test."""
+    stub = EmbedStub(synthetic_spec)
+    yield stub
+    stub.close()

@@ -266,8 +266,12 @@ def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6):
     return spec, index, bundles
 
 
-def full_ranking_outcome(bundle, index, config):
-    """The outcome read off a complete ranking with the public metrics."""
+def full_ranking_outcome(bundle, index, config, encoded=None):
+    """The outcome read off a complete ranking with the public metrics.
+
+    The public per-bundle functions encode their own texts, so the
+    pre-encoded vectors are ignored.
+    """
     if config.rerank:
         k_out = max(5, len(set(bundle.gt_caption_ids)))
         ranked = retrieve_and_rerank(

@@ -287,9 +287,7 @@ class TestBidirectionalBlocks:
             index = block_index(n, dim, seed=n)
             bundle = QueryBundle("q", unit(rng.standard_normal(dim)))
             for w_index in (FusionWeights(0.3, 0.7), FusionWeights(0.5, 0.5)):
-                got = search._bidirectional_scores(
-                    bundle, index, FusionWeights(1.0, 0.0), w_index, "dense", None
-                )
+                got = search._bidirectional_scores(bundle.e_img, bundle.e_img, index, w_index)
                 want = one_shot_scores(bundle.e_img.values, index, w_index)
                 assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -300,9 +298,7 @@ class TestBidirectionalBlocks:
         bundle = QueryBundle("q", unit(np.random.default_rng(dim + 1).standard_normal(dim)))
         w_index = FusionWeights(0.3, 0.7)
         want = one_shot_scores(bundle.e_img.values, index, w_index)
-        got = search._bidirectional_scores(
-            bundle, index, FusionWeights(1.0, 0.0), w_index, "dense", None
-        )
+        got = search._bidirectional_scores(bundle.e_img, bundle.e_img, index, w_index)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         ranked = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=10)
         clamped = np.clip(want, -1.0, 1.0)
