@@ -46,11 +46,12 @@ from .rerank import _item_matrix, _retrieve_and_rerank, default_pool_size, parse
 from .search import (
     QueryBundle,
     RankedList,
-    _bidirectional_scores,
+    _bidirectional_screen,
+    _cosine_screen,
     _fused_query,
     _gt_ranks,
     _pred_text,
-    _query_scores,
+    _query_direction,
 )
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights
 
@@ -215,12 +216,12 @@ def _evaluate_bundle(
         ranks = [r for r, cid in enumerate(ranked.ids, start=1) if cid in gt]
     else:
         # The metrics read only where the ground truth lands, so count its
-        # ranks on the score vector instead of ranking every row.
+        # ranks from the screen instead of ranking every row.
         if config.bidirectional:
-            scores = _bidirectional_scores(query, bundle.e_img, index, config.index_weights)
+            screen = _bidirectional_screen(query, bundle.e_img, index, config.index_weights)
         else:
-            scores = _query_scores(query, index)
-        ranks = _gt_ranks(index, scores, [index.row_of(cid) for cid in gt])
+            screen = _cosine_screen(index.embeddings, *_query_direction(query, index))
+        ranks = _gt_ranks(index, *screen, [index.row_of(cid) for cid in gt])
 
     gt_rank = ranks[0] if ranks else None
     ap = None

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from f4search import search
+from f4search import search, vectors
 from f4search.encoders import EncoderSpec, encode_image_synthetic, encode_text_synthetic
 from f4search.errors import (
     DimensionMismatchError,
     MissingPredictionTextError,
     ZeroVectorError,
 )
+from f4search.evaluate import EvalConfig, evaluate_corpus
 from f4search.index import Caption, CaptionIndex, build_index
 from f4search.search import (
     QueryBundle,
@@ -412,3 +413,171 @@ class TestScreen:
             q, qnorm = search._query_direction(EmbeddingVector(q), index)
             bands.append(len(search._screen(index.embeddings, q, qnorm, k)))
         assert np.median(bands) <= k + 2
+
+
+def best_row(q, p, w):
+    """The unit row whose score against unit ``q`` is exactly 1 (``q`` itself for cosines)."""
+    if w is None:
+        return q
+    a, b = w.w_img, w.w_text
+    k = q @ p
+    lam = a * k + np.sqrt(a * a * k * k - a * a + b * b)
+    return (lam * q - a * p) / b
+
+
+def score_step(row, q, p, w):
+    """A tangent step that moves ``row``'s raw score by about 1 (float64 gradient)."""
+    a, b = (0.0, 1.0) if w is None else (w.w_img, w.w_text)
+    fused = a * p + b * row
+    norm = np.linalg.norm(fused)
+    grad = b * (q - (fused @ q) / norm * fused / norm) / norm
+    grad -= (grad @ row) * row
+    return grad / (grad @ grad)
+
+
+def diff_case(dim, seed, w_index):
+    """An index, a bundle, its query and gt rows built to stress screened counted ranks.
+
+    ``w_index`` None scores the rows by cosine, else by bi-directional
+    fusion; odd seeds query with the image alone, even seeds with the image
+    fused with the bundle's text.
+
+    Rows: random directions; near-duplicates of the row that scores exactly
+    1, whose float32 rounding lifts raw scores above 1.0; two copies of that
+    row scaled to the unit-norm tolerance, and for cosines of its negation,
+    which score beyond +-1 by more than the screen error at small dims and
+    so clamp to ties that only the id decides; 40 rows whose scores are
+    spaced across +-4 delta around a ground-truth row's; and exact
+    duplicates of those and of random rows, which tie. Ids are shuffled
+    against row order.
+    """
+    rng = np.random.default_rng(seed)
+    spec = EncoderSpec("synthetic", dim, seed=seed)
+    bundle = QueryBundle("q", unit(rng.standard_normal(dim)), dense_pred_text=f"dish{seed} sauce")
+    w_query = FusionWeights(1.0, 0.0) if seed % 2 else FusionWeights(0.7, 0.3)
+    query = search.fused_query(bundle, w_query, "dense", spec)
+    q, p = query.values / np.linalg.norm(query.values), bundle.e_img.values
+    top = best_row(q, p, w_index)
+    rows = list(rng.standard_normal((150, dim)))
+    rows += [top + 1e-8 * rng.standard_normal(dim) for _ in range(4)]
+    if w_index is None:
+        rows += [-q + 1e-8 * rng.standard_normal(dim) for _ in range(3)]
+    rows = [r / np.linalg.norm(r) for r in rows]
+    rows += [top * (1 + 0.9e-6)] * 2 + ([-q * (1 + 0.9e-6)] if w_index is None else [])
+    side = rng.standard_normal(dim)
+    side -= (side @ top) * top
+    base = top + 0.5 * side / np.linalg.norm(side)
+    base /= np.linalg.norm(base)
+    probe = CaptionIndex((Caption("p", "a dish", "dense"),), base[None, :].astype(np.float32),
+                         "dense", "test")
+    if w_index is None:
+        delta = search._screen_delta(dim)
+    else:
+        delta = float(search._bidirectional_screen(query, bundle.e_img, probe, w_index)[1][0])
+    step = score_step(base, q, p, w_index)
+    first = len(rows)
+    for t in np.linspace(-4.0, 4.0, 40):
+        row = base + t * delta * step
+        rows.append(row / np.linalg.norm(row))
+    rows += [rows[i] for i in rng.choice(np.arange(first, first + 40), 10, replace=False)]
+    rows += [rows[i] for i in rng.choice(150, 5, replace=False)]
+    captions = tuple(Caption(f"d{i:04d}", "a dish", "dense") for i in rng.permutation(len(rows)))
+    index = CaptionIndex(captions, np.array(rows, dtype=np.float32), "dense", spec.fingerprint())
+    # Ground truth: the middle spaced row, a near-duplicate of the top row,
+    # the last norm-edge row, a random row, and a second near-duplicate (of
+    # the negated top row for cosines).
+    gt_rows = [first + 20, 150, first - 1, int(rng.integers(150)), 156 if w_index is None else 151]
+    return index, bundle, w_query, spec, query, gt_rows
+
+
+DIFF_MODES = {
+    "cosine": None,
+    "bidir-0.3": FusionWeights(0.3, 0.7),
+    "bidir-0.5": FusionWeights(0.5, 0.5),
+}
+
+
+class TestScreenedRanks:
+    """Screened counted ranks and bi-directional top-k equal the full exact scan."""
+
+    @pytest.mark.parametrize("mode", sorted(DIFF_MODES))
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_matches_full_exact_scan(self, dim, mode):
+        w_index = DIFF_MODES[mode]
+        wide_bands = clamped_gt = 0
+        for seed in range(10):
+            index, bundle, w_query, spec, query, gt_rows = diff_case(dim, seed, w_index)
+            if w_index is None:
+                direction = search._query_direction(query, index)
+                screen = search._cosine_screen(index.embeddings, *direction)
+                raw = search._query_scores(query, index)
+            else:
+                screen = search._bidirectional_screen(query, bundle.e_img, index, w_index)
+                raw = search._bidirectional_scores(query, bundle.e_img, index, w_index)
+            cheap, delta, exact = screen
+            rescored = []
+            got = search._gt_ranks(index, cheap, delta,
+                                   lambda rows: rescored.append(len(rows)) or exact(rows), gt_rows)
+            full = search._rank(index, raw, len(index), "initial")
+            rank_of = {cid: r for r, cid in enumerate(full.ids, start=1)}
+            assert got == sorted(rank_of[index.captions[g].id] for g in gt_rows)
+            # After the ground-truth rows, exact re-scores a band only when it
+            # holds more than its ground-truth row.
+            wide_bands += int(len(rescored) > 1)
+            clamped_gt += int(np.any(raw[gt_rows] >= 1.0))
+            if w_index is None:
+                continue
+            for k in (1, 5, rank_of[index.captions[gt_rows[0]].id]):
+                got_k = search_bidirectional(bundle, index, w_query, w_index, "dense", spec, k=k)
+                want = search._rank(index, raw, k, "initial")
+                assert got_k.entries == want.entries
+                assert score_bits(got_k) == score_bits(want)
+        # Fixture guards: some band re-scores rows beyond the ground truth,
+        # and some ground-truth row clamps to 1.
+        assert wide_bands > 0
+        assert clamped_gt > 0
+
+    @pytest.mark.parametrize("k", [None, 1])
+    @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
+    def test_collapse_raises_in_evaluation_and_top_k(self, collapsing_row, k, monkeypatch):
+        block = TestBidirectionalBlocks.BLOCK
+        dim = 8
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", block * 8 * dim)
+        e_img = np.zeros(dim)
+        e_img[0] = 1.0
+        index = block_index(3 * block, dim, seed=1, rows={collapsing_row: -e_img})
+        bundle = QueryBundle("q", unit(e_img), gt_caption_ids=(index.captions[0].id,))
+        w_index = FusionWeights(0.5, 0.5)
+        config = EvalConfig(weights=FusionWeights(1.0, 0.0), bidirectional=True,
+                            index_weights=w_index)
+        with pytest.raises(ZeroVectorError, match="collapsed"):
+            evaluate_corpus([bundle], index, config)
+        with pytest.raises(ZeroVectorError, match="collapsed"):
+            search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=k)
+
+    @pytest.mark.parametrize("eta", [1e-5, 1e-3, 3e-2])
+    def test_near_collapse_ranks_as_unscreened(self, eta):
+        # Rows close to -e_img fuse to short but valid vectors: their screen
+        # bounds are wide or infinite, and they must rank as in the full
+        # exact scan, for a random query and in evaluation.
+        dim = 8
+        rng = np.random.default_rng(int(1 / eta))
+        e_img = unit(rng.standard_normal(dim))
+        near = -e_img.values + eta * unit(rng.standard_normal(dim)).values
+        index = block_index(60, dim, seed=2,
+                            rows={7: near, 40: near + 1e-3 * rng.standard_normal(dim)})
+        row = index.embeddings[7].astype(np.float64)
+        assert vectors.ZERO_NORM_EPS < np.linalg.norm(0.5 * e_img.values + 0.5 * row) < eta
+        w_index = FusionWeights(0.5, 0.5)
+        config = EvalConfig(weights=FusionWeights(1.0, 0.0), bidirectional=True,
+                            index_weights=w_index)
+        for query in (unit(rng.standard_normal(dim)), e_img):
+            raw = search._bidirectional_scores(query, e_img, index, w_index)
+            full = search._rank(index, raw, len(index), "initial").ids
+            screen = search._bidirectional_screen(query, e_img, index, w_index)
+            for gt in (7, 40):
+                want = full.index(index.captions[gt].id) + 1
+                assert search._gt_ranks(index, *screen, [gt]) == [want]
+                if query is e_img:
+                    bundle = QueryBundle("q", e_img, gt_caption_ids=(index.captions[gt].id,))
+                    assert evaluate_corpus([bundle], index, config).per_query[0].gt_rank == want
