@@ -144,7 +144,7 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
         click.echo(f"{rank}\t{cid}\t{score:.6f}\t{index.text_of(cid)}")
 
 
-def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size, workers):
+def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size):
     encoder = _encoder_from_index(index)
     return EvalConfig(
         encoder=encoder,
@@ -154,7 +154,6 @@ def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rer
         bidirectional=bidirectional,
         rerank=do_rerank,
         pool_size=pool_size,
-        workers=workers,
     )
 
 
@@ -168,17 +167,16 @@ def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rer
 @click.option("--index-w-text", default=0.7, show_default=True)
 @click.option("--rerank", "do_rerank", is_flag=True)
 @click.option("--n", "pool_size", default=None, type=int)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--corpus-name", default="corpus", show_default=True)
 @_runtime_errors
 def cmd_evaluate(index_path, bundles_path, embeddings_path, w_text, text_source,
-                 bidirectional, index_w_text, do_rerank, pool_size, workers, out_path, fmt, corpus_name):
+                 bidirectional, index_w_text, do_rerank, pool_size, out_path, fmt, corpus_name):
     """Evaluate a bundle corpus and print a table-row summary."""
     index = load_index(index_path)
     bundles = load_bundles(bundles_path, embeddings_path)
-    config = _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size, workers)
+    config = _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size)
     report = evaluate_corpus(bundles, index, config, corpus_name=corpus_name)
     if out_path:
         write_report(report, out_path, fmt)
@@ -196,19 +194,18 @@ def cmd_evaluate(index_path, bundles_path, embeddings_path, w_text, text_source,
 @click.option("--grid-step", default=None, type=float, help="Step size for a uniform grid over [0, 1].")
 @click.option("--metric", type=click.Choice(["recall_at_1", "recall_at_5", "mean_ap"]), default="recall_at_1", show_default=True)
 @click.option("--text-source", type=click.Choice(["dense", "sparse"]), default="dense", show_default=True)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @_runtime_errors
 def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, metric,
-              text_source, workers, out_path):
+              text_source, out_path):
     """Evaluate across a text-weight grid and write a plot-ready CSV."""
     if grid_text is not None:
         grid = [float(x) for x in grid_text.split(",") if x.strip()]
     elif grid_step is not None:
         if not 0.0 < grid_step <= 1.0:
             raise click.UsageError("--grid-step must lie in (0, 1]")
-        steps = int(round(1.0 / grid_step))
-        grid = [round(i * grid_step, 10) for i in range(steps + 1)]
+        steps = int((1.0 + 1e-9) / grid_step)  # i * step <= 1, up to rounding
+        grid = [min(round(i * grid_step, 10), 1.0) for i in range(steps + 1)]
     else:
         grid = []
     if not grid:
@@ -216,7 +213,7 @@ def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, m
 
     index = load_index(index_path)
     bundles = load_bundles(bundles_path, embeddings_path)
-    config = _eval_config(index, 0.3, 0.7, text_source, False, False, None, workers)
+    config = _eval_config(index, 0.3, 0.7, text_source, False, False, None)
     sweep = sweep_fusion_weight(bundles, index, grid, config, metric=metric)
     write_sweep(sweep, out_path)
     peak_w, peak_v = sweep.peak()

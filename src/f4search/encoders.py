@@ -104,7 +104,7 @@ def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
     """Unit projection of one token, cached per (dim, seed).
 
     The same (token, dim, seed) always yields the identical vector, so
-    racing fills of the cache from concurrent workers are benign.
+    racing fills of the cache from concurrent callers are benign.
     """
     vocab = _vocabulary(dim, seed)
     vec = vocab.get(token)

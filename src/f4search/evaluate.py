@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
@@ -93,7 +92,12 @@ def derive_k(gt_sparse_caption: str) -> int:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Pipeline configuration for one evaluation run."""
+    """Pipeline configuration for one evaluation run.
+
+    ``workers`` is accepted for compatibility and read by nothing:
+    evaluation runs on the calling thread. Reports are the same bytes for
+    any value, and for concurrent callers.
+    """
 
     encoder: EncoderSpec | None = None
     weights: FusionWeights = DEFAULT_QUERY_WEIGHTS
@@ -105,7 +109,7 @@ class EvalConfig:
     workers: int = 1
 
     def as_dict(self) -> dict:
-        """Stable, worker-independent description recorded in reports."""
+        """Stable description recorded in reports; ``workers`` stays out of it."""
         return {
             "weights": [self.weights.w_img, self.weights.w_text],
             "index_weights": [self.index_weights.w_img, self.index_weights.w_text],
@@ -245,13 +249,7 @@ def _evaluate(
     corpus_name: str,
 ) -> EvalReport:
     """Score already-checked and encoded bundles and aggregate the metrics."""
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = tuple(
-                pool.map(lambda b, e: _evaluate_bundle(b, index, config, e), bundles, encoded)
-            )
-    else:
-        outcomes = tuple(_evaluate_bundle(b, index, config, e) for b, e in zip(bundles, encoded))
+    outcomes = tuple(_evaluate_bundle(b, index, config, e) for b, e in zip(bundles, encoded))
 
     n = len(outcomes)
     r1 = sum(o.hit_at_1 for o in outcomes) / n
@@ -269,9 +267,10 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Run the configured pipeline over every bundle and aggregate metrics.
 
-    The call's distinct texts are encoded once, up front. Per-bundle scoring
-    is embarrassingly parallel; outcomes are kept in bundle order, so
-    reports are byte-identical for any worker count.
+    The call's distinct texts are encoded once, up front. Bundles are then
+    scored one after another on the calling thread, in bundle order; BLAS
+    may use its own threads inside a product. A report depends only on the
+    inputs, so concurrent callers get the same bytes as a serial caller.
     """
     _check_config(bundles, index, config)
     encoded = _encode_bundles(bundles, config, [config.weights])
@@ -352,7 +351,9 @@ def load_bundles(bundles_path, embeddings_path) -> list[QueryBundle]:
 
     Each line holds {"image_id", "gt_caption_ids", optional
     "dense_pred_text", optional "sparse_pred_text"}; embeddings are keyed
-    by image_id.
+    by image_id. Ids are strings, ``gt_caption_ids`` a list of them, and
+    each prediction text a string or null; any other type raises
+    ``MalformedLineError``.
     """
     by_id = dict(load_embedding_file(embeddings_path))
     bundles = []
@@ -360,17 +361,23 @@ def load_bundles(bundles_path, embeddings_path) -> list[QueryBundle]:
         if "image_id" not in obj:
             raise MalformedLineError(line_no, "expected an object with image_id")
         image_id = obj["image_id"]
-        if image_id not in by_id:
+        if not isinstance(image_id, str) or image_id not in by_id:
             raise MalformedLineError(
                 line_no, f"no embedding record for image id {image_id!r}"
             )
+        for field in ("dense_pred_text", "sparse_pred_text"):
+            if not isinstance(obj.get(field), (str, type(None))):
+                raise MalformedLineError(line_no, f"{field} must be a string or null")
+        gt_ids = obj.get("gt_caption_ids", [])
+        if not isinstance(gt_ids, list) or not all(isinstance(g, str) for g in gt_ids):
+            raise MalformedLineError(line_no, "gt_caption_ids must be a list of strings")
         bundles.append(
             QueryBundle(
                 image_id=image_id,
                 e_img=by_id[image_id],
                 dense_pred_text=obj.get("dense_pred_text"),
                 sparse_pred_text=obj.get("sparse_pred_text"),
-                gt_caption_ids=tuple(obj.get("gt_caption_ids", ())),
+                gt_caption_ids=tuple(gt_ids),
             )
         )
     return bundles

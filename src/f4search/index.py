@@ -229,6 +229,9 @@ def ingest_captions(path) -> list[Caption]:
         missing = {"id", "text", "kind"} - obj.keys()
         if missing:
             raise MalformedLineError(line_no, f"missing fields {sorted(missing)}")
+        for field in ("id", "text", "kind"):
+            if not isinstance(obj[field], str):
+                raise MalformedLineError(line_no, f"{field} must be a string")
         cid = obj["id"]
         if cid in seen:
             raise DuplicateIdError(f"line {line_no}: duplicate caption id {cid!r}")

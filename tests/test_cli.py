@@ -297,6 +297,23 @@ class TestEvaluate:
         assert lines[0] == "image_id,k,gt_rank,ap,hit@1,hit@5"
         assert len(lines) == 41
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_workers_flag_is_usage_error(self, runner, corpus_dir, dense_index_path, tmp_path, command):
+        result = runner.invoke(
+            main,
+            [
+                command,
+                "--index", str(dense_index_path),
+                "--bundles", str(corpus_dir / "bundles.jsonl"),
+                "--image-embeddings", str(corpus_dir / "images.f4e"),
+                "--grid-step" if command == "sweep" else "--w-text", "0.5",
+                "--out", str(tmp_path / "out"),
+                "--workers", "2",
+            ],
+        )
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+
 
 class TestSweep:
     def test_grid_step_produces_eleven_rows(self, runner, corpus_dir, dense_index_path, tmp_path):
@@ -316,6 +333,31 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 12  # header + 11 grid points
         assert "peak w_text=" in result.output
+
+    @pytest.mark.parametrize(
+        "step, grid",
+        [
+            ("0.6", ["0.0", "0.6"]),
+            ("0.15", ["0.0", "0.15", "0.3", "0.45", "0.6", "0.75", "0.9"]),
+            ("0.25", ["0.0", "0.25", "0.5", "0.75", "1.0"]),
+            ("0.1", ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1.0"]),
+        ],
+    )
+    def test_grid_step_stops_at_one(self, runner, corpus_dir, dense_index_path, tmp_path, step, grid):
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                "--index", str(dense_index_path),
+                "--bundles", str(corpus_dir / "bundles.jsonl"),
+                "--image-embeddings", str(corpus_dir / "images.f4e"),
+                "--grid-step", step,
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == grid
 
     def test_empty_grid_is_usage_error(self, runner, corpus_dir, dense_index_path, tmp_path):
         result = runner.invoke(

@@ -1,4 +1,6 @@
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +201,16 @@ class TestEvaluateCorpus:
             )
             reports.append(render_report(evaluate_corpus(bundles, index, config)))
         assert reports[0] == reports[1]
+
+    def test_no_thread_is_started(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("evaluation started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        spec, index, bundles = small_corpus()
+        config = EvalConfig(encoder=spec, text_source="sparse", workers=8)
+        evaluate_corpus(bundles, index, config)
+        sweep_fusion_weight(bundles, index, [0.0, 0.5, 1.0], replace(config, rerank=True))
 
     def test_bundle_order_in_per_query(self):
         spec, index, bundles = small_corpus()
@@ -508,3 +520,24 @@ class TestLoadBundles:
         (tmp_path / "bundles.jsonl").write_text('{"image_id": "other", "gt_caption_ids": ["c"]}\n')
         with pytest.raises(MalformedLineError, match="other"):
             load_bundles(tmp_path / "bundles.jsonl", tmp_path / "images.f4e")
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("dense_pred_text", 5, "dense_pred_text must be a string or null"),
+            ("sparse_pred_text", ["rice"], "sparse_pred_text must be a string or null"),
+            ("gt_caption_ids", "d00000", "gt_caption_ids must be a list of strings"),
+            ("gt_caption_ids", [["d0"]], "gt_caption_ids must be a list of strings"),
+            ("gt_caption_ids", [7], "gt_caption_ids must be a list of strings"),
+            ("image_id", ["img1"], "no embedding record"),
+        ],
+        ids=["dense-int", "sparse-list", "gt-string", "gt-nested", "gt-int", "image-list"],
+    )
+    def test_bad_field_type_carries_line_number(self, tmp_path, field, value, reason):
+        write_embedding_file([("img1", unit(np.ones(8)))], tmp_path / "images.f4e")
+        good = {"image_id": "img1", "dense_pred_text": None, "gt_caption_ids": ["c"]}
+        lines = [json.dumps(good), json.dumps({**good, field: value})]
+        (tmp_path / "bundles.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedLineError, match=reason) as excinfo:
+            load_bundles(tmp_path / "bundles.jsonl", tmp_path / "images.f4e")
+        assert excinfo.value.line_no == 2

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -191,6 +192,15 @@ class TestIngestCaptions:
         path.write_text('{"id": "a", "kind": "dense"}\n')
         with pytest.raises(MalformedLineError, match="text"):
             ingest_captions(path)
+
+    @pytest.mark.parametrize("field, value", [("id", 7), ("text", 5), ("kind", None), ("text", ["rice"])])
+    def test_non_string_field_carries_line_number(self, tmp_path, field, value):
+        bad = {"id": "b", "text": "rice", "kind": "dense", field: value}
+        path = tmp_path / "caps.jsonl"
+        path.write_text('{"id": "a", "text": "rice", "kind": "dense"}\n' + json.dumps(bad) + "\n")
+        with pytest.raises(MalformedLineError, match=f"{field} must be a string") as excinfo:
+            ingest_captions(path)
+        assert excinfo.value.line_no == 2
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "caps.jsonl"
