@@ -132,6 +132,8 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
     if do_rerank:
         if not sparse_text:
             raise ConfigConflictError("--rerank requires --sparse-text")
+        if bidirectional:
+            raise ConfigConflictError("re-ranking uses uni-directional initial retrieval")
         ranked = retrieve_and_rerank(bundle, index, weights, N=pool_size, k=k, encoder=encoder)
     elif bidirectional:
         index_weights = FusionWeights(1.0 - index_w_text, index_w_text)

@@ -8,17 +8,18 @@ Average precision is the standard truncated form
 
 with the denominator fixed at |gt|, so candidates lost in stage 1 keep
 hurting the score. In the sparse-ingredient task k varies per query and
-equals the number of ground-truth items.
+equals the number of ground-truth items. A re-ranked query keeps its top
+max(5, k) entries, so its initial pool must hold at least that many.
 
 An evaluation first encodes, then scores. It collects the distinct texts
 the call needs, in bundle order: each bundle's prediction text when some
 weight fuses text, and for re-ranking the sparse text's item phrases. It
 encodes them with one ``encode_texts`` call, so a remote encoder sends
 them in batches over one session, and a sweep encodes once for its whole
-grid. Scoring then runs the same private cores as the per-bundle search
-functions on the encoded vectors. An encoder returns each text's vector
-independently of the rest of its batch, so the reports are byte-identical
-to encoding one bundle at a time.
+grid. Scoring then runs the private cores of the per-bundle search
+functions on index rows, so it builds no ``RankedList``. An encoder returns
+each text's vector independently of the rest of its batch, so the reports
+are byte-identical to encoding one bundle at a time.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ from .search import (
     RankedList,
     _bidirectional_screen,
     _cosine_screen,
-    _fused_query,
     _gt_ranks,
     _pred_text,
     _query_direction,
 )
-from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights
+from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights, fuse
 
 # One bundle's encoded texts: the prediction-text vector (None when no
 # weight fuses text) and, for re-ranking, the item matrix (else None).
@@ -168,6 +168,11 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
     for bundle in bundles:
         if not bundle.gt_caption_ids:
             raise EmptyGroundTruthError(f"bundle {bundle.image_id!r} has no gt ids")
+        k_out = max(5, len(set(bundle.gt_caption_ids)))
+        if config.rerank and config.pool_size is not None and config.pool_size < k_out:
+            raise ConfigConflictError(
+                f"re-rank pool {config.pool_size} is below bundle {bundle.image_id!r}'s cut {k_out}"
+            )
         for gt in bundle.gt_caption_ids:
             if not index.has_id(gt):
                 raise UnknownCandidateIdError(
@@ -210,14 +215,14 @@ def _evaluate_bundle(
     bundle: QueryBundle, index: CaptionIndex, config: EvalConfig, encoded: Encoded
 ) -> QueryOutcome:
     e_text, items = encoded
-    gt = set(bundle.gt_caption_ids)
-    k_q = len(gt)
-    query = _fused_query(bundle, e_text, config.weights)
+    gt_rows = [index.row_of(cid) for cid in set(bundle.gt_caption_ids)]
+    k_q = len(gt_rows)
+    query = bundle.e_img if e_text is None else fuse(bundle.e_img, e_text, config.weights)
     if config.rerank:
         k_out = max(5, k_q)
         pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-        ranked = _retrieve_and_rerank(query, index, items, max(pool, k_out), k_out)
-        ranks = [r for r, cid in enumerate(ranked.ids, start=1) if cid in gt]
+        rows, _ = _retrieve_and_rerank(query, index, items, pool, k_out)
+        ranks = [r for r, row in enumerate(rows.tolist(), start=1) if row in gt_rows]
     else:
         # The metrics read only where the ground truth lands, so count its
         # ranks from the screen instead of ranking every row.
@@ -225,7 +230,7 @@ def _evaluate_bundle(
             screen = _bidirectional_screen(query, bundle.e_img, index, config.index_weights)
         else:
             screen = _cosine_screen(index.embeddings, *_query_direction(query, index))
-        ranks = _gt_ranks(index, *screen, [index.row_of(cid) for cid in gt])
+        ranks = _gt_ranks(index, *screen, gt_rows)
 
     gt_rank = ranks[0] if ranks else None
     ap = None

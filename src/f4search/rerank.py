@@ -21,10 +21,11 @@ from .search import (
     STAGE_RERANKED,
     QueryBundle,
     RankedList,
+    _cosine_topk,
     _pred_text,
     _rank,
+    _ranked_list,
     fused_query,
-    search_topk,
 )
 from .vectors import DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights
 
@@ -71,8 +72,8 @@ def default_pool_size(k: int) -> int:
     return max(DEFAULT_POOL_FLOOR, DEFAULT_POOL_FACTOR * k)
 
 
-def _rerank(index: "CaptionIndex", rows: list[int], items: np.ndarray, k: int) -> RankedList:
-    """Best k of the index ``rows`` by max cosine with any row of ``items``.
+def _rerank(index: "CaptionIndex", rows, items: np.ndarray, k: int):
+    """``_rank`` of the index ``rows`` by max cosine with any row of ``items``, cut to k.
 
     ``items`` stacks the unit vectors of the item phrases, one per row.
     """
@@ -80,7 +81,7 @@ def _rerank(index: "CaptionIndex", rows: list[int], items: np.ndarray, k: int) -
     # einsum keeps each (candidate, item) dot independent of matrix layout,
     # so the max is bitwise stable under item permutations.
     max_sim = np.einsum("ij,kj->ik", cand_matrix, items).max(axis=1)
-    return _rank(index, max_sim, k, STAGE_RERANKED, rows)
+    return _rank(index, max_sim, k, rows)
 
 
 def rerank(
@@ -104,20 +105,18 @@ def rerank(
         rows.append(index.row_of(cid))
     # parse_items already deduplicated, so each phrase is encoded once.
     item_matrix = _item_matrix(encode_texts(list(items.phrases), encoder))
-    return _rerank(index, rows, item_matrix, candidates.k)
+    ranked = _rerank(index, rows, item_matrix, candidates.k)
+    return _ranked_list(index, *ranked, candidates.k, STAGE_RERANKED)
 
 
 def _item_matrix(vectors: Iterable[EmbeddingVector]) -> np.ndarray:
     return np.stack([v.values for v in vectors])
 
 
-def _retrieve_and_rerank(
-    query: EmbeddingVector, index: "CaptionIndex", items: np.ndarray, N: int, k: int
-) -> RankedList:
-    """Top-N retrieval for ``query``, re-ranked by the item matrix and cut to top-k."""
-    initial = search_topk(query, index, N)
-    rows = [index.row_of(cid) for cid in initial.ids]
-    return _rerank(index, rows, items, min(k, len(rows)))
+def _retrieve_and_rerank(query: EmbeddingVector, index: "CaptionIndex", items, N: int, k: int):
+    """``_rerank`` of the top-N rows for ``query`` by the item matrix, cut to top-k."""
+    rows, _ = _cosine_topk(query, index, N)
+    return _rerank(index, rows, items, k)
 
 
 def retrieve_and_rerank(
@@ -142,4 +141,5 @@ def retrieve_and_rerank(
     text = _pred_text(bundle, "sparse")
     query = fused_query(bundle, w, "sparse", encoder)
     items = _item_matrix(encode_texts(list(parse_items(text).phrases), encoder))
-    return _retrieve_and_rerank(query, index, items, N, k)
+    ranked = _retrieve_and_rerank(query, index, items, N, k)
+    return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

@@ -13,12 +13,13 @@ scan.
 ``search_topk_naive`` is the reference oracle: a plain float64 product sum
 over every row and one full sort, with no partition and no screen.
 
-Every ranked result in the package (top-k, bi-directional and re-ranked
-lists) is ordered by one routine, ``_rank``; top-k searches re-score the
-band that ``_band`` keeps around the k-th bound. Evaluation needs only
-where the ground-truth rows land, so it skips the ranking: ``_gt_ranks``
-counts each ground-truth row's rank from the same bounds, re-scoring only
-the rows they leave undecided, with the same clamp and id tie-break.
+Every ranking (top-k, bi-directional, re-ranked) is ordered by one routine,
+``_rank``, over index rows; ``_topk`` re-scores only the band that ``_band``
+keeps around the k-th bound. Only the public functions turn rows into a
+``RankedList`` (``_ranked_list``). Evaluation needs only where the
+ground-truth rows land: ``_gt_ranks`` counts each one's rank from the same
+bounds, re-scoring only the rows they leave undecided, with the same clamp
+and id tie-break.
 
 Fused variants improve the query side (weighted image+text sum) or, in
 bi-directional mode, additionally fuse every index row with the query
@@ -116,14 +117,8 @@ def _query_direction(query: EmbeddingVector, index: "CaptionIndex") -> tuple[np.
     return query.values, norm
 
 
-def _rank(
-    index: "CaptionIndex",
-    scores: np.ndarray,
-    k: int,
-    stage: str,
-    rows: list[int] | None = None,
-) -> RankedList:
-    """Best k of the scored rows: score desc, then caption id asc.
+def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows=None):
+    """Rows and clamped scores of the best k scored rows: score desc, then caption id asc.
 
     ``scores[i]`` belongs to index row ``rows[i]`` (row ``i`` when ``rows``
     is None). Scores are clamped before selection, so selection and
@@ -139,8 +134,13 @@ def _rank(
     rows = keep if rows is None else np.asarray(rows, dtype=np.intp)[keep]
     scores = scores[keep]
     order = np.lexsort((index._id_rank[rows], -scores))[:k]
-    ids = [index.captions[i].id for i in rows[order].tolist()]
-    return RankedList(tuple(zip(ids, scores[order].tolist())), k=k, stage=stage)
+    return rows[order], scores[order]
+
+
+def _ranked_list(index: "CaptionIndex", rows, scores, k: int, stage: str) -> RankedList:
+    """The public result for ``_rank``'s rows and scores."""
+    ids = [index.captions[i].id for i in rows.tolist()]
+    return RankedList(tuple(zip(ids, scores.tolist())), k=k, stage=stage)
 
 
 def _cosines(
@@ -258,12 +258,19 @@ def _cosine_screen(embeddings: np.ndarray, q: np.ndarray, qnorm: float):
     )
 
 
-def _screen(embeddings: np.ndarray, q: np.ndarray, qnorm: float, k: int) -> np.ndarray | None:
-    """Rows that can reach the exact top k cosines with ``q``, or None when every row can."""
-    if k >= embeddings.shape[0]:
-        return None
-    cheap, delta, _ = _cosine_screen(embeddings, q, qnorm)
-    return _band(cheap, delta, k)
+def _topk(index: "CaptionIndex", k: int, score, screen, *args):
+    """``_rank`` of the top k by ``score(*args, rows)``, the raw scores of ``rows``.
+
+    Only rows ``_band`` keeps from ``screen(*args)`` are scored; a full ranking computes no screen.
+    """
+    rows = _band(*screen(*args)[:2], k) if k < len(index) else None
+    return _rank(index, score(*args, rows), k, rows)
+
+
+def _cosine_topk(query: EmbeddingVector, index: "CaptionIndex", k: int):
+    """``_topk`` of the cosines with ``query``."""
+    q, qnorm = _query_direction(query, index)
+    return _topk(index, k, _cosines, _cosine_screen, index.embeddings, q, qnorm)
 
 
 def _gt_ranks(index: "CaptionIndex", cheap: np.ndarray, delta, exact, rows: list[int]) -> list[int]:
@@ -302,9 +309,7 @@ def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> Ranked
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, len(index))
-    q, qnorm = _query_direction(query, index)
-    rows = _screen(index.embeddings, q, qnorm, k)
-    return _rank(index, _cosines(index.embeddings, q, qnorm, rows), k, STAGE_INITIAL, rows)
+    return _ranked_list(index, *_cosine_topk(query, index, k), k, STAGE_INITIAL)
 
 
 def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
@@ -319,8 +324,7 @@ def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> 
         sums[start : start + step] = (block * q).sum(axis=1)
     scores = np.clip(sums / qnorm, -1.0, 1.0)
     order = np.lexsort((index._id_rank, -scores))[: min(k, len(index))]
-    ids = [index.captions[i].id for i in order.tolist()]
-    return RankedList(tuple(zip(ids, scores[order].tolist())), k=len(ids), stage=STAGE_INITIAL)
+    return _ranked_list(index, order, scores[order], len(order), STAGE_INITIAL)
 
 
 def _pred_text(bundle: QueryBundle, text_source: str) -> str:
@@ -333,15 +337,6 @@ def _pred_text(bundle: QueryBundle, text_source: str) -> str:
             f"bundle {bundle.image_id!r} has no {text_source} prediction text"
         )
     return text
-
-
-def _fused_query(
-    bundle: QueryBundle, e_text: EmbeddingVector | None, w: FusionWeights
-) -> EmbeddingVector:
-    """The query vector from an already-encoded text (None when ``w.w_text`` is 0)."""
-    if w.w_text == 0.0:
-        return bundle.e_img
-    return fuse(bundle.e_img, e_text, w)
 
 
 def fused_query(
@@ -359,7 +354,7 @@ def fused_query(
     if w.w_text == 0.0:
         return bundle.e_img
     text = _pred_text(bundle, text_source)
-    return _fused_query(bundle, encode_texts([text], encoder)[0], w)
+    return fuse(bundle.e_img, encode_texts([text], encoder)[0], w)
 
 
 def search_fused_topk(
@@ -528,10 +523,7 @@ def search_bidirectional(
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     query = fused_query(bundle, w_query, text_source, encoder)
-    k_eff = min(k if k is not None else len(index), len(index))
-    rows = None
-    if k_eff < len(index):
-        cheap, delta, _ = _bidirectional_screen(query, bundle.e_img, index, w_index)
-        rows = _band(cheap, delta, k_eff)
-    scores = _bidirectional_scores(query, bundle.e_img, index, w_index, rows)
-    return _rank(index, scores, k_eff, STAGE_INITIAL, rows)
+    k = min(k if k is not None else len(index), len(index))
+    args = (query, bundle.e_img, index, w_index)
+    ranked = _topk(index, k, _bidirectional_scores, _bidirectional_screen, *args)
+    return _ranked_list(index, *ranked, k, STAGE_INITIAL)

@@ -209,6 +209,23 @@ class TestSearch:
         assert result.exit_code == 1
         assert "--sparse-text" in result.output
 
+    def test_rerank_with_bidirectional_exits_one(self, runner, corpus_dir, items_index_path):
+        records = load_embedding_file(corpus_dir / "images.f4e")
+        image_id, _ = records[0]
+        result = runner.invoke(
+            main,
+            [
+                "search",
+                "--index", str(items_index_path),
+                "--image-embedding", f"{corpus_dir / 'images.f4e'}:{image_id}",
+                "--sparse-text", "rice, beans",
+                "--rerank",
+                "--bidirectional",
+            ],
+        )
+        assert result.exit_code == 1
+        assert "re-ranking uses uni-directional initial retrieval" in result.output
+
     def test_unknown_record_id_exits_one(self, runner, corpus_dir, dense_index_path):
         result = runner.invoke(
             main,
@@ -259,6 +276,22 @@ class TestEvaluate:
             assert result.exit_code == 0, result.output
             outputs[name] = json.loads((tmp_path / f"{name}.json").read_text())
         assert outputs["rerank"]["mean_ap"] > outputs["plain"]["mean_ap"]
+
+    def test_rerank_pool_below_the_cut_exits_one(self, runner, corpus_dir, items_index_path):
+        result = runner.invoke(
+            main,
+            [
+                "evaluate",
+                "--index", str(items_index_path),
+                "--bundles", str(corpus_dir / "bundles_items.jsonl"),
+                "--image-embeddings", str(corpus_dir / "images.f4e"),
+                "--text-source", "sparse",
+                "--rerank",
+                "--n", "-5",
+            ],
+        )
+        assert result.exit_code == 1
+        assert "re-rank pool -5" in result.output
 
     def test_unknown_gt_id_exits_one_with_name(self, runner, corpus_dir, dense_index_path, tmp_path):
         bad = tmp_path / "bad_bundles.jsonl"

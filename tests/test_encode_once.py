@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from f4search import remote
 from f4search.encoders import encode_image_synthetic
-from f4search.errors import EmptyTextError, MissingPredictionTextError
+from f4search.errors import ConfigConflictError, EmptyTextError, MissingPredictionTextError
 from f4search.evaluate import EvalConfig, evaluate_corpus, sweep_fusion_weight
 from f4search.index import Caption, build_index
 from f4search.rerank import parse_items
@@ -136,6 +137,22 @@ class TestErrorOrder:
         with pytest.raises(MissingPredictionTextError, match=f"'q20' has no {field}"):
             evaluate_corpus(bundles, index, config)
         with pytest.raises(MissingPredictionTextError, match="'q20'"):
+            sweep_fusion_weight(bundles, index, GRID, config)
+        assert sent(embed_stub) == (0, 0)
+
+    @pytest.mark.parametrize("pool", [-5, 0, 6])
+    def test_pool_below_the_cut_raises_before_any_request(self, corpus, embed_stub, pool):
+        # Seven ground-truth ids give bundle q05 a re-rank cut of 7 entries.
+        index, bundles = corpus
+        gt = tuple(c.id for c in index.captions[:7])
+        bundles[5] = dataclasses.replace(bundles[5], gt_caption_ids=gt)
+        config = EvalConfig(encoder=embed_stub.remote, **{**MODES["rerank"], "pool_size": pool})
+        # The error names the first bundle whose cut exceeds the pool.
+        named = "'q05''s cut 7" if pool == 6 else "'q00''s cut 5"
+        message = re.escape(f"pool {pool} ") + ".*" + re.escape(named)
+        with pytest.raises(ConfigConflictError, match=message):
+            evaluate_corpus(bundles, index, config)
+        with pytest.raises(ConfigConflictError, match=message):
             sweep_fusion_weight(bundles, index, GRID, config)
         assert sent(embed_stub) == (0, 0)
 

@@ -212,6 +212,22 @@ class TestEvaluateCorpus:
         evaluate_corpus(bundles, index, config)
         sweep_fusion_weight(bundles, index, [0.0, 0.5, 1.0], replace(config, rerank=True))
 
+    def test_no_ranked_list_is_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("evaluation built a RankedList")
+
+        monkeypatch.setattr(RankedList, "__post_init__", refuse)
+        spec, index, bundles = small_corpus()
+        config = EvalConfig(encoder=spec, text_source="sparse")
+        for mode in (
+            dict(weights=FusionWeights(1.0, 0.0)),
+            dict(weights=FusionWeights(0.7, 0.3)),
+            dict(weights=FusionWeights(0.7, 0.3), bidirectional=True),
+            dict(weights=FusionWeights(0.7, 0.3), rerank=True),
+        ):
+            evaluate_corpus(bundles, index, replace(config, **mode))
+        sweep_fusion_weight(bundles, index, [0.0, 0.5, 1.0], replace(config, rerank=True))
+
     def test_bundle_order_in_per_query(self):
         spec, index, bundles = small_corpus()
         config = EvalConfig(encoder=spec, weights=FusionWeights(1.0, 0.0))
@@ -341,6 +357,15 @@ class TestCountedOutcome:
     def test_rerank_matches_full_ranking(self, monkeypatch):
         spec, index, bundles = tie_corpus(0, "sparse")
         config = EvalConfig(encoder=spec, rerank=True, text_source="sparse", pool_size=20)
+        counted = evaluate_corpus(bundles, index, config)
+        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        assert render_report(counted) == render_report(evaluate_corpus(bundles, index, config))
+
+    def test_rerank_pool_at_the_cut_matches_full_ranking(self, monkeypatch):
+        # Every bundle here has at most 5 gt ids, so its cut is 5 entries.
+        spec, index, bundles = tie_corpus(1, "sparse")
+        assert max(len(b.gt_caption_ids) for b in bundles) <= 5
+        config = EvalConfig(encoder=spec, rerank=True, text_source="sparse", pool_size=5)
         counted = evaluate_corpus(bundles, index, config)
         monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
         assert render_report(counted) == render_report(evaluate_corpus(bundles, index, config))

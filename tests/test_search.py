@@ -10,6 +10,7 @@ from f4search.errors import (
 )
 from f4search.evaluate import EvalConfig, evaluate_corpus
 from f4search.index import Caption, CaptionIndex, build_index
+from f4search.rerank import parse_items, rerank, retrieve_and_rerank
 from f4search.search import (
     QueryBundle,
     RankedList,
@@ -32,6 +33,24 @@ def random_index(make_index, n, dim, seed, kind="dense"):
 
 def score_bits(ranked):
     return np.array(ranked.scores, dtype=np.float64).view(np.uint64).tolist()
+
+
+def unscreened(index, raw, k):
+    """The unscreened reference: ``_rank`` over every row's raw score, as a public result."""
+    return search._ranked_list(index, *search._rank(index, raw, k), k, "initial")
+
+
+def cosine_band(index, query, k):
+    """The rows that ``_topk`` scores exactly for the top k cosines with ``query``."""
+    scored = []
+
+    def score(*args):
+        scored.append(args[-1])
+        return search._cosines(*args)
+
+    direction = search._query_direction(query, index)
+    search._topk(index, k, score, search._cosine_screen, index.embeddings, *direction)
+    return scored[0]
 
 
 def test_query_bundle_requires_unit_image():
@@ -114,7 +133,7 @@ class TestSearchTopk:
             scaled = EmbeddingVector(lam * query)
             got = search_topk(scaled, index, 10)
             assert got.ids == base
-            want = search._rank(index, search._query_scores(scaled, index), 10, "initial")
+            want = unscreened(index, search._query_scores(scaled, index), 10)
             assert got.entries == want.entries
             assert score_bits(got) == score_bits(want)
 
@@ -356,11 +375,11 @@ class TestScreen:
             index, query = screen_case(dim, seed)
             raw = search._query_scores(query, index)
             got = search_topk(query, index, k)
-            want = search._rank(index, raw, k, "initial")
+            want = unscreened(index, raw, k)
             assert got.entries == want.entries
             assert score_bits(got) == score_bits(want)
             clamped_ties += int(np.count_nonzero(raw > 1.0) >= 2)
-            band = search._screen(index.embeddings, *search._query_direction(query, index), k)
+            band = cosine_band(index, query, k)
             wide_bands += int(len(band) > k)
         # Fixture guards: ties at 1.0 occur, and the band re-scores rows beyond k.
         assert clamped_ties > 0
@@ -410,8 +429,7 @@ class TestScreen:
         for row in rng.integers(n, size=50):
             noise = rng.standard_normal(dim)
             q = index.embeddings[row] + 0.5 * noise / np.linalg.norm(noise)
-            q, qnorm = search._query_direction(EmbeddingVector(q), index)
-            bands.append(len(search._screen(index.embeddings, q, qnorm, k)))
+            bands.append(len(cosine_band(index, EmbeddingVector(q), k)))
         assert np.median(bands) <= k + 2
 
 
@@ -518,7 +536,7 @@ class TestScreenedRanks:
             rescored = []
             got = search._gt_ranks(index, cheap, delta,
                                    lambda rows: rescored.append(len(rows)) or exact(rows), gt_rows)
-            full = search._rank(index, raw, len(index), "initial")
+            full = unscreened(index, raw, len(index))
             rank_of = {cid: r for r, cid in enumerate(full.ids, start=1)}
             assert got == sorted(rank_of[index.captions[g].id] for g in gt_rows)
             # After the ground-truth rows, exact re-scores a band only when it
@@ -529,7 +547,7 @@ class TestScreenedRanks:
                 continue
             for k in (1, 5, rank_of[index.captions[gt_rows[0]].id]):
                 got_k = search_bidirectional(bundle, index, w_query, w_index, "dense", spec, k=k)
-                want = search._rank(index, raw, k, "initial")
+                want = unscreened(index, raw, k)
                 assert got_k.entries == want.entries
                 assert score_bits(got_k) == score_bits(want)
         # Fixture guards: some band re-scores rows beyond the ground truth,
@@ -573,7 +591,7 @@ class TestScreenedRanks:
                             index_weights=w_index)
         for query in (unit(rng.standard_normal(dim)), e_img):
             raw = search._bidirectional_scores(query, e_img, index, w_index)
-            full = search._rank(index, raw, len(index), "initial").ids
+            full = unscreened(index, raw, len(index)).ids
             screen = search._bidirectional_screen(query, e_img, index, w_index)
             for gt in (7, 40):
                 want = full.index(index.captions[gt].id) + 1
@@ -581,3 +599,63 @@ class TestScreenedRanks:
                 if query is e_img:
                     bundle = QueryBundle("q", e_img, gt_caption_ids=(index.captions[gt].id,))
                     assert evaluate_corpus([bundle], index, config).per_query[0].gt_rank == want
+
+
+def shuffled_case(spec, n=12):
+    """A sparse index of one-word dishes, ids shuffled against row order, and a bundle."""
+    rng = np.random.default_rng(31)
+    captions = [Caption(f"c{p:02d}", f"herb{i:02d}", "sparse") for i, p in
+                enumerate(rng.permutation(n))]
+    bundle = QueryBundle("q", encode_text_synthetic("herb03", spec),
+                         sparse_pred_text="herb03, herb07")
+    return build_index(captions, spec), bundle
+
+
+class TestResultShape:
+    """Public results carry their k and stage; full rankings compute no screen."""
+
+    def test_k_and_stage(self, synthetic_spec):
+        index, bundle = shuffled_case(synthetic_spec)
+        n = len(index)
+        assert [c.id for c in index.captions] != sorted(c.id for c in index.captions)
+        for k in (n - 5, n, n + 5):
+            for search_fn in (search_topk, search_topk_naive):
+                got = search_fn(bundle.e_img, index, k)
+                assert (got.k, len(got.entries), got.stage) == (min(k, n), min(k, n), "initial")
+        for k in (n - 5, n, None):
+            got = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), k=k)
+            want = min(k or n, n)
+            assert (got.k, len(got.entries), got.stage) == (want, want, "initial")
+        for N, k in ((n, 4), (n + 5, 4), (n + 5, n + 3)):
+            got = retrieve_and_rerank(bundle, index, N=N, k=k, encoder=synthetic_spec)
+            want = min(k, n)
+            assert (got.k, len(got.entries), got.stage) == (want, want, "reranked")
+        candidates = RankedList(search_topk(bundle.e_img, index, 3).entries, k=7)
+        got = rerank(candidates, parse_items("herb07"), index, synthetic_spec)
+        assert (got.k, got.stage) == (7, "reranked")
+        assert sorted(got.ids) == sorted(candidates.ids)
+
+    def test_full_ranking_computes_no_screen(self, synthetic_spec, monkeypatch):
+        index, bundle = shuffled_case(synthetic_spec)
+        n = len(index)
+        w_index = FusionWeights(0.3, 0.7)
+        cosine = unscreened(index, search._query_scores(bundle.e_img, index), n)
+        bidir = unscreened(
+            index, search._bidirectional_scores(bundle.e_img, bundle.e_img, index, w_index), n
+        )
+
+        def refuse(*args):
+            raise AssertionError("a full ranking computed a screen")
+
+        monkeypatch.setattr(search, "_cosine_screen", refuse)
+        monkeypatch.setattr(search, "_bidirectional_screen", refuse)
+        for k in (n, n + 5):
+            got = search_topk(bundle.e_img, index, k)
+            assert got.entries == cosine.entries
+            assert score_bits(got) == score_bits(cosine)
+        for k in (n, None):
+            got = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=k)
+            assert got.entries == bidir.entries
+            assert score_bits(got) == score_bits(bidir)
+        for N in (n, n + 5):
+            retrieve_and_rerank(bundle, index, N=N, k=4, encoder=synthetic_spec)
