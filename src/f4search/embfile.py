@@ -28,7 +28,7 @@ from .errors import (
     TruncatedFileError,
     VersionUnsupportedError,
 )
-from .vectors import EmbeddingVector, l2_normalize
+from .vectors import EmbeddingVector, _checked, _unit
 
 F4E_MAGIC = b"F4EM"
 F4E_VERSION = 1
@@ -158,6 +158,8 @@ def load_embedding_file(path) -> list[Record]:
             if rid in seen:
                 raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
             seen.add(rid)
-            records.append((rid, l2_normalize(raw)))
+            # A float32 vector's float64 norm cannot overflow, so the
+            # overflow guard of l2_normalize is not needed here.
+            records.append((rid, EmbeddingVector(_unit(_checked(raw)), normalized=True)))
         reader.end()
     return records

@@ -110,8 +110,30 @@ def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
     vec = vocab.get(token)
     if vec is None:
         rng = np.random.default_rng(_token_seed(token, seed))
-        vec = vocab[token] = _unit(rng.standard_normal(dim)).values
+        vec = vocab[token] = _unit(rng.standard_normal(dim))
     return vec
+
+
+def _encode(texts: list[str], spec: EncoderSpec | None) -> np.ndarray:
+    """``encode_texts`` as one float64 matrix of unit rows."""
+    if spec is None:
+        raise ValueError("encoding text requires an encoder spec")
+    if spec.kind == "remote":
+        from .remote import _encode_remote
+
+        return _encode_remote(texts, spec, None)
+    if spec.kind != "synthetic":
+        raise ValueError("file-backed encoder specs cannot encode new text")
+    rows = np.empty((len(texts), spec.dim))
+    for i, text in enumerate(texts):
+        tokens = tokenize(text)
+        if not tokens:
+            raise EmptyTextError(f"no tokens survive in {text!r}")
+        total = np.zeros(spec.dim, dtype=np.float64)
+        for tok in sorted(tokens):
+            total += _token_vector(tok, spec.dim, spec.seed)
+        rows[i] = _unit(total)
+    return rows
 
 
 def encode_text_synthetic(text: str, spec: EncoderSpec) -> EmbeddingVector:
@@ -122,13 +144,7 @@ def encode_text_synthetic(text: str, spec: EncoderSpec) -> EmbeddingVector:
     """
     if spec.kind != "synthetic":
         raise ValueError("encode_text_synthetic needs a synthetic encoder spec")
-    tokens = tokenize(text)
-    if not tokens:
-        raise EmptyTextError(f"no tokens survive in {text!r}")
-    total = np.zeros(spec.dim, dtype=np.float64)
-    for tok in sorted(tokens):
-        total += _token_vector(tok, spec.dim, spec.seed)
-    return _unit(total)
+    return EmbeddingVector(_encode([text], spec)[0], normalized=True)
 
 
 def encode_image_synthetic(
@@ -149,7 +165,8 @@ def encode_image_synthetic(
     if noise_sigma == 0:
         return clean
     rng = np.random.default_rng(noise_seed)
-    return _unit(clean.values + noise_sigma * rng.standard_normal(spec.dim))
+    noisy = clean.values + noise_sigma * rng.standard_normal(spec.dim)
+    return EmbeddingVector(_unit(noisy), normalized=True)
 
 
 def encode_texts(texts: list[str], spec: EncoderSpec | None) -> list[EmbeddingVector]:
@@ -158,12 +175,4 @@ def encode_texts(texts: list[str], spec: EncoderSpec | None) -> list[EmbeddingVe
     Each text's vector depends on that text alone, never on the rest of the
     batch, so callers may batch and deduplicate texts freely.
     """
-    if spec is None:
-        raise ValueError("encoding text requires an encoder spec")
-    if spec.kind == "synthetic":
-        return [encode_text_synthetic(t, spec) for t in texts]
-    if spec.kind == "remote":
-        from .remote import encode_remote
-
-        return encode_remote(texts, spec)
-    raise ValueError("file-backed encoder specs cannot encode new text")
+    return [EmbeddingVector(row, normalized=True) for row in _encode(texts, spec)]

@@ -14,12 +14,14 @@ max(5, k) entries, so its initial pool must hold at least that many.
 An evaluation first encodes, then scores. It collects the distinct texts
 the call needs, in bundle order: each bundle's prediction text when some
 weight fuses text, and for re-ranking the sparse text's item phrases. It
-encodes them with one ``encode_texts`` call, so a remote encoder sends
-them in batches over one session, and a sweep encodes once for its whole
-grid. Scoring then runs the private cores of the per-bundle search
-functions on index rows, so it builds no ``RankedList``. An encoder returns
-each text's vector independently of the rest of its batch, so the reports
-are byte-identical to encoding one bundle at a time.
+encodes them into one matrix with one call to ``encoders._encode``, the
+array core of ``encode_texts``, so a remote encoder sends them in batches
+over one session, and a sweep encodes once for its whole grid. Each bundle
+gets its text's row and its phrases' rows. Scoring then runs the private
+cores of the per-bundle search functions on float64 arrays and index rows,
+so it builds no ``RankedList`` and no ``EmbeddingVector``. An encoder
+returns each text's vector independently of the rest of its batch, so the
+reports are byte-identical to encoding one bundle at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embfile import _write_atomic, load_embedding_file
-from .encoders import EncoderSpec, encode_texts
+from .encoders import EncoderSpec, _encode
 from .errors import (
     ConfigConflictError,
     EmptyGroundTruthError,
@@ -42,7 +44,7 @@ from .errors import (
     UnknownCandidateIdError,
 )
 from .index import CaptionIndex, read_jsonl
-from .rerank import _item_matrix, _retrieve_and_rerank, default_pool_size, parse_items
+from .rerank import _retrieve_and_rerank, default_pool_size, parse_items
 from .search import (
     QueryBundle,
     RankedList,
@@ -52,11 +54,11 @@ from .search import (
     _pred_text,
     _query_direction,
 )
-from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights, fuse
+from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
-# One bundle's encoded texts: the prediction-text vector (None when no
-# weight fuses text) and, for re-ranking, the item matrix (else None).
-Encoded = tuple[EmbeddingVector | None, np.ndarray | None]
+# One bundle's encoded texts: the prediction-text row (None when no weight
+# fuses text) and, for re-ranking, the item matrix (else None).
+Encoded = tuple[np.ndarray | None, np.ndarray | None]
 
 
 def recall_at_k(ranked: RankedList, gt_ids: Sequence[str], k: int) -> int:
@@ -204,9 +206,10 @@ def _encode_bundles(
         phrases = parse_items(text).phrases if config.rerank else ()
         needed.append((text if fuse_text else None, phrases))
     distinct = list(dict.fromkeys(t for text, phrases in needed for t in (text, *phrases) if t))
-    vectors = dict(zip(distinct, encode_texts(distinct, config.encoder))) if distinct else {}
+    matrix = _encode(distinct, config.encoder) if distinct else None
+    pos = {t: i for i, t in enumerate(distinct)}
     return [
-        (vectors.get(text), _item_matrix(vectors[p] for p in phrases) if phrases else None)
+        (matrix[pos[text]] if text else None, matrix[[pos[p] for p in phrases]] if phrases else None)
         for text, phrases in needed
     ]
 
@@ -217,7 +220,8 @@ def _evaluate_bundle(
     e_text, items = encoded
     gt_rows = [index.row_of(cid) for cid in set(bundle.gt_caption_ids)]
     k_q = len(gt_rows)
-    query = bundle.e_img if e_text is None else fuse(bundle.e_img, e_text, config.weights)
+    e_img = bundle.e_img.values
+    query = e_img if e_text is None else _fused(e_img, e_text, config.weights)
     if config.rerank:
         k_out = max(5, k_q)
         pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
@@ -227,7 +231,7 @@ def _evaluate_bundle(
         # The metrics read only where the ground truth lands, so count its
         # ranks from the screen instead of ranking every row.
         if config.bidirectional:
-            screen = _bidirectional_screen(query, bundle.e_img, index, config.index_weights)
+            screen = _bidirectional_screen(query, e_img, index, config.index_weights)
         else:
             screen = _cosine_screen(index.embeddings, *_query_direction(query, index))
         ranks = _gt_ranks(index, *screen, gt_rows)

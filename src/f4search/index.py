@@ -202,16 +202,20 @@ def load_index(path) -> CaptionIndex:
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, object)`` for each non-blank line of a JSONL file.
 
-    Line numbers are 1-based; a line that is not a JSON object raises
-    ``MalformedLineError`` with its number.
+    Lines split on ``\\n`` only, so a raw U+2028 or U+0085 inside a JSON
+    string stays in its line. Line numbers are 1-based; a line that is not
+    UTF-8, not JSON (nested too deep or an integer too long included) or
+    not a JSON object raises ``MalformedLineError`` with its number.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; a long
+        # integer raises a plain one and deep nesting a RecursionError.
+        except (ValueError, RecursionError) as exc:
             raise MalformedLineError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedLineError(line_no, "expected a JSON object")

@@ -18,7 +18,7 @@ import requests
 
 from .encoders import EncoderSpec
 from .errors import MalformedResponseError, RemoteError, ServiceUnreachableError
-from .vectors import EmbeddingVector, l2_normalize
+from .vectors import EmbeddingVector, _unit
 
 ENDPOINT_ENV_VAR = "F4_ENCODER_ENDPOINT"
 BATCH_SIZE = 64
@@ -46,6 +46,11 @@ def encode_remote(
     input order, so outputs line up with inputs one-to-one. Each returned
     vector is normalized on receipt.
     """
+    return [EmbeddingVector(r, normalized=True) for r in _encode_remote(texts, spec, bearer_token)]
+
+
+def _encode_remote(texts: list[str], spec: EncoderSpec, bearer_token: str | None) -> np.ndarray:
+    """``encode_remote`` as one float64 matrix of unit rows."""
     if spec.kind != "remote":
         raise ValueError("encode_remote needs a remote encoder spec")
     if not texts:
@@ -59,13 +64,13 @@ def encode_remote(
     if bearer_token:
         headers["Authorization"] = f"Bearer {bearer_token}"
 
-    vectors: list[EmbeddingVector] = []
+    batches = []
     with requests.Session() as sess:
         for start in range(0, len(texts), BATCH_SIZE):
             batch = texts[start : start + BATCH_SIZE]
             payload = _post_with_retry(sess, url, {"texts": batch}, headers)
-            vectors.extend(_parse_batch(payload, len(batch), spec.dim))
-    return vectors
+            batches.append(_parse_batch(payload, len(batch), spec.dim))
+    return np.concatenate(batches)
 
 
 def _post_with_retry(sess, url, body, headers):
@@ -91,7 +96,8 @@ def _post_with_retry(sess, url, body, headers):
     ) from last_exc
 
 
-def _parse_batch(payload, expected_count: int, expected_dim: int) -> list[EmbeddingVector]:
+def _parse_batch(payload, expected_count: int, expected_dim: int) -> np.ndarray:
+    """The payload's vectors as a float64 matrix of unit rows, after checking its shape."""
     if not isinstance(payload, dict) or "vectors" not in payload or "dim" not in payload:
         raise MalformedResponseError("response missing 'dim' or 'vectors'")
     if payload["dim"] != expected_dim:
@@ -116,4 +122,8 @@ def _parse_batch(payload, expected_count: int, expected_dim: int) -> list[Embedd
         raise MalformedResponseError("vector entry out of float range") from exc
     if not np.isfinite(matrix).all():
         raise MalformedResponseError("vector entries must be finite")
-    return [l2_normalize(row) for row in matrix]
+    try:
+        with np.errstate(over="ignore"):
+            return np.array([_unit(row) for row in matrix])
+    except ValueError as exc:
+        raise MalformedResponseError(str(exc)) from exc

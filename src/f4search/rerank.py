@@ -11,11 +11,11 @@ similar dish mentioning "chicken".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoders import EncoderSpec, encode_texts
+from .encoders import EncoderSpec, _encode
 from .errors import NoItemsError, UnknownCandidateIdError
 from .search import (
     STAGE_RERANKED,
@@ -27,7 +27,7 @@ from .search import (
     _ranked_list,
     fused_query,
 )
-from .vectors import DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights
+from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights
 
 if TYPE_CHECKING:
     from .index import CaptionIndex
@@ -104,16 +104,11 @@ def rerank(
             raise UnknownCandidateIdError(f"candidate id {cid!r} not in index")
         rows.append(index.row_of(cid))
     # parse_items already deduplicated, so each phrase is encoded once.
-    item_matrix = _item_matrix(encode_texts(list(items.phrases), encoder))
-    ranked = _rerank(index, rows, item_matrix, candidates.k)
+    ranked = _rerank(index, rows, _encode(list(items.phrases), encoder), candidates.k)
     return _ranked_list(index, *ranked, candidates.k, STAGE_RERANKED)
 
 
-def _item_matrix(vectors: Iterable[EmbeddingVector]) -> np.ndarray:
-    return np.stack([v.values for v in vectors])
-
-
-def _retrieve_and_rerank(query: EmbeddingVector, index: "CaptionIndex", items, N: int, k: int):
+def _retrieve_and_rerank(query: np.ndarray, index: "CaptionIndex", items, N: int, k: int):
     """``_rerank`` of the top-N rows for ``query`` by the item matrix, cut to top-k."""
     rows, _ = _cosine_topk(query, index, N)
     return _rerank(index, rows, items, k)
@@ -140,6 +135,6 @@ def retrieve_and_rerank(
         raise ValueError(f"initial pool N={N} must be >= k={k}")
     text = _pred_text(bundle, "sparse")
     query = fused_query(bundle, w, "sparse", encoder)
-    items = _item_matrix(encode_texts(list(parse_items(text).phrases), encoder))
-    ranked = _retrieve_and_rerank(query, index, items, N, k)
+    items = _encode(list(parse_items(text).phrases), encoder)
+    ranked = _retrieve_and_rerank(query.values, index, items, N, k)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

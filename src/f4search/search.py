@@ -108,13 +108,13 @@ class QueryBundle:
         object.__setattr__(self, "gt_caption_ids", tuple(self.gt_caption_ids))
 
 
-def _query_direction(query: EmbeddingVector, index: "CaptionIndex") -> tuple[np.ndarray, float]:
-    if query.dim != index.dim:
-        raise DimensionMismatchError(f"query dim {query.dim} != index dim {index.dim}")
-    norm = float(np.linalg.norm(query.values))
+def _query_direction(query: np.ndarray, index: "CaptionIndex") -> tuple[np.ndarray, float]:
+    if len(query) != index.dim:
+        raise DimensionMismatchError(f"query dim {len(query)} != index dim {index.dim}")
+    norm = float(np.linalg.norm(query))
     if norm <= ZERO_NORM_EPS:
         raise ZeroVectorError("query is the zero vector")
-    return query.values, norm
+    return query, norm
 
 
 def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows=None):
@@ -156,7 +156,7 @@ def _cosines(
 
 
 def _query_scores(
-    query: EmbeddingVector, index: "CaptionIndex", rows: np.ndarray | None = None
+    query: np.ndarray, index: "CaptionIndex", rows: np.ndarray | None = None
 ) -> np.ndarray:
     """Raw cosine of ``query`` with the given index rows, or every row in row order."""
     return _cosines(index.embeddings, *_query_direction(query, index), rows)
@@ -267,7 +267,7 @@ def _topk(index: "CaptionIndex", k: int, score, screen, *args):
     return _rank(index, score(*args, rows), k, rows)
 
 
-def _cosine_topk(query: EmbeddingVector, index: "CaptionIndex", k: int):
+def _cosine_topk(query: np.ndarray, index: "CaptionIndex", k: int):
     """``_topk`` of the cosines with ``query``."""
     q, qnorm = _query_direction(query, index)
     return _topk(index, k, _cosines, _cosine_screen, index.embeddings, q, qnorm)
@@ -309,14 +309,14 @@ def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> Ranked
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, len(index))
-    return _ranked_list(index, *_cosine_topk(query, index, k), k, STAGE_INITIAL)
+    return _ranked_list(index, *_cosine_topk(query.values, index, k), k, STAGE_INITIAL)
 
 
 def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
     """Reference oracle: a plain float64 product sum per row, full sort, cut at k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    q, qnorm = _query_direction(query, index)
+    q, qnorm = _query_direction(query.values, index)
     sums = np.empty(len(index))
     step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
     for start in range(0, len(index), step):
@@ -381,8 +381,8 @@ def search_top1_fused(
 
 
 def _bidirectional_scores(
-    query: EmbeddingVector,
-    e_img: EmbeddingVector,
+    query: np.ndarray,
+    e_img: np.ndarray,
     index: "CaptionIndex",
     w_index: FusionWeights,
     rows: np.ndarray | None = None,
@@ -398,7 +398,7 @@ def _bidirectional_scores(
     if w_index.w_img == 0.0:
         return _query_scores(query, index, rows)
     q, qnorm = _query_direction(query, index)
-    img = w_index.w_img * e_img.values
+    img = w_index.w_img * e_img
     embeddings = index.embeddings if rows is None else index.embeddings[rows]
     scores = np.empty(len(embeddings))
     step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
@@ -414,7 +414,7 @@ def _bidirectional_scores(
 
 
 def _bidirectional_screen(
-    query: EmbeddingVector, e_img: EmbeddingVector, index: "CaptionIndex", w_index: FusionWeights
+    query: np.ndarray, e_img: np.ndarray, index: "CaptionIndex", w_index: FusionWeights
 ):
     """Screen scores, per-row bounds and the exact re-score of bi-directional scoring.
 
@@ -472,7 +472,7 @@ def _bidirectional_screen(
     if w_index.w_img == 0.0:
         return _cosine_screen(index.embeddings, q, qnorm)
     a, b = w_index.w_img, w_index.w_text
-    p, unit_q = e_img.values, q / qnorm
+    p, unit_q = e_img, q / qnorm
     columns = np.stack([b * unit_q, 2 * a * b * p], axis=1).astype(np.float32)
     xy = (index.embeddings @ columns).astype(np.float64)
     num = a * float(p @ unit_q) + xy[:, 0]
@@ -524,6 +524,6 @@ def search_bidirectional(
         raise ValueError("k must be >= 1")
     query = fused_query(bundle, w_query, text_source, encoder)
     k = min(k if k is not None else len(index), len(index))
-    args = (query, bundle.e_img, index, w_index)
+    args = (query.values, bundle.e_img.values, index, w_index)
     ranked = _topk(index, k, _bidirectional_scores, _bidirectional_screen, *args)
     return _ranked_list(index, *ranked, k, STAGE_INITIAL)

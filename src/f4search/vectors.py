@@ -8,6 +8,7 @@ cosine is scale-invariant, so renormalization never changes a ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,19 @@ class EmbeddingVector:
         return int(self.values.shape[0])
 
 
-def _unit(values: np.ndarray) -> EmbeddingVector:
-    """``values`` over its L2 norm: the one place a unit vector is made."""
+def _unit(values: np.ndarray) -> np.ndarray:
+    """``values`` over its L2 norm: the one place a unit vector is made.
+
+    An overflowing norm raises ValueError. Callers that pass outside float64
+    values run this under ``np.errstate(over="ignore")``, so the overflow is
+    not also a RuntimeWarning.
+    """
     norm = float(np.linalg.norm(values))
     if norm <= ZERO_NORM_EPS:
         raise ZeroVectorError("cannot normalize a zero vector")
-    return EmbeddingVector(values / norm, normalized=True)
+    if not math.isfinite(norm):
+        raise ValueError("cannot normalize a vector whose L2 norm overflows float64")
+    return values / norm
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,9 @@ def clamp_score(x: float) -> float:
 
 def l2_normalize(v: EmbeddingVector | np.ndarray) -> EmbeddingVector:
     """Scale ``v``, a vector or a raw 1-D array checked like one, to unit L2 norm."""
-    if isinstance(v, EmbeddingVector):
-        return _unit(v.values)
-    return _unit(_checked(v))
+    values = v.values if isinstance(v, EmbeddingVector) else _checked(v)
+    with np.errstate(over="ignore"):
+        return EmbeddingVector(_unit(values), normalized=True)
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -136,4 +144,15 @@ def fuse(
         return e_img
     if w.w_img == 0.0:
         return e_text
-    return _unit(w.w_img * e_img.values + w.w_text * e_text.values)
+    return EmbeddingVector(_fused(e_img.values, e_text.values, w), normalized=True)
+
+
+def _fused(e_img: np.ndarray, e_text: np.ndarray, w: FusionWeights) -> np.ndarray:
+    """``fuse`` of two unit float64 arrays; a zero weight returns the other array itself."""
+    if len(e_img) != len(e_text):
+        raise DimensionMismatchError(f"dim {len(e_img)} vs {len(e_text)}")
+    if w.w_text == 0.0:
+        return e_img
+    if w.w_img == 0.0:
+        return e_text
+    return _unit(w.w_img * e_img + w.w_text * e_text)

@@ -170,6 +170,9 @@ class TestEncodeTexts:
             vecs[0].values, encode_text_synthetic("rice", synthetic_spec).values
         )
 
+    def test_empty_batch(self):
+        assert encode_texts([], EncoderSpec("synthetic", 8)) == []
+
     def test_file_kind_cannot_encode(self):
         with pytest.raises(ValueError, match="cannot encode"):
             encode_texts(["rice"], EncoderSpec("file", 32))

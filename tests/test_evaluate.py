@@ -37,7 +37,7 @@ from f4search.search import (
     search_bidirectional,
     search_fused_topk,
 )
-from f4search.vectors import FusionWeights
+from f4search.vectors import EmbeddingVector, FusionWeights
 
 from conftest import unit
 
@@ -212,12 +212,9 @@ class TestEvaluateCorpus:
         evaluate_corpus(bundles, index, config)
         sweep_fusion_weight(bundles, index, [0.0, 0.5, 1.0], replace(config, rerank=True))
 
-    def test_no_ranked_list_is_built(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("evaluation built a RankedList")
-
-        monkeypatch.setattr(RankedList, "__post_init__", refuse)
-        spec, index, bundles = small_corpus()
+    @staticmethod
+    def evaluate_every_mode(spec, index, bundles):
+        """Image-only, fused, bi-directional and re-rank evaluations, then a re-rank sweep."""
         config = EvalConfig(encoder=spec, text_source="sparse")
         for mode in (
             dict(weights=FusionWeights(1.0, 0.0)),
@@ -227,6 +224,22 @@ class TestEvaluateCorpus:
         ):
             evaluate_corpus(bundles, index, replace(config, **mode))
         sweep_fusion_weight(bundles, index, [0.0, 0.5, 1.0], replace(config, rerank=True))
+
+    def test_no_ranked_list_is_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("evaluation built a RankedList")
+
+        monkeypatch.setattr(RankedList, "__post_init__", refuse)
+        self.evaluate_every_mode(*small_corpus())
+
+    def test_no_embedding_vector_is_built_after_loading(self, monkeypatch):
+        corpus = small_corpus()
+
+        def refuse(self):
+            raise AssertionError("evaluation built an EmbeddingVector")
+
+        monkeypatch.setattr(EmbeddingVector, "__post_init__", refuse)
+        self.evaluate_every_mode(*corpus)
 
     def test_bundle_order_in_per_query(self):
         spec, index, bundles = small_corpus()
@@ -377,7 +390,7 @@ class TestCountedOutcome:
         for seed in range(5):
             _, index, bundles = tie_corpus(seed, "dense")
             for b in bundles:
-                scores = search._query_scores(b.e_img, index)
+                scores = search._query_scores(b.e_img.values, index)
                 for cid in b.gt_caption_ids:
                     row = index.row_of(cid)
                     clamped |= bool(scores[row] > 1.0)

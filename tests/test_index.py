@@ -180,12 +180,29 @@ class TestIngestCaptions:
         with pytest.raises(UnknownKindError):
             ingest_captions(path)
 
-    def test_malformed_json_carries_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad",
+        [b"{oops", b'{"id": "\xff"}', b"[" * 100000, b'{"id": ' + b"1" * 5000 + b"}"],
+        ids=["json", "utf-8", "deep", "long-int"],
+    )
+    def test_malformed_json_carries_line_number(self, tmp_path, bad):
         path = tmp_path / "caps.jsonl"
-        path.write_text('{"id": "a", "text": "rice", "kind": "dense"}\n{oops\n')
+        path.write_bytes(b'{"id": "a", "text": "rice", "kind": "dense"}\n' + bad + b"\n")
         with pytest.raises(MalformedLineError) as excinfo:
             ingest_captions(path)
         assert excinfo.value.line_no == 2
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u0085"], ids=["U+2028", "U+0085"])
+    def test_unicode_line_separator_inside_text_ingests(self, tmp_path, sep):
+        path = tmp_path / "caps.jsonl"
+        objs = [
+            {"id": "a", "text": f"rice{sep}beans", "kind": "dense"},
+            {"id": "b", "text": "corn", "kind": "dense"},
+        ]
+        text = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+        path.write_text(text, encoding="utf-8")
+        caps = ingest_captions(path)
+        assert [(c.id, c.text) for c in caps] == [("a", f"rice{sep}beans"), ("b", "corn")]
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "caps.jsonl"

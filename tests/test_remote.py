@@ -222,7 +222,7 @@ def test_default_endpoint_from_env(monkeypatch):
 
 def test_parse_batch_accepts_ints_and_floats():
     [vec] = _parse_batch({"dim": 4, "vectors": [[3, 4.0, 0, 0.0]]}, 1, 4)
-    assert vec.values.tolist() == [0.6, 0.8, 0.0, 0.0]
+    assert vec.tolist() == [0.6, 0.8, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -235,6 +235,7 @@ def test_parse_batch_accepts_ints_and_floats():
         (float("nan"), "finite"),
         (float("inf"), "finite"),
         (10**400, "float range"),
+        (1e200, "overflows"),
     ],
 )
 def test_parse_batch_rejects_non_numbers(entry, reason):

@@ -48,7 +48,7 @@ def cosine_band(index, query, k):
         scored.append(args[-1])
         return search._cosines(*args)
 
-    direction = search._query_direction(query, index)
+    direction = search._query_direction(query.values, index)
     search._topk(index, k, score, search._cosine_screen, index.embeddings, *direction)
     return scored[0]
 
@@ -133,7 +133,7 @@ class TestSearchTopk:
             scaled = EmbeddingVector(lam * query)
             got = search_topk(scaled, index, 10)
             assert got.ids == base
-            want = unscreened(index, search._query_scores(scaled, index), 10)
+            want = unscreened(index, search._query_scores(scaled.values, index), 10)
             assert got.entries == want.entries
             assert score_bits(got) == score_bits(want)
 
@@ -307,7 +307,9 @@ class TestBidirectionalBlocks:
             index = block_index(n, dim, seed=n)
             bundle = QueryBundle("q", unit(rng.standard_normal(dim)))
             for w_index in (FusionWeights(0.3, 0.7), FusionWeights(0.5, 0.5)):
-                got = search._bidirectional_scores(bundle.e_img, bundle.e_img, index, w_index)
+                got = search._bidirectional_scores(
+                    bundle.e_img.values, bundle.e_img.values, index, w_index
+                )
                 want = one_shot_scores(bundle.e_img.values, index, w_index)
                 assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -318,7 +320,7 @@ class TestBidirectionalBlocks:
         bundle = QueryBundle("q", unit(np.random.default_rng(dim + 1).standard_normal(dim)))
         w_index = FusionWeights(0.3, 0.7)
         want = one_shot_scores(bundle.e_img.values, index, w_index)
-        got = search._bidirectional_scores(bundle.e_img, bundle.e_img, index, w_index)
+        got = search._bidirectional_scores(bundle.e_img.values, bundle.e_img.values, index, w_index)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         ranked = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=10)
         clamped = np.clip(want, -1.0, 1.0)
@@ -373,7 +375,7 @@ class TestScreen:
         clamped_ties = wide_bands = 0
         for seed in range(10):
             index, query = screen_case(dim, seed)
-            raw = search._query_scores(query, index)
+            raw = search._query_scores(query.values, index)
             got = search_topk(query, index, k)
             want = unscreened(index, raw, k)
             assert got.entries == want.entries
@@ -491,7 +493,8 @@ def diff_case(dim, seed, w_index):
     if w_index is None:
         delta = search._screen_delta(dim)
     else:
-        delta = float(search._bidirectional_screen(query, bundle.e_img, probe, w_index)[1][0])
+        screen = search._bidirectional_screen(query.values, bundle.e_img.values, probe, w_index)
+        delta = float(screen[1][0])
     step = score_step(base, q, p, w_index)
     first = len(rows)
     for t in np.linspace(-4.0, 4.0, 40):
@@ -526,12 +529,13 @@ class TestScreenedRanks:
         for seed in range(10):
             index, bundle, w_query, spec, query, gt_rows = diff_case(dim, seed, w_index)
             if w_index is None:
-                direction = search._query_direction(query, index)
+                direction = search._query_direction(query.values, index)
                 screen = search._cosine_screen(index.embeddings, *direction)
-                raw = search._query_scores(query, index)
+                raw = search._query_scores(query.values, index)
             else:
-                screen = search._bidirectional_screen(query, bundle.e_img, index, w_index)
-                raw = search._bidirectional_scores(query, bundle.e_img, index, w_index)
+                args = (query.values, bundle.e_img.values, index, w_index)
+                screen = search._bidirectional_screen(*args)
+                raw = search._bidirectional_scores(*args)
             cheap, delta, exact = screen
             rescored = []
             got = search._gt_ranks(index, cheap, delta,
@@ -590,9 +594,9 @@ class TestScreenedRanks:
         config = EvalConfig(weights=FusionWeights(1.0, 0.0), bidirectional=True,
                             index_weights=w_index)
         for query in (unit(rng.standard_normal(dim)), e_img):
-            raw = search._bidirectional_scores(query, e_img, index, w_index)
+            raw = search._bidirectional_scores(query.values, e_img.values, index, w_index)
             full = unscreened(index, raw, len(index)).ids
-            screen = search._bidirectional_screen(query, e_img, index, w_index)
+            screen = search._bidirectional_screen(query.values, e_img.values, index, w_index)
             for gt in (7, 40):
                 want = full.index(index.captions[gt].id) + 1
                 assert search._gt_ranks(index, *screen, [gt]) == [want]
@@ -639,9 +643,11 @@ class TestResultShape:
         index, bundle = shuffled_case(synthetic_spec)
         n = len(index)
         w_index = FusionWeights(0.3, 0.7)
-        cosine = unscreened(index, search._query_scores(bundle.e_img, index), n)
+        cosine = unscreened(index, search._query_scores(bundle.e_img.values, index), n)
         bidir = unscreened(
-            index, search._bidirectional_scores(bundle.e_img, bundle.e_img, index, w_index), n
+            index,
+            search._bidirectional_scores(bundle.e_img.values, bundle.e_img.values, index, w_index),
+            n,
         )
 
         def refuse(*args):

@@ -7,6 +7,7 @@ from f4search.vectors import (
     DEFAULT_QUERY_WEIGHTS,
     EmbeddingVector,
     FusionWeights,
+    _fused,
     cosine_similarity,
     fuse,
     l2_normalize,
@@ -51,6 +52,11 @@ class TestL2Normalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             l2_normalize(EmbeddingVector([0.0, 0.0]))
+
+    def test_overflowing_norm_rejected(self):
+        for v in (EmbeddingVector([1e308, 1e308]), np.array([1e200] * 8)):
+            with pytest.raises(ValueError, match="overflows"):
+                l2_normalize(v)
 
     def test_raw_array_matches_vector_input_bitwise(self):
         rng = np.random.default_rng(5)
@@ -164,6 +170,12 @@ class TestFuse:
         np.testing.assert_allclose(fused.values, expected, atol=1e-12)
         np.testing.assert_allclose(fused.values, [0.91914503, 0.39391930], atol=1e-6)
         assert fused.normalized
+
+    def test_array_core_returns_the_input_at_a_zero_weight(self):
+        rng = np.random.default_rng(4)
+        e_img, e_text = unit(rng.standard_normal(8)).values, unit(rng.standard_normal(8)).values
+        assert _fused(e_img, e_text, FusionWeights(1.0, 0.0)) is e_img
+        assert _fused(e_img, e_text, FusionWeights(0.0, 1.0)) is e_text
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
