@@ -121,8 +121,8 @@ class _Reader:
 def write_embedding_file(records: Sequence[Record], path) -> None:
     """Write (id, vector) records to ``path`` in F4E format.
 
-    All vectors must share one dimension and ids must be unique. An empty
-    record list produces a valid file with count 0 and dim 0.
+    All vectors must share one dimension, fit in float32, and ids must be
+    unique. An empty record list produces a valid file with count 0 and dim 0.
     """
     dims = {vec.dim for _, vec in records}
     if len(dims) > 1:
@@ -134,10 +134,15 @@ def write_embedding_file(records: Sequence[Record], path) -> None:
         seen.add(rid)
 
     dim = dims.pop() if dims else 0
+    with np.errstate(over="ignore"):  # an overflow raises below, not as a warning
+        matrix = np.array([vec.values for _, vec in records], "<f4").reshape(len(records), dim)
+    fits = np.isfinite(matrix).all(axis=1)
+    if not fits.all():
+        raise ValueError(f"record {records[int(np.argmin(fits))][0]!r} overflows float32")
     parts = [_HEADER.pack(F4E_MAGIC, F4E_VERSION, dim, len(records))]
-    for rid, vec in records:
+    for (rid, _), row in zip(records, matrix):
         parts.append(_pack_text(_ID_LEN, rid))
-        parts.append(vec.values.astype("<f4").tobytes())
+        parts.append(row.tobytes())
     _write_atomic(path, b"".join(parts))
 
 

@@ -45,15 +45,7 @@ from .errors import (
 )
 from .index import CaptionIndex, read_jsonl
 from .rerank import _retrieve_and_rerank, default_pool_size, parse_items
-from .search import (
-    QueryBundle,
-    RankedList,
-    _bidirectional_screen,
-    _cosine_screen,
-    _gt_ranks,
-    _pred_text,
-    _query_direction,
-)
+from .search import _UNIDIRECTIONAL, QueryBundle, RankedList, _gt_ranks, _pred_text
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
 # One bundle's encoded texts: the prediction-text row (None when no weight
@@ -230,11 +222,8 @@ def _evaluate_bundle(
     else:
         # The metrics read only where the ground truth lands, so count its
         # ranks from the screen instead of ranking every row.
-        if config.bidirectional:
-            screen = _bidirectional_screen(query, e_img, index, config.index_weights)
-        else:
-            screen = _cosine_screen(index.embeddings, *_query_direction(query, index))
-        ranks = _gt_ranks(index, *screen, gt_rows)
+        w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
+        ranks = _gt_ranks(query, e_img, index, w_index, gt_rows)
 
     gt_rank = ranks[0] if ranks else None
     ap = None

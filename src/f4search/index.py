@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .embfile import Record, _pack_text, _Reader, _write_atomic
-from .encoders import EncoderSpec, encode_texts
+from .encoders import EncoderSpec, _encode
 from .errors import (
     CorruptFileError,
     DuplicateIdError,
@@ -32,6 +32,7 @@ from .errors import (
     MalformedLineError,
     UnknownKindError,
 )
+from .rerank import parse_items
 from .vectors import UNIT_NORM_TOL
 
 F4I_MAGIC = b"F4IX"
@@ -59,8 +60,6 @@ class Caption:
         if self.kind not in CAPTION_KINDS:
             raise UnknownKindError(f"caption {self.id!r} has kind {self.kind!r}")
         if self.kind == "sparse":
-            from .rerank import parse_items
-
             parse_items(self.text)  # raises NoItemsError if nothing survives
 
 
@@ -129,9 +128,18 @@ def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionInd
     """Encode every caption text and assemble an immutable index."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    vectors = encode_texts([c.text for c in captions], encoder)
-    records = list(zip([c.id for c in captions], vectors))
-    return build_index_from_records(captions, records, encoder.fingerprint())
+    matrix = _encode([c.text for c in captions], encoder)
+    kind = _one_kind(captions)
+    if len({c.id for c in captions}) != len(captions):
+        raise DuplicateIdError("embedding records contain duplicate ids")
+    return CaptionIndex(tuple(captions), matrix.astype(np.float32), kind, encoder.fingerprint())
+
+
+def _one_kind(captions: Sequence[Caption]) -> str:
+    kinds = {c.kind for c in captions}
+    if len(kinds) > 1:
+        raise ValueError("captions must all share one kind within an index")
+    return kinds.pop()
 
 
 def build_index_from_records(
@@ -142,9 +150,7 @@ def build_index_from_records(
     """Assemble an index from precomputed embedding records, paired by id."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    kinds = {c.kind for c in captions}
-    if len(kinds) > 1:
-        raise ValueError("captions must all share one kind within an index")
+    kind = _one_kind(captions)
     by_id = dict(records)
     if len(by_id) != len(records):
         raise DuplicateIdError("embedding records contain duplicate ids")
@@ -157,7 +163,7 @@ def build_index_from_records(
     matrix = np.stack(rows).astype(np.float32)
     if fingerprint is None:
         fingerprint = f"file:dim={matrix.shape[1]}"
-    return CaptionIndex(tuple(captions), matrix, kinds.pop(), fingerprint)
+    return CaptionIndex(tuple(captions), matrix, kind, fingerprint)
 
 
 def save_index(index: CaptionIndex, path) -> None:

@@ -19,12 +19,13 @@ from .encoders import EncoderSpec, _encode
 from .errors import NoItemsError, UnknownCandidateIdError
 from .search import (
     STAGE_RERANKED,
+    _UNIDIRECTIONAL,
     QueryBundle,
     RankedList,
-    _cosine_topk,
     _pred_text,
     _rank,
     _ranked_list,
+    _topk,
     fused_query,
 )
 from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights
@@ -110,7 +111,7 @@ def rerank(
 
 def _retrieve_and_rerank(query: np.ndarray, index: "CaptionIndex", items, N: int, k: int):
     """``_rerank`` of the top-N rows for ``query`` by the item matrix, cut to top-k."""
-    rows, _ = _cosine_topk(query, index, N)
+    rows, _ = _topk(query, None, index, _UNIDIRECTIONAL, N)
     return _rerank(index, rows, items, k)
 
 

@@ -2,14 +2,16 @@
 
 Scores are cosines computed in double precision over the float32 index
 rows, clamped into [-1, 1] and sorted descending with ties broken by
-ascending caption id. Every scoring path screens, then verifies: a cheap
-float32 BLAS score s' of every row comes with a proven bound delta on its
-distance from the exact double-precision score (a scalar for cosines, one
-value per row for bi-directional fusion), so each row's exact score lies
-strictly between L = s' - delta and U = s' + delta (``_lower_bounds``).
-Only the rows these bounds cannot place are re-scored exactly, so every
-id, score bit and counted rank equals that of the full double-precision
-scan.
+ascending caption id. One scorer, ``_scores``, and one screen, ``_screen``,
+serve every path, keyed by the index weights: uni-directional retrieval is
+bi-directional scoring at index weights (0, 1), ``_UNIDIRECTIONAL``. Every
+path screens, then verifies: a cheap float32 BLAS score s' of every row
+comes with a proven bound delta on its distance from the exact
+double-precision score (a scalar at ``_UNIDIRECTIONAL``, one value per row
+otherwise), so each row's exact score lies strictly between
+L = s' - delta and U = s' + delta (``_lower_bounds``). Only the rows these
+bounds cannot place are re-scored exactly, so every id, score bit and
+counted rank equals that of the full double-precision scan.
 ``search_topk_naive`` is the reference oracle: a plain float64 product sum
 over every row and one full sort, with no partition and no screen.
 
@@ -21,13 +23,12 @@ ground-truth rows land: ``_gt_ranks`` counts each one's rank from the same
 bounds, re-scoring only the rows they leave undecided, with the same clamp
 and id tie-break.
 
-Fused variants improve the query side (weighted image+text sum) or, in
-bi-directional mode, additionally fuse every index row with the query
-image at scoring time, one block of rows at a time; the stored index is
-never mutated. The bi-directional screen takes its score from one float32
-GEMM of the rows with the query and the image, and gives an infinite
-bound to every row whose fusion could collapse towards the zero vector,
-so the exact path still raises ``ZeroVectorError`` on it.
+Fused queries improve the query side (weighted image+text sum). Fusing
+index rows happens at scoring time, one block of rows at a time; the
+stored index is never mutated. The bi-directional screen takes its score
+from one float32 GEMM of the rows with the query and the image, and gives
+an infinite bound to every row whose fusion could collapse towards the
+zero vector, so the exact path still raises ``ZeroVectorError`` on it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ STAGE_RERANKED = "reranked"
 # rows at a time, so their temporaries stay small and cache-resident at any
 # index size.
 _ROW_BLOCK_BYTES = 1 << 20
+
+# Bi-directional scoring at these index weights scores every row as stored.
+_UNIDIRECTIONAL = FusionWeights(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,11 +159,34 @@ def _cosines(
     return np.einsum("ij,j->i", embeddings, q) / qnorm
 
 
-def _query_scores(
-    query: np.ndarray, index: "CaptionIndex", rows: np.ndarray | None = None
+def _scores(
+    q: np.ndarray, qnorm: float, e_img, index: "CaptionIndex", w_index: FusionWeights, rows=None
 ) -> np.ndarray:
-    """Raw cosine of ``query`` with the given index rows, or every row in row order."""
-    return _cosines(index.embeddings, *_query_direction(query, index), rows)
+    """Raw score of index rows, each fused with ``e_img`` at ``w_index``, against ``q``.
+
+    ``q`` and ``qnorm`` come from ``_query_direction``. Scores the given
+    ``rows`` in that order, or every row in row order when ``rows`` is None.
+    At ``w_img == 0`` a row is scored as stored, by ``_cosines``, and
+    ``e_img`` is not read. Otherwise rows are fused with the image embedding
+    ``e_img`` in blocks of ``_ROW_BLOCK_BYTES``; each row's arithmetic is the
+    one-shot ``w_img * e_img + w_text * row`` formula, so neither the block
+    size nor the row subset changes a score bit.
+    """
+    if w_index.w_img == 0.0:
+        return _cosines(index.embeddings, q, qnorm, rows)
+    img = w_index.w_img * e_img
+    embeddings = index.embeddings if rows is None else index.embeddings[rows]
+    scores = np.empty(len(embeddings))
+    step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
+    for start in range(0, len(embeddings), step):
+        fused_rows = embeddings[start : start + step].astype(np.float64)
+        fused_rows *= w_index.w_text
+        fused_rows += img
+        norms = np.linalg.norm(fused_rows, axis=1)
+        if (norms <= ZERO_NORM_EPS).any():
+            raise ZeroVectorError("a candidate fusion collapsed to the zero vector")
+        scores[start : start + step] = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
+    return scores
 
 
 def _screen_delta(dim: int) -> float:
@@ -230,7 +257,7 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
         lam = float(np.partition(cheap, n - k)[n - k]) - delta
         if lam <= -1.0:
             return None
-        # A float64 threshold, so the comparison is not rounded to float32.
+        # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
         return np.flatnonzero(cheap >= np.float64(min(lam, 1.0) - delta))
     lower = _lower_bounds(cheap, delta)
     lower.partition(n - k)
@@ -243,53 +270,126 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     return np.flatnonzero(_upper_bounds(cheap, delta) >= min(lam, 1.0))
 
 
-def _cosine_screen(embeddings: np.ndarray, q: np.ndarray, qnorm: float):
-    """Screen scores, their bound and the exact re-score of the cosines with ``q``.
+def _screen(q: np.ndarray, qnorm: float, e_img, index: "CaptionIndex", w_index: FusionWeights):
+    """Screen scores of every row and the bound delta on their distance from ``_scores``.
 
-    One float32 mat-vec scores every row against the unit direction, within
-    ``_screen_delta`` of the exact ``_cosines``. Screening the unit
-    direction keeps this valid at any query scale, even where ``q`` itself
-    would overflow float32.
+    At ``w_img == 0`` one float32 mat-vec scores every row against the unit
+    direction q / qnorm, within the scalar ``_screen_delta`` of the exact
+    ``_cosines`` (the proof is there), so ``_band`` needs no float64 pass
+    over the rows.
+
+    Otherwise, with a, b the index weights, p = e_img, c = qnorm and
+    q' = q / c, one float32 GEMM of the rows with [b q', 2ab p] gives
+    x_i ~ b r_i.q' and y_i ~ 2ab r_i.p, and the screen score is
+
+        s_i = (a p.q' + x_i) / hi_i,  hi_i^2 = a^2 p.p + b^2 + y_i,
+
+    taking |r_i|^2 = 1 from the unit-norm tolerance instead of a stored
+    norm. delta_i bounds |s_i - exact_i| a posteriori.
+
+    Proof. Notation as in ``_screen_delta``, whose delta e bounds the error
+    of a float32 screen of the unit direction; rows and p have norms in
+    [r0, r1] = [(1 - tol) / (1 + g), (1 + tol) / (1 - g)], and
+    |q'| <= q1 = 1 / (1 - g). The exact value is T_i = F.q' / |F| with
+    F = a p + b r_i, F.q' = a p.q' + b r_i.q' and
+    D_i = |F|^2 = a^2 p.p + b^2 |r_i|^2 + 2ab r_i.p.
+
+    - Screen: scaling q' by b and p by 2ab in float64 before rounding to
+      float32 leaves every component within u + 3v relative of its exact
+      value, which e's (1 + 2u) factor absorbs. So x_i is within b e of
+      b r_i.q', y_i within 2ab (1 + tol) e of 2ab r_i.p, the float64 p.q'
+      within e and p.p within (1 + tol) e of theirs, and 1 within
+      r1^2 - 1 >= 1 - r0^2 of |r_i|^2. These values are at most
+      m = r1 (r1 + e) in size, so forming the numerator num and hi^2 in
+      float64 rounds by less than 3v (a + b) m and 8v (a + b)^2 m. So num
+      is within e_num of F.q', |num| <= n_max, and hi^2 is within e_den
+      of D_i.
+    - Exact path: f = fl(fl(b r_i) + fl(a p)) is within e_fuse = 3v r1 of
+      F (a + b <= 1 + 1e-9), which moves the cosine by at most
+      2 q1 e_fuse / |F|; its dot product (g_d), norm (g), product and
+      division (v each) add at most e_exact.
+
+    Where hi^2 >= 2 e_den, D_i >= hi^2 - e_den >= hi^2 / 2, so
+    |F| >= hi / sqrt 2 and |1 / hi - 1 / |F|| <= e_den / hi^3. The
+    screen's final sqrt, reciprocal and product round by less than
+    4v |num| / hi. Hence
+
+        delta_i <= (sqrt 2 (e_num + 2 q1 e_fuse) + 4v n_max) / hi
+                   + n_max e_den / hi^3 + e_exact.
+
+    The constants are raised by the factor 1 + 2^-40, which covers
+    evaluating this in float64 (less than 40v relative), and 2^-40 is added
+    for ``_lower_bounds``; float32 underflow adds less than 2^-120.
+
+    Collapse. Where hi^2 < 2 e_den, delta_i is infinite, so the row is always
+    re-scored exactly. Elsewhere |F|^2 >= hi^2 / 2 >= e_den > 7v, a far
+    wider margin than ZERO_NORM_EPS needs: the exact norm
+    fl(|f|) >= (1 - g)(|F| - e_fuse) exceeds ZERO_NORM_EPS. So every row on
+    which the exact scan raises ZeroVectorError is re-scored, and the
+    screened paths raise exactly when the full scan does.
     """
-    return (
-        embeddings @ (q / qnorm).astype(np.float32),
-        _screen_delta(embeddings.shape[1]),
-        lambda rows: _cosines(embeddings, q, qnorm, rows),
-    )
+    if w_index.w_img == 0.0:
+        # Screening the unit direction keeps this valid at any query scale,
+        # even where q itself would overflow float32.
+        return index.embeddings @ (q / qnorm).astype(np.float32), _screen_delta(index.dim)
+    a, b = w_index.w_img, w_index.w_text
+    p, unit_q = e_img, q / qnorm
+    columns = np.stack([b * unit_q, 2 * a * b * p], axis=1).astype(np.float32)
+    xy = (index.embeddings @ columns).astype(np.float64)
+    num = a * float(p @ unit_q) + xy[:, 0]
+    hi2 = (a * a * float(p @ p) + b * b) + xy[:, 1]
+
+    v, tol, e = 2.0**-53, UNIT_NORM_TOL, _screen_delta(index.dim)
+    g = (index.dim + 1) * v / (1 - (index.dim + 1) * v)
+    r1, q1 = (1 + tol) / (1 - g), 1 / (1 - g)
+    m = r1 * (r1 + e)
+    e_num = (a + b) * (e + 3 * v * m)
+    e_den = (a * a + 2 * a * b) * (1 + tol) * e + b * b * (r1 * r1 - 1) + 8 * v * (a + b) ** 2 * m
+    n_max = (a + b) * m * (1 + 3 * v)
+    e_fuse = 3 * v * r1
+    e_exact = q1 * (g + (1 + g) * ((1 + v) / ((1 - g) * (1 - v)) - 1))
+    slack = 1 + 2.0**-40
+    c1 = slack * (np.sqrt(2) * (e_num + 2 * q1 * e_fuse) + 4 * v * n_max)
+    c3 = slack * n_max * e_den
+    c0 = slack * e_exact + 2.0**-40
+
+    inv_hi = 1.0 / np.sqrt(np.maximum(hi2, e_den))
+    delta = inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0
+    delta[hi2 < 2 * e_den] = np.inf
+    return num * inv_hi, delta
 
 
-def _topk(index: "CaptionIndex", k: int, score, screen, *args):
-    """``_rank`` of the top k by ``score(*args, rows)``, the raw scores of ``rows``.
+def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
+    """``_rank`` of the top k rows by ``_scores``, scoring only the rows ``_band`` keeps.
 
-    Only rows ``_band`` keeps from ``screen(*args)`` are scored; a full ranking computes no screen.
+    A full ranking computes no screen.
     """
-    rows = _band(*screen(*args)[:2], k) if k < len(index) else None
-    return _rank(index, score(*args, rows), k, rows)
-
-
-def _cosine_topk(query: np.ndarray, index: "CaptionIndex", k: int):
-    """``_topk`` of the cosines with ``query``."""
     q, qnorm = _query_direction(query, index)
-    return _topk(index, k, _cosines, _cosine_screen, index.embeddings, q, qnorm)
+    rows = _band(*_screen(q, qnorm, e_img, index, w_index), k) if k < len(index) else None
+    return _rank(index, _scores(q, qnorm, e_img, index, w_index, rows), k, rows)
 
 
-def _gt_ranks(index: "CaptionIndex", cheap: np.ndarray, delta, exact, rows: list[int]) -> list[int]:
-    """Ascending 1-based ranks that ``_rank`` would give the given rows.
+def _gt_ranks(
+    query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, rows: list[int]
+) -> list[int]:
+    """Ascending 1-based ranks that ``_rank`` would give the given rows by ``_scores``.
 
     A row's rank is one plus the rows with a higher clamped exact score plus
     the rows tied with it whose caption id sorts first, so no ranking is
-    built. ``cheap`` and ``delta`` bound every row's exact score as in
-    ``_lower_bounds``, and ``exact(rows)`` returns the raw exact scores of the
-    given rows. With c a ground-truth row's clamped exact score, a row with
-    L > c scores above c and, when c < 1, clamps above it; a row with U < c
-    clamps below c when c > -1. Only the other rows, which include the
-    ground-truth row itself, are scored exactly and compared with the id
-    tie-break; where delta is infinite that is the full exact scan. The
-    ground-truth rows are scored together; the counting runs per row,
-    since a query has few of them and broadcasting costs more calls than
-    it saves at small indexes.
+    built. ``_screen``'s scores and delta bound every row's exact score as
+    in ``_lower_bounds``. With c a ground-truth row's clamped exact score, a
+    row with L > c scores above c and, when c < 1, clamps above it; a row
+    with U < c clamps below c when c > -1. Only the other rows, which
+    include the ground-truth row itself, are scored exactly and compared
+    with the id tie-break; where delta is infinite that is the full exact
+    scan. The ground-truth rows are scored together; the counting runs per
+    row, since a query has few of them and broadcasting costs more calls
+    than it saves at small indexes.
     """
-    scores = exact(np.asarray(rows, dtype=np.intp)).clip(-1.0, 1.0)
+    q, qnorm = _query_direction(query, index)
+    cheap, delta = _screen(q, qnorm, e_img, index, w_index)
+    scores = _scores(q, qnorm, e_img, index, w_index, np.asarray(rows, dtype=np.intp))
+    scores = scores.clip(-1.0, 1.0)
     ranks = []
     for row, c in zip(rows, scores.tolist()):
         not_above = _lower_bounds(cheap, delta) <= (c if c < 1.0 else np.inf)
@@ -297,7 +397,7 @@ def _gt_ranks(index: "CaptionIndex", cheap: np.ndarray, delta, exact, rows: list
         band = np.flatnonzero(undecided)
         rank = 1 + len(cheap) - int(np.count_nonzero(not_above))
         if len(band) > 1:  # more than the row itself
-            s = exact(band).clip(-1.0, 1.0)
+            s = _scores(q, qnorm, e_img, index, w_index, band).clip(-1.0, 1.0)
             ids = index._id_rank[band]
             rank += int(np.count_nonzero((s > c) | ((s == c) & (ids < index._id_rank[row]))))
         ranks.append(rank)
@@ -309,7 +409,8 @@ def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> Ranked
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, len(index))
-    return _ranked_list(index, *_cosine_topk(query.values, index, k), k, STAGE_INITIAL)
+    ranked = _topk(query.values, None, index, _UNIDIRECTIONAL, k)
+    return _ranked_list(index, *ranked, k, STAGE_INITIAL)
 
 
 def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:
@@ -380,128 +481,6 @@ def search_top1_fused(
     return search_fused_topk(bundle, index, w, text_source, encoder, k=1)
 
 
-def _bidirectional_scores(
-    query: np.ndarray,
-    e_img: np.ndarray,
-    index: "CaptionIndex",
-    w_index: FusionWeights,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Raw bi-directional score of index rows against a fused query.
-
-    Scores the given ``rows`` in that order, or every row in row order when
-    ``rows`` is None. Rows are fused with the image embedding ``e_img`` in
-    blocks of ``_ROW_BLOCK_BYTES``; each row's arithmetic is the one-shot
-    ``w_img * e_img + w_text * row`` formula, so neither the block size nor
-    the row subset changes a score bit.
-    """
-    if w_index.w_img == 0.0:
-        return _query_scores(query, index, rows)
-    q, qnorm = _query_direction(query, index)
-    img = w_index.w_img * e_img
-    embeddings = index.embeddings if rows is None else index.embeddings[rows]
-    scores = np.empty(len(embeddings))
-    step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
-    for start in range(0, len(embeddings), step):
-        fused_rows = embeddings[start : start + step].astype(np.float64)
-        fused_rows *= w_index.w_text
-        fused_rows += img
-        norms = np.linalg.norm(fused_rows, axis=1)
-        if (norms <= ZERO_NORM_EPS).any():
-            raise ZeroVectorError("a candidate fusion collapsed to the zero vector")
-        scores[start : start + step] = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
-    return scores
-
-
-def _bidirectional_screen(
-    query: np.ndarray, e_img: np.ndarray, index: "CaptionIndex", w_index: FusionWeights
-):
-    """Screen scores, per-row bounds and the exact re-score of bi-directional scoring.
-
-    With a, b the index weights, p = e_img, c = qnorm and q' = q / c, one
-    float32 GEMM of the rows with [b q', 2ab p] gives x_i ~ b r_i.q' and
-    y_i ~ 2ab r_i.p, and the screen score is
-
-        s_i = (a p.q' + x_i) / hi_i,  hi_i^2 = a^2 p.p + b^2 + y_i,
-
-    taking |r_i|^2 = 1 from the unit-norm tolerance instead of a stored
-    norm. delta_i bounds |s_i - exact_i| a posteriori.
-
-    Proof. Notation as in ``_screen_delta``, whose delta e bounds the error
-    of a float32 screen of the unit direction; rows and p have norms in
-    [r0, r1] = [(1 - tol) / (1 + g), (1 + tol) / (1 - g)], and
-    |q'| <= q1 = 1 / (1 - g). The exact value is T_i = F.q' / |F| with
-    F = a p + b r_i, F.q' = a p.q' + b r_i.q' and
-    D_i = |F|^2 = a^2 p.p + b^2 |r_i|^2 + 2ab r_i.p.
-
-    - Screen: scaling q' by b and p by 2ab in float64 before rounding to
-      float32 leaves every component within u + 3v relative of its exact
-      value, which e's (1 + 2u) factor absorbs. So x_i is within b e of
-      b r_i.q', y_i within 2ab (1 + tol) e of 2ab r_i.p, the float64 p.q'
-      within e and p.p within (1 + tol) e of theirs, and 1 within
-      r1^2 - 1 >= 1 - r0^2 of |r_i|^2. These values are at most
-      m = r1 (r1 + e) in size, so forming the numerator num and hi^2 in
-      float64 rounds by less than 3v (a + b) m and 8v (a + b)^2 m. So num
-      is within e_num of F.q', |num| <= n_max, and hi^2 is within e_den
-      of D_i.
-    - Exact path: f = fl(fl(b r_i) + fl(a p)) is within e_fuse = 3v r1 of
-      F (a + b <= 1 + 1e-9), which moves the cosine by at most
-      2 q1 e_fuse / |F|; its dot product (g_d), norm (g), product and
-      division (v each) add at most e_exact.
-
-    Where hi^2 >= 2 e_den, D_i >= hi^2 - e_den >= hi^2 / 2, so
-    |F| >= hi / sqrt 2 and |1 / hi - 1 / |F|| <= e_den / hi^3. The
-    screen's final sqrt, reciprocal and product round by less than
-    4v |num| / hi. Hence
-
-        delta_i <= (sqrt 2 (e_num + 2 q1 e_fuse) + 4v n_max) / hi
-                   + n_max e_den / hi^3 + e_exact.
-
-    The constants are raised by the factor 1 + 2^-40, which covers
-    evaluating this in float64 (less than 40v relative), and 2^-40 is added
-    for ``_lower_bounds``; float32 underflow adds less than 2^-120.
-
-    Collapse. Where hi^2 < 2 e_den, delta_i is infinite, so the row is always
-    re-scored exactly. Elsewhere |F|^2 >= hi^2 / 2 >= e_den > 7v, a far
-    wider margin than ZERO_NORM_EPS needs: the exact norm
-    fl(|f|) >= (1 - g)(|F| - e_fuse) exceeds ZERO_NORM_EPS. So every row on
-    which the exact scan raises ZeroVectorError is re-scored, and the
-    screened paths raise exactly when the full scan does.
-    """
-    q, qnorm = _query_direction(query, index)
-    if w_index.w_img == 0.0:
-        return _cosine_screen(index.embeddings, q, qnorm)
-    a, b = w_index.w_img, w_index.w_text
-    p, unit_q = e_img, q / qnorm
-    columns = np.stack([b * unit_q, 2 * a * b * p], axis=1).astype(np.float32)
-    xy = (index.embeddings @ columns).astype(np.float64)
-    num = a * float(p @ unit_q) + xy[:, 0]
-    hi2 = (a * a * float(p @ p) + b * b) + xy[:, 1]
-
-    v, tol, e = 2.0**-53, UNIT_NORM_TOL, _screen_delta(index.dim)
-    g = (index.dim + 1) * v / (1 - (index.dim + 1) * v)
-    r1, q1 = (1 + tol) / (1 - g), 1 / (1 - g)
-    m = r1 * (r1 + e)
-    e_num = (a + b) * (e + 3 * v * m)
-    e_den = (a * a + 2 * a * b) * (1 + tol) * e + b * b * (r1 * r1 - 1) + 8 * v * (a + b) ** 2 * m
-    n_max = (a + b) * m * (1 + 3 * v)
-    e_fuse = 3 * v * r1
-    e_exact = q1 * (g + (1 + g) * ((1 + v) / ((1 - g) * (1 - v)) - 1))
-    slack = 1 + 2.0**-40
-    c1 = slack * (np.sqrt(2) * (e_num + 2 * q1 * e_fuse) + 4 * v * n_max)
-    c3 = slack * n_max * e_den
-    c0 = slack * e_exact + 2.0**-40
-
-    inv_hi = 1.0 / np.sqrt(np.maximum(hi2, e_den))
-    delta = inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0
-    delta[hi2 < 2 * e_den] = np.inf
-    return (
-        num * inv_hi,
-        delta,
-        lambda rows: _bidirectional_scores(query, e_img, index, w_index, rows),
-    )
-
-
 def search_bidirectional(
     bundle: QueryBundle,
     index: "CaptionIndex",
@@ -517,13 +496,13 @@ def search_bidirectional(
     ``normalize(w_index.w_img * e_img + w_index.w_text * row)``, one block
     of rows at a time, so memory per query is bounded by the block, not by
     the index; the stored index is never written to. Below the full
-    ranking, ``_bidirectional_screen`` and ``_band`` pick the rows to fuse
-    exactly. ``w_index = (0, 1)`` degenerates to the uni-directional search.
+    ranking, ``_screen`` and ``_band`` pick the rows to fuse exactly.
+    ``w_index = (0, 1)`` is the uni-directional search: the same scorer and
+    screen at ``_UNIDIRECTIONAL``.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     query = fused_query(bundle, w_query, text_source, encoder)
     k = min(k if k is not None else len(index), len(index))
-    args = (query.values, bundle.e_img.values, index, w_index)
-    ranked = _topk(index, k, _bidirectional_scores, _bidirectional_screen, *args)
+    ranked = _topk(query.values, bundle.e_img.values, index, w_index, k)
     return _ranked_list(index, *ranked, k, STAGE_INITIAL)

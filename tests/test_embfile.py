@@ -13,6 +13,7 @@ from f4search.errors import (
     TruncatedFileError,
     VersionUnsupportedError,
 )
+from f4search.vectors import EmbeddingVector
 
 from conftest import SIGNALLING_NAN_ROW, unit
 
@@ -103,6 +104,18 @@ def test_overlong_id_rejected_on_write(tmp_path):
         write_embedding_file([("x" * 0x10000, unit([1.0, 0.0]))], tmp_path / "bad.f4e")
     write_embedding_file([("x" * 0xFFFF, unit([1.0, 0.0]))], tmp_path / "ok.f4e")
     assert load_embedding_file(tmp_path / "ok.f4e")[0][0] == "x" * 0xFFFF
+
+
+@pytest.mark.parametrize("values", [[1e39, 1.0], [-1.0, -1e39]])
+def test_vector_beyond_float32_rejected_on_write(tmp_path, values):
+    path = tmp_path / "big.f4e"
+    records = [("a", unit([1.0, 0.0])), ("big", EmbeddingVector(values))]
+    with pytest.raises(ValueError, match="'big'"):
+        write_embedding_file(records, path)
+    assert not path.exists()
+    # The largest float32 still fits.
+    write_embedding_file([("max", EmbeddingVector([np.finfo(np.float32).max, 1.0]))], path)
+    assert [rid for rid, _ in load_embedding_file(path)] == ["max"]
 
 
 def test_trailing_bytes_rejected(tmp_path):

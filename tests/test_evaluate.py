@@ -390,7 +390,8 @@ class TestCountedOutcome:
         for seed in range(5):
             _, index, bundles = tie_corpus(seed, "dense")
             for b in bundles:
-                scores = search._query_scores(b.e_img.values, index)
+                direction = search._query_direction(b.e_img.values, index)
+                scores = search._scores(*direction, None, index, search._UNIDIRECTIONAL)
                 for cid in b.gt_caption_ids:
                     row = index.row_of(cid)
                     clamped |= bool(scores[row] > 1.0)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from f4search.encoders import encode_texts
 from f4search.errors import (
     BadMagicError,
     CorruptFileError,
@@ -26,6 +27,7 @@ from f4search.index import (
     load_index,
     save_index,
 )
+from f4search.vectors import EmbeddingVector
 
 from conftest import SIGNALLING_NAN_ROW, unit
 
@@ -80,6 +82,22 @@ class TestBuildIndex:
         captions = [Caption("a", "rice", "dense"), Caption("b", "rice", "sparse")]
         with pytest.raises(ValueError, match="one kind"):
             build_index(captions, synthetic_spec)
+
+    def test_builds_no_embedding_vector(self, synthetic_spec, monkeypatch):
+        # The caption texts go into the index as one encoded matrix, with the
+        # bytes of the per-record path.
+        captions = sample_captions(5)
+        vectors = encode_texts([c.text for c in captions], synthetic_spec)
+        records = list(zip([c.id for c in captions], vectors))
+        want = build_index_from_records(captions, records, synthetic_spec.fingerprint())
+
+        def refuse(self):
+            raise AssertionError("build_index built an EmbeddingVector")
+
+        monkeypatch.setattr(EmbeddingVector, "__post_init__", refuse)
+        got = build_index(captions, synthetic_spec)
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+        assert got.encoder_fingerprint == want.encoder_fingerprint
 
     def test_fingerprint_recorded(self, synthetic_spec):
         index = build_index(sample_captions(2), synthetic_spec)

@@ -43,14 +43,26 @@ def unscreened(index, raw, k):
 def cosine_band(index, query, k):
     """The rows that ``_topk`` scores exactly for the top k cosines with ``query``."""
     scored = []
+    score = search._scores
 
-    def score(*args):
+    def recording(*args):
         scored.append(args[-1])
-        return search._cosines(*args)
+        return score(*args)
 
-    direction = search._query_direction(query.values, index)
-    search._topk(index, k, score, search._cosine_screen, index.embeddings, *direction)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_scores", recording)
+        search._topk(query.values, None, index, search._UNIDIRECTIONAL, k)
     return scored[0]
+
+
+def exact_scores(query, e_img, index, w_index):
+    """``_scores`` of every index row against the raw query array ``query``."""
+    return search._scores(*search._query_direction(query, index), e_img, index, w_index)
+
+
+def cosines(query, index):
+    """The raw cosine of every index row with ``query``."""
+    return exact_scores(query.values, None, index, search._UNIDIRECTIONAL)
 
 
 def test_query_bundle_requires_unit_image():
@@ -133,7 +145,7 @@ class TestSearchTopk:
             scaled = EmbeddingVector(lam * query)
             got = search_topk(scaled, index, 10)
             assert got.ids == base
-            want = unscreened(index, search._query_scores(scaled.values, index), 10)
+            want = unscreened(index, cosines(scaled, index), 10)
             assert got.entries == want.entries
             assert score_bits(got) == score_bits(want)
 
@@ -222,20 +234,22 @@ class TestFusedSearch:
 
 
 class TestBidirectional:
-    def test_index_weight_all_text_equals_uni(self, make_index, synthetic_spec):
+    @pytest.mark.parametrize("k", [1, 5, 20])  # 20 is the whole index: no screen
+    def test_index_weight_all_text_equals_uni(self, make_index, synthetic_spec, k):
         index = random_index(make_index, 20, 32, seed=15)
         rng = np.random.default_rng(16)
         bundle = QueryBundle(
             "q", unit(rng.standard_normal(32)), sparse_pred_text="rice, beans"
         )
         uni = search_fused_topk(
-            bundle, index, FusionWeights(0.7, 0.3), "sparse", synthetic_spec, k=20
+            bundle, index, FusionWeights(0.7, 0.3), "sparse", synthetic_spec, k=k
         )
         bi = search_bidirectional(
             bundle, index, FusionWeights(0.7, 0.3), FusionWeights(0.0, 1.0),
-            "sparse", synthetic_spec,
+            "sparse", synthetic_spec, k=k,
         )
         assert bi.entries == uni.entries
+        assert score_bits(bi) == score_bits(uni)
 
     def test_index_weight_all_image_collapses(self, make_index):
         index = random_index(make_index, 10, 8, seed=17)
@@ -307,9 +321,7 @@ class TestBidirectionalBlocks:
             index = block_index(n, dim, seed=n)
             bundle = QueryBundle("q", unit(rng.standard_normal(dim)))
             for w_index in (FusionWeights(0.3, 0.7), FusionWeights(0.5, 0.5)):
-                got = search._bidirectional_scores(
-                    bundle.e_img.values, bundle.e_img.values, index, w_index
-                )
+                got = exact_scores(bundle.e_img.values, bundle.e_img.values, index, w_index)
                 want = one_shot_scores(bundle.e_img.values, index, w_index)
                 assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -320,7 +332,7 @@ class TestBidirectionalBlocks:
         bundle = QueryBundle("q", unit(np.random.default_rng(dim + 1).standard_normal(dim)))
         w_index = FusionWeights(0.3, 0.7)
         want = one_shot_scores(bundle.e_img.values, index, w_index)
-        got = search._bidirectional_scores(bundle.e_img.values, bundle.e_img.values, index, w_index)
+        got = exact_scores(bundle.e_img.values, bundle.e_img.values, index, w_index)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         ranked = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=10)
         clamped = np.clip(want, -1.0, 1.0)
@@ -375,7 +387,7 @@ class TestScreen:
         clamped_ties = wide_bands = 0
         for seed in range(10):
             index, query = screen_case(dim, seed)
-            raw = search._query_scores(query.values, index)
+            raw = cosines(query, index)
             got = search_topk(query, index, k)
             want = unscreened(index, raw, k)
             assert got.entries == want.entries
@@ -437,8 +449,6 @@ class TestScreen:
 
 def best_row(q, p, w):
     """The unit row whose score against unit ``q`` is exactly 1 (``q`` itself for cosines)."""
-    if w is None:
-        return q
     a, b = w.w_img, w.w_text
     k = q @ p
     lam = a * k + np.sqrt(a * a * k * k - a * a + b * b)
@@ -447,7 +457,7 @@ def best_row(q, p, w):
 
 def score_step(row, q, p, w):
     """A tangent step that moves ``row``'s raw score by about 1 (float64 gradient)."""
-    a, b = (0.0, 1.0) if w is None else (w.w_img, w.w_text)
+    a, b = w.w_img, w.w_text
     fused = a * p + b * row
     norm = np.linalg.norm(fused)
     grad = b * (q - (fused @ q) / norm * fused / norm) / norm
@@ -458,9 +468,9 @@ def score_step(row, q, p, w):
 def diff_case(dim, seed, w_index):
     """An index, a bundle, its query and gt rows built to stress screened counted ranks.
 
-    ``w_index`` None scores the rows by cosine, else by bi-directional
-    fusion; odd seeds query with the image alone, even seeds with the image
-    fused with the bundle's text.
+    ``w_index`` ``_UNIDIRECTIONAL`` scores the rows by cosine, others by
+    bi-directional fusion; odd seeds query with the image alone, even seeds
+    with the image fused with the bundle's text.
 
     Rows: random directions; near-duplicates of the row that scores exactly
     1, whose float32 rounding lifts raw scores above 1.0; two copies of that
@@ -477,24 +487,23 @@ def diff_case(dim, seed, w_index):
     w_query = FusionWeights(1.0, 0.0) if seed % 2 else FusionWeights(0.7, 0.3)
     query = search.fused_query(bundle, w_query, "dense", spec)
     q, p = query.values / np.linalg.norm(query.values), bundle.e_img.values
+    cosine = w_index == search._UNIDIRECTIONAL
     top = best_row(q, p, w_index)
     rows = list(rng.standard_normal((150, dim)))
     rows += [top + 1e-8 * rng.standard_normal(dim) for _ in range(4)]
-    if w_index is None:
+    if cosine:
         rows += [-q + 1e-8 * rng.standard_normal(dim) for _ in range(3)]
     rows = [r / np.linalg.norm(r) for r in rows]
-    rows += [top * (1 + 0.9e-6)] * 2 + ([-q * (1 + 0.9e-6)] if w_index is None else [])
+    rows += [top * (1 + 0.9e-6)] * 2 + ([-q * (1 + 0.9e-6)] if cosine else [])
     side = rng.standard_normal(dim)
     side -= (side @ top) * top
     base = top + 0.5 * side / np.linalg.norm(side)
     base /= np.linalg.norm(base)
     probe = CaptionIndex((Caption("p", "a dish", "dense"),), base[None, :].astype(np.float32),
                          "dense", "test")
-    if w_index is None:
-        delta = search._screen_delta(dim)
-    else:
-        screen = search._bidirectional_screen(query.values, bundle.e_img.values, probe, w_index)
-        delta = float(screen[1][0])
+    # The screen's bound: a scalar for cosines, else the probe row's.
+    direction = search._query_direction(query.values, probe)
+    delta = float(np.max(search._screen(*direction, bundle.e_img.values, probe, w_index)[1]))
     step = score_step(base, q, p, w_index)
     first = len(rows)
     for t in np.linspace(-4.0, 4.0, 40):
@@ -507,12 +516,12 @@ def diff_case(dim, seed, w_index):
     # Ground truth: the middle spaced row, a near-duplicate of the top row,
     # the last norm-edge row, a random row, and a second near-duplicate (of
     # the negated top row for cosines).
-    gt_rows = [first + 20, 150, first - 1, int(rng.integers(150)), 156 if w_index is None else 151]
+    gt_rows = [first + 20, 150, first - 1, int(rng.integers(150)), 156 if cosine else 151]
     return index, bundle, w_query, spec, query, gt_rows
 
 
 DIFF_MODES = {
-    "cosine": None,
+    "cosine": search._UNIDIRECTIONAL,
     "bidir-0.3": FusionWeights(0.3, 0.7),
     "bidir-0.5": FusionWeights(0.5, 0.5),
 }
@@ -523,23 +532,19 @@ class TestScreenedRanks:
 
     @pytest.mark.parametrize("mode", sorted(DIFF_MODES))
     @pytest.mark.parametrize("dim", [8, 64, 256])
-    def test_matches_full_exact_scan(self, dim, mode):
+    def test_matches_full_exact_scan(self, dim, mode, monkeypatch):
         w_index = DIFF_MODES[mode]
+        score = search._scores
         wide_bands = clamped_gt = 0
         for seed in range(10):
             index, bundle, w_query, spec, query, gt_rows = diff_case(dim, seed, w_index)
-            if w_index is None:
-                direction = search._query_direction(query.values, index)
-                screen = search._cosine_screen(index.embeddings, *direction)
-                raw = search._query_scores(query.values, index)
-            else:
-                args = (query.values, bundle.e_img.values, index, w_index)
-                screen = search._bidirectional_screen(*args)
-                raw = search._bidirectional_scores(*args)
-            cheap, delta, exact = screen
+            args = (query.values, bundle.e_img.values, index, w_index)
+            raw = exact_scores(*args)
             rescored = []
-            got = search._gt_ranks(index, cheap, delta,
-                                   lambda rows: rescored.append(len(rows)) or exact(rows), gt_rows)
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_scores",
+                           lambda *a: rescored.append(len(a[-1])) or score(*a))
+                got = search._gt_ranks(*args, gt_rows)
             full = unscreened(index, raw, len(index))
             rank_of = {cid: r for r, cid in enumerate(full.ids, start=1)}
             assert got == sorted(rank_of[index.captions[g].id] for g in gt_rows)
@@ -547,8 +552,6 @@ class TestScreenedRanks:
             # holds more than its ground-truth row.
             wide_bands += int(len(rescored) > 1)
             clamped_gt += int(np.any(raw[gt_rows] >= 1.0))
-            if w_index is None:
-                continue
             for k in (1, 5, rank_of[index.captions[gt_rows[0]].id]):
                 got_k = search_bidirectional(bundle, index, w_query, w_index, "dense", spec, k=k)
                 want = unscreened(index, raw, k)
@@ -594,12 +597,11 @@ class TestScreenedRanks:
         config = EvalConfig(weights=FusionWeights(1.0, 0.0), bidirectional=True,
                             index_weights=w_index)
         for query in (unit(rng.standard_normal(dim)), e_img):
-            raw = search._bidirectional_scores(query.values, e_img.values, index, w_index)
-            full = unscreened(index, raw, len(index)).ids
-            screen = search._bidirectional_screen(query.values, e_img.values, index, w_index)
+            args = (query.values, e_img.values, index, w_index)
+            full = unscreened(index, exact_scores(*args), len(index)).ids
             for gt in (7, 40):
                 want = full.index(index.captions[gt].id) + 1
-                assert search._gt_ranks(index, *screen, [gt]) == [want]
+                assert search._gt_ranks(*args, [gt]) == [want]
                 if query is e_img:
                     bundle = QueryBundle("q", e_img, gt_caption_ids=(index.captions[gt].id,))
                     assert evaluate_corpus([bundle], index, config).per_query[0].gt_rank == want
@@ -643,18 +645,15 @@ class TestResultShape:
         index, bundle = shuffled_case(synthetic_spec)
         n = len(index)
         w_index = FusionWeights(0.3, 0.7)
-        cosine = unscreened(index, search._query_scores(bundle.e_img.values, index), n)
+        cosine = unscreened(index, cosines(bundle.e_img, index), n)
         bidir = unscreened(
-            index,
-            search._bidirectional_scores(bundle.e_img.values, bundle.e_img.values, index, w_index),
-            n,
+            index, exact_scores(bundle.e_img.values, bundle.e_img.values, index, w_index), n
         )
 
         def refuse(*args):
             raise AssertionError("a full ranking computed a screen")
 
-        monkeypatch.setattr(search, "_cosine_screen", refuse)
-        monkeypatch.setattr(search, "_bidirectional_screen", refuse)
+        monkeypatch.setattr(search, "_screen", refuse)
         for k in (n, n + 5):
             got = search_topk(bundle.e_img, index, k)
             assert got.entries == cosine.entries
