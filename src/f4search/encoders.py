@@ -94,24 +94,14 @@ def _token_seed(token: str, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-@lru_cache(maxsize=16)
-def _vocabulary(dim: int, seed: int) -> dict[str, np.ndarray]:
-    """The token -> unit projection cache of one (dim, seed) pair."""
-    return {}
-
-
+@lru_cache(maxsize=None)
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
-    """Unit projection of one token, cached per (dim, seed).
+    """Unit projection of one token, cached per (token, dim, seed).
 
     The same (token, dim, seed) always yields the identical vector, so
     racing fills of the cache from concurrent callers are benign.
     """
-    vocab = _vocabulary(dim, seed)
-    vec = vocab.get(token)
-    if vec is None:
-        rng = np.random.default_rng(_token_seed(token, seed))
-        vec = vocab[token] = _unit(rng.standard_normal(dim))
-    return vec
+    return _unit(np.random.default_rng(_token_seed(token, seed)).standard_normal(dim))
 
 
 def _encode(texts: list[str], spec: EncoderSpec | None) -> np.ndarray:

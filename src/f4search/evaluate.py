@@ -67,7 +67,7 @@ def average_precision(ranked: RankedList, gt_ids: Iterable[str], k: int) -> floa
     gt = set(gt_ids)
     if not gt:
         raise EmptyGroundTruthError("average precision needs at least one gt id")
-    hit_ranks = [r for r, (cid, _) in enumerate(ranked.entries[:k], start=1) if cid in gt]
+    hit_ranks = [r for r, (cid, _) in enumerate(ranked.entries[: max(k, 0)], start=1) if cid in gt]
     return _ap_from_ranks(hit_ranks, len(gt))
 
 
@@ -87,6 +87,10 @@ def derive_k(gt_sparse_caption: str) -> int:
 @dataclass(frozen=True)
 class EvalConfig:
     """Pipeline configuration for one evaluation run.
+
+    ``text_source`` picks the prediction text that fusion reads. Re-ranking
+    always reads the sparse prediction text, whatever ``text_source`` is;
+    ``as_dict`` still records the configured value.
 
     ``workers`` is accepted for compatibility and read by nothing:
     evaluation runs on the calling thread. Reports are the same bytes for
@@ -288,8 +292,6 @@ def sweep_fusion_weight(
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ValueError("grid values must lie in [0, 1]")
     if not all(g2 > g1 for g1, g2 in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if metric not in ("recall_at_1", "recall_at_5", "mean_ap"):

@@ -86,7 +86,8 @@ class CaptionIndex:
             seen.add(cap.id)
             if cap.kind != self.kind:
                 raise ValueError(
-                    f"caption {cap.id!r} kind {cap.kind!r} != index kind {self.kind!r}"
+                    "captions must all share one kind within an index: "
+                    f"caption {cap.id!r} is {cap.kind!r}, not {self.kind!r}"
                 )
         mat.flags.writeable = False
         object.__setattr__(self, "embeddings", mat)
@@ -128,18 +129,8 @@ def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionInd
     """Encode every caption text and assemble an immutable index."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    matrix = _encode([c.text for c in captions], encoder)
-    kind = _one_kind(captions)
-    if len({c.id for c in captions}) != len(captions):
-        raise DuplicateIdError("embedding records contain duplicate ids")
-    return CaptionIndex(tuple(captions), matrix.astype(np.float32), kind, encoder.fingerprint())
-
-
-def _one_kind(captions: Sequence[Caption]) -> str:
-    kinds = {c.kind for c in captions}
-    if len(kinds) > 1:
-        raise ValueError("captions must all share one kind within an index")
-    return kinds.pop()
+    matrix = _encode([c.text for c in captions], encoder).astype(np.float32)
+    return CaptionIndex(tuple(captions), matrix, captions[0].kind, encoder.fingerprint())
 
 
 def build_index_from_records(
@@ -150,7 +141,6 @@ def build_index_from_records(
     """Assemble an index from precomputed embedding records, paired by id."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    kind = _one_kind(captions)
     by_id = dict(records)
     if len(by_id) != len(records):
         raise DuplicateIdError("embedding records contain duplicate ids")
@@ -163,7 +153,7 @@ def build_index_from_records(
     matrix = np.stack(rows).astype(np.float32)
     if fingerprint is None:
         fingerprint = f"file:dim={matrix.shape[1]}"
-    return CaptionIndex(tuple(captions), matrix, kind, fingerprint)
+    return CaptionIndex(tuple(captions), matrix, captions[0].kind, fingerprint)
 
 
 def save_index(index: CaptionIndex, path) -> None:

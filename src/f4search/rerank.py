@@ -63,8 +63,6 @@ def parse_items(sparse_text: str) -> ParsedItems:
         if phrase and phrase not in seen:
             seen.add(phrase)
             phrases.append(phrase)
-    if not phrases:
-        raise NoItemsError(f"no item phrases in {sparse_text!r}")
     return ParsedItems(tuple(phrases), sparse_text)
 
 

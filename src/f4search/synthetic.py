@@ -20,7 +20,6 @@ A corpus directory contains:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .embfile import _write_atomic, write_embedding_file
-from .encoders import EncoderSpec, encode_image_synthetic, tokenize
+from .encoders import EncoderSpec, _token_seed, encode_image_synthetic, tokenize
 from .evaluate import average_precision, recall_at_k
 from .index import Caption, build_index
 from .search import search_topk_naive
@@ -70,13 +69,6 @@ class SyntheticCorpusConfig:
             raise ValueError("noise_sigma must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1); 1.0 would empty predictions")
-
-
-def _derived_seed(seed: int, label: str) -> int:
-    digest = hashlib.blake2b(
-        label.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "little")
 
 
 def _build_vocab(size: int, rng: np.random.Generator) -> list[str]:
@@ -162,7 +154,7 @@ def generate_corpus(config: SyntheticCorpusConfig, out_dir) -> dict:
                 d["dense_text"],
                 config.noise_sigma,
                 encoder,
-                _derived_seed(config.seed, f"image:{d['id']}"),
+                _token_seed(f"image:{d['id']}", config.seed),
             ),
         )
         for d in dishes

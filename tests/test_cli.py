@@ -5,8 +5,11 @@ from click.testing import CliRunner
 
 from f4search.cli import main
 from f4search.embfile import load_embedding_file
-from f4search.index import load_index
-from f4search.search import search_topk
+from f4search.encoders import EncoderSpec, encode_texts
+from f4search.index import Caption, build_index_from_records, load_index, save_index
+from f4search.remote import ENDPOINT_ENV_VAR
+from f4search.search import QueryBundle, search_bidirectional, search_fused_topk, search_topk
+from f4search.vectors import FusionWeights, l2_normalize
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,65 @@ class TestSearch:
         )
         assert result.exit_code == 1
         assert reason in result.output
+
+    def test_bidirectional_matches_library(self, runner, corpus_dir, dense_index_path):
+        records = load_embedding_file(corpus_dir / "images.f4e")
+        image_id, e_img = records[0]
+        text = json.loads((corpus_dir / "bundles.jsonl").read_text().splitlines()[0])["dense_pred_text"]
+        result = runner.invoke(
+            main,
+            [
+                "search",
+                "--index", str(dense_index_path),
+                "--image-embedding", f"{corpus_dir / 'images.f4e'}:{image_id}",
+                "--dense-text", text,
+                "--k", "5",
+                "--w-text", "0.3",
+                "--bidirectional",
+                "--index-w-text", "0.6",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert lines[0] == "# stage=initial"
+        index = load_index(dense_index_path)
+        expected = search_bidirectional(
+            QueryBundle("query", e_img, dense_pred_text=text),
+            index,
+            FusionWeights(1.0 - 0.3, 0.3),
+            FusionWeights(1.0 - 0.6, 0.6),
+            "dense",
+            EncoderSpec.from_fingerprint(index.encoder_fingerprint),
+            k=5,
+        )
+        got = [line.split("\t")[1:3] for line in lines[1:]]
+        assert got == [[cid, f"{score:.6f}"] for cid, score in expected.entries]
+
+    def test_endpoint_variable_overrides_a_dead_index_endpoint(
+        self, runner, embed_stub, tmp_path, monkeypatch
+    ):
+        texts = ["rice and beans", "lime soup", "beans on toast"]
+        captions = [Caption(f"c{i}", t, "dense") for i, t in enumerate(texts)]
+        records = list(zip([c.id for c in captions], encode_texts(texts, embed_stub.spec)))
+        index = build_index_from_records(captions, records, "remote:dim=32:endpoint=http://127.0.0.1:9")
+        save_index(index, tmp_path / "remote.f4i")
+        monkeypatch.setenv(ENDPOINT_ENV_VAR, embed_stub.remote.endpoint)
+        inline = ",".join(["0.25"] * 32)
+        result = runner.invoke(
+            main,
+            [
+                "search",
+                "--index", str(tmp_path / "remote.f4i"),
+                "--image-embedding", inline,
+                "--dense-text", "rice beans",
+                "--k", "2",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert embed_stub.requests >= 1
+        bundle = QueryBundle("query", l2_normalize([0.25] * 32), dense_pred_text="rice beans")
+        expected = search_fused_topk(bundle, index, FusionWeights(0.7, 0.3), "dense", embed_stub.spec, k=2)
+        assert [line.split("\t")[1] for line in result.output.splitlines()[1:]] == list(expected.ids)
 
     def test_rerank_prints_reranked_stage(self, runner, corpus_dir, items_index_path):
         records = load_embedding_file(corpus_dir / "images.f4e")

@@ -9,6 +9,7 @@ from f4search import evaluate, search
 from f4search.encoders import EncoderSpec, encode_text_synthetic
 from f4search.errors import (
     ConfigConflictError,
+    DimensionMismatchError,
     EmptyGroundTruthError,
     MalformedLineError,
     UnknownCandidateIdError,
@@ -103,6 +104,12 @@ class TestAveragePrecision:
         assert average_precision(rl, {"gt"}, 2) == 0.0
         assert average_precision(rl, {"gt"}, 3) > 0.0
 
+    def test_negative_k_counts_nothing(self):
+        # A slice at -1 would count the hit at rank 1; recall_at_k cuts at 0 too.
+        rl = ranked(("a", 0.9), ("b", 0.8), ("c", 0.7))
+        assert average_precision(rl, ["a", "c"], -1) == 0.0
+        assert recall_at_k(rl, ["a", "c"], -1) == 0
+
 
 class TestDeriveK:
     def test_four_ingredient_caption(self):
@@ -176,6 +183,13 @@ class TestEvaluateCorpus:
         config = EvalConfig(encoder=spec, weights=FusionWeights(1.0, 0.0))
         with pytest.raises(UnknownCandidateIdError, match="ghost"):
             evaluate_corpus(bundles + [bad], index, config)
+
+    def test_fused_image_dim_must_match_encoder(self):
+        spec, index, _ = small_corpus(dim=32)
+        e_img = unit(np.random.default_rng(0).standard_normal(16))
+        bundle = QueryBundle("q", e_img, dense_pred_text="food00", gt_caption_ids=("c00",))
+        with pytest.raises(DimensionMismatchError, match="dim 16 vs 32"):
+            evaluate_corpus([bundle], index, EvalConfig(encoder=spec))
 
     def test_empty_gt_rejected(self):
         spec, index, bundles = small_corpus()

@@ -83,6 +83,16 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="one kind"):
             build_index(captions, synthetic_spec)
 
+    def test_rule_errors_name_the_caption(self, synthetic_spec):
+        # CaptionIndex owns both rules; build_index reports its messages.
+        captions = sample_captions(3)
+        captions[2] = Caption("c000", "something else", "dense")
+        with pytest.raises(DuplicateIdError, match="duplicate caption id 'c000'"):
+            build_index(captions, synthetic_spec)
+        mixed = [Caption("a", "rice", "dense"), Caption("b", "rice", "sparse")]
+        with pytest.raises(ValueError, match="caption 'b' is 'sparse', not 'dense'"):
+            build_index(mixed, synthetic_spec)
+
     def test_builds_no_embedding_vector(self, synthetic_spec, monkeypatch):
         # The caption texts go into the index as one encoded matrix, with the
         # bytes of the per-record path.
@@ -122,6 +132,12 @@ class TestBuildFromRecords:
         captions = [Caption("a", "avocado", "dense")]
         with pytest.raises(KeyError, match="'a'"):
             build_index_from_records(captions, [("b", unit([1.0, 0.0]))])
+
+    def test_duplicate_record_ids(self):
+        captions = [Caption("a", "avocado", "dense")]
+        records = [("a", unit([1.0, 0.0])), ("a", unit([0.0, 1.0]))]
+        with pytest.raises(DuplicateIdError, match="duplicate ids"):
+            build_index_from_records(captions, records)
 
 
 class TestPersistence:

@@ -446,6 +446,26 @@ class TestScreen:
             bands.append(len(cosine_band(index, EmbeddingVector(q), k)))
         assert np.median(bands) <= k + 2
 
+    def test_rows_all_tied_at_minus_one_keep_the_full_ranking(self):
+        # Every row is -e_img, so each fusion at (0.3, 0.7) is about -0.4 e_img
+        # and scores about -1 against the image query: the k-th lower bound is
+        # at most -1, so the per-row band keeps every row and the tie goes to
+        # the ids.
+        w_index = FusionWeights(0.3, 0.7)
+        e_img = unit(np.random.default_rng(12).standard_normal(16))
+        ids = [f"r{i:02d}" for i in np.random.default_rng(13).permutation(12)]
+        captions = tuple(Caption(cid, "a dish", "dense") for cid in ids)
+        rows = np.tile(-e_img.values, (12, 1)).astype(np.float32)
+        index = CaptionIndex(captions, rows, "dense", "test")
+        direction = search._query_direction(e_img.values, index)
+        assert search._band(*search._screen(*direction, e_img.values, index, w_index), 3) is None
+        bundle = QueryBundle("q", e_img)
+        got = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=3)
+        want = unscreened(index, exact_scores(e_img.values, e_img.values, index, w_index), 3)
+        assert got.entries == want.entries
+        assert got.ids == ("r00", "r01", "r02")
+        assert score_bits(got) == score_bits(want)
+
 
 def best_row(q, p, w):
     """The unit row whose score against unit ``q`` is exactly 1 (``q`` itself for cosines)."""
