@@ -3,18 +3,31 @@
 Wire protocol: POST ``{endpoint}/embed`` with JSON body
 ``{"texts": [string, ...]}``; the service replies with
 ``{"dim": int, "vectors": [[number, ...], ...]}`` carrying exactly one
-vector per input text, in input order. Any non-200 status is a
-service-reported error. Connection-level failures are retried with
-exponential backoff, up to three attempts per request.
+vector per input text, in input order. Any non-200 status, redirects
+included, is a service-reported error. Connection-level failures and
+broken replies are retried with exponential backoff, up to three attempts
+per request.
+
+The client is the standard library's ``http.client``: one connection per
+``encode_remote`` call, kept alive across its batches. Proxies come from
+the environment (``http_proxy``, ``https_proxy``, ``all_proxy``,
+``no_proxy``), read once per call. HTTPS is verified against the system
+CA store (``ssl.create_default_context``).
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import os
+import re
+import ssl
 import time
+import urllib.request
+from urllib.parse import SplitResult, unquote, urlsplit
 
 import numpy as np
-import requests
 
 from .encoders import EncoderSpec
 from .errors import MalformedResponseError, RemoteError, ServiceUnreachableError
@@ -27,6 +40,10 @@ RETRY_DELAY_S = 0.5
 MAX_ATTEMPTS = 3
 MAX_TEXT_BYTES = 8192
 _JSON_NUMBER_TYPES = {int, float}
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+# Printable ASCII except space, '?' and '#': no query, fragment or
+# character that http.client would refuse in a request line.
+_URL_CHARS = re.compile(r"[!-\"$->@-~]+")
 
 
 def default_endpoint() -> str:
@@ -41,10 +58,10 @@ def encode_remote(
 ) -> list[EmbeddingVector]:
     """Embed ``texts`` via the remote service named by ``spec``.
 
-    Texts are sent in batches of at most ``BATCH_SIZE`` over one session
-    that is closed on return; batches are issued and appended strictly in
-    input order, so outputs line up with inputs one-to-one. Each returned
-    vector is normalized on receipt.
+    Texts are sent in batches of at most ``BATCH_SIZE`` over one
+    connection that is closed on return; batches are issued and appended
+    strictly in input order, so outputs line up with inputs one-to-one.
+    Each returned vector is normalized on receipt.
     """
     return [EmbeddingVector(r, normalized=True) for r in _encode_remote(texts, spec, bearer_token)]
 
@@ -60,40 +77,106 @@ def _encode_remote(texts: list[str], spec: EncoderSpec, bearer_token: str | None
             raise ValueError(f"text exceeds {MAX_TEXT_BYTES} bytes")
 
     url = spec.endpoint.rstrip("/") + "/embed"
-    headers = {}
+    conn, target, headers = _connect(spec.endpoint, url)
+    headers["Content-Type"] = "application/json"
     if bearer_token:
         headers["Authorization"] = f"Bearer {bearer_token}"
 
     batches = []
-    with requests.Session() as sess:
+    try:
         for start in range(0, len(texts), BATCH_SIZE):
             batch = texts[start : start + BATCH_SIZE]
-            payload = _post_with_retry(sess, url, {"texts": batch}, headers)
+            body = json.dumps({"texts": batch}).encode()
+            payload = _post_with_retry(conn, url, target, body, headers)
             batches.append(_parse_batch(payload, len(batch), spec.dim))
+    finally:
+        conn.close()
     return np.concatenate(batches)
 
 
-def _post_with_retry(sess, url, body, headers):
+def _split(url: str) -> SplitResult | None:
+    """``url`` split into its parts, or None unless it is ``scheme://host[:port]...``.
+
+    None also for a port that is not a number in range, a query, a
+    fragment, or a character outside printable ASCII.
+    """
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises on a port that is not a number in range
+    except ValueError:
+        return None
+    return parts if _URL_CHARS.fullmatch(url) and parts.hostname else None
+
+
+def _connect(endpoint: str, url: str) -> tuple[http.client.HTTPConnection, str, dict]:
+    """An unopened connection that reaches ``url``, its request target and proxy headers.
+
+    A malformed endpoint or proxy URL raises a ValueError here, before
+    anything is sent.
+    """
+    parts = _split(endpoint)
+    if parts is None or parts.scheme not in _DEFAULT_PORTS or "@" in parts.netloc:
+        raise ValueError(f"endpoint {endpoint!r} is not http(s)://host[:port][/path]")
+    host, port = parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme]
+    path = parts.path.rstrip("/") + "/embed"
+    tls = {"context": ssl.create_default_context()} if parts.scheme == "https" else {}
+    connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+
+    proxies = urllib.request.getproxies()
+    proxy_url = proxies.get(parts.scheme) or proxies.get("all")
+    if not proxy_url or urllib.request.proxy_bypass(host):
+        return connection(host, port, timeout=TIMEOUT_S, **tls), path, {}
+
+    proxy = _split(proxy_url if "://" in proxy_url else "http://" + proxy_url)
+    if proxy is None or proxy.scheme != "http":
+        raise ValueError(f"proxy {proxy_url!r} is not http://[user:password@]host[:port]")
+    proxy_headers = {}
+    if proxy.username is not None:
+        credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+        proxy_headers["Proxy-Authorization"] = (
+            "Basic " + base64.b64encode(credentials.encode("latin-1")).decode("ascii")
+        )
+    conn = connection(proxy.hostname, proxy.port or 80, timeout=TIMEOUT_S, **tls)
+    if tls:
+        conn.set_tunnel(host, port, headers=proxy_headers)
+        return conn, path, {}
+    # A plain-HTTP proxy takes the absolute URI as the request target.
+    return conn, url, proxy_headers
+
+
+def _post_with_retry(conn: http.client.HTTPConnection, url: str, target: str, body: bytes, headers):
+    """POST ``body`` to ``target`` over ``conn``, retrying broken exchanges; the decoded reply."""
     delay = RETRY_DELAY_S
-    last_exc = None
-    for attempt in range(MAX_ATTEMPTS):
+    attempt = 0
+    while True:
+        reused = conn.sock is not None
         try:
-            resp = sess.post(url, json=body, timeout=TIMEOUT_S, headers=headers)
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            last_exc = exc
-            if attempt < MAX_ATTEMPTS - 1:
-                time.sleep(delay)
-                delay *= 2
-            continue
-        if resp.status_code != 200:
-            raise RemoteError(f"service returned HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise MalformedResponseError("response body is not valid JSON") from exc
-    raise ServiceUnreachableError(
-        f"{url} unreachable after {MAX_ATTEMPTS} attempts"
-    ) from last_exc
+            conn.request("POST", target, body, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+            break
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            # The server may close a kept-alive connection between
+            # requests; that costs a new connection, not an attempt.
+            if reused and isinstance(exc, ConnectionError):
+                continue
+            attempt += 1
+            if attempt == MAX_ATTEMPTS:
+                raise ServiceUnreachableError(
+                    f"{url} unreachable after {MAX_ATTEMPTS} attempts"
+                ) from exc
+            time.sleep(delay)
+            delay *= 2
+    if resp.status != 200:
+        text = data.decode("utf-8", "replace")
+        raise RemoteError(f"service returned HTTP {resp.status}: {text[:200]}")
+    try:
+        return json.loads(data)
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep
+    # nesting raises a RecursionError.
+    except (ValueError, RecursionError) as exc:
+        raise MalformedResponseError("response body is not valid JSON") from exc
 
 
 def _parse_batch(payload, expected_count: int, expected_dim: int) -> np.ndarray:

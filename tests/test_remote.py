@@ -1,13 +1,20 @@
+import base64
+import http.client
 import http.server
 import json
+import os
+import re
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
+import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from f4search import remote
 from f4search.encoders import EncoderSpec
@@ -24,6 +31,9 @@ def fast_retries(monkeypatch):
     monkeypatch.setattr(remote, "RETRY_DELAY_S", 0.01)
 
 
+_BAD_BODIES = {"not_json": b"this is not json", "deep_json": b"[" * 200_000}
+
+
 class StubHandler(http.server.BaseHTTPRequestHandler):
     """Recording stub: replies with one-hot vectors in arrival order."""
 
@@ -32,6 +42,8 @@ class StubHandler(http.server.BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         self.server.received.append(list(body["texts"]))
         self.server.auth_headers.append(self.headers.get("Authorization"))
+        self.server.paths.append(self.path)
+        self.server.proxy_auth.append(self.headers.get("Proxy-Authorization"))
 
         mode = self.server.mode
         if mode == "http_error":
@@ -39,10 +51,10 @@ class StubHandler(http.server.BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"down for maintenance")
             return
-        if mode == "not_json":
+        if mode in _BAD_BODIES:
             self.send_response(200)
             self.end_headers()
-            self.wfile.write(b"this is not json")
+            self.wfile.write(_BAD_BODIES[mode])
             return
 
         texts = body["texts"]
@@ -80,6 +92,8 @@ def stub_service(mode="ok", dim=16):
     server.counter = 0
     server.received = []
     server.auth_headers = []
+    server.paths = []
+    server.proxy_auth = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -144,15 +158,21 @@ def test_bearer_token_passthrough():
         assert server.auth_headers == ["Bearer sesame"]
 
 
-def test_each_call_closes_its_session(monkeypatch):
-    closed = []
+def test_deeply_nested_body_rejected():
+    with stub_service(mode="deep_json") as (server, spec):
+        with pytest.raises(MalformedResponseError, match="JSON"):
+            encode_remote(["a"], spec)
 
-    class RecordingSession(requests.Session):
+
+def test_each_call_closes_its_connection(monkeypatch):
+    closed = set()
+
+    class RecordingConnection(http.client.HTTPConnection):
         def close(self):
-            closed.append(self)
+            closed.add(self)
             super().close()
 
-    monkeypatch.setattr(requests, "Session", RecordingSession)
+    monkeypatch.setattr(http.client, "HTTPConnection", RecordingConnection)
     with stub_service() as (server, spec):
         encode_remote(["a"], spec)
         assert len(closed) == 1
@@ -160,43 +180,181 @@ def test_each_call_closes_its_session(monkeypatch):
         with pytest.raises(MalformedResponseError):
             encode_remote(["a", "b"], spec)
     assert len(closed) == 2
+    assert all(conn.sock is None for conn in closed)
 
 
-class _Slammer(socketserver.ThreadingTCPServer):
-    """Accepts connections and closes them immediately; counts attempts."""
-
+class _RawServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
+    daemon_threads = True
 
 
-def test_unreachable_after_three_attempts():
-    attempts = []
+@contextmanager
+def raw_service(reply):
+    """A 127.0.0.1 TCP service that runs ``reply(rfile, sock)`` on each connection, then closes it.
 
-    class Handler(socketserver.BaseRequestHandler):
+    Yields the server and its endpoint; ``server.connections`` counts the
+    connections accepted.
+    """
+
+    class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            attempts.append(1)
-            self.request.close()
+            self.server.connections += 1
+            reply(self.rfile, self.connection)
 
-    server = _Slammer(("127.0.0.1", 0), Handler)
+    server = _RawServer(("127.0.0.1", 0), Handler)
+    server.connections = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        spec = EncoderSpec("remote", 16, endpoint=f"http://127.0.0.1:{server.server_address[1]}")
-        with pytest.raises(ServiceUnreachableError, match="3 attempts"):
-            encode_remote(["a"], spec)
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         server.server_close()
-    assert len(attempts) == 3
 
 
-def test_dead_port_unreachable():
+def _read_request(rfile):
+    """The request line, headers and body of one HTTP request."""
+    line = rfile.readline()
+    headers = http.client.parse_headers(rfile)
+    return line, headers, rfile.read(int(headers.get("Content-Length", 0)))
+
+
+def _dead_port() -> int:
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
     port = sock.getsockname()[1]
     sock.close()
-    spec = EncoderSpec("remote", 16, endpoint=f"http://127.0.0.1:{port}")
+    return port
+
+
+def test_unreachable_after_three_attempts():
+    with raw_service(lambda rfile, sock: None) as (server, endpoint):
+        with pytest.raises(ServiceUnreachableError, match="3 attempts"):
+            encode_remote(["a"], EncoderSpec("remote", 16, endpoint=endpoint))
+    assert server.connections == 3
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789", b"garbage\r\n\r\n"],
+    ids=["truncated-body", "garbage-status-line"],
+)
+def test_broken_reply_retried_then_unreachable(reply):
+    def answer(rfile, sock):
+        _read_request(rfile)
+        sock.sendall(reply)
+
+    with raw_service(answer) as (server, endpoint):
+        unreachable = re.escape(f"{endpoint}/embed unreachable")
+        with pytest.raises(ServiceUnreachableError, match=unreachable):
+            encode_remote(["a"], EncoderSpec("remote", 16, endpoint=endpoint))
+    assert server.connections == 3
+
+
+def test_dropped_keepalive_connection_reopened_at_once(monkeypatch):
+    monkeypatch.setattr(remote, "BATCH_SIZE", 1)
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+
+    def answer_once(rfile, sock):
+        _, _, body = _read_request(rfile)
+        data = json.dumps({"dim": 8, "vectors": [[1.0] * 8] * len(json.loads(body)["texts"])})
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(data)
+        sock.sendall(head + data.encode())
+
+    with raw_service(answer_once) as (server, endpoint):
+        vecs = encode_remote(["a", "b"], EncoderSpec("remote", 8, endpoint=endpoint))
+    assert len(vecs) == 2
+    assert server.connections == 2
+    assert sleeps == []
+
+
+def test_dead_port_unreachable():
+    spec = EncoderSpec("remote", 16, endpoint=f"http://127.0.0.1:{_dead_port()}")
     with pytest.raises(ServiceUnreachableError):
         encode_remote(["a"], spec)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "127.0.0.1:9",
+        "localhost:9",
+        "ftp://x/",
+        "http://[::1",
+        "http://h:99999",
+        "http://h:port",
+        "http://user:pw@h",
+        "http:///embedder",
+        "http://h/a b",
+        "http://h/p?q=1",
+        "http://h/p#f",
+        "http://h/caf\u00e9",
+    ],
+)
+def test_malformed_endpoint_rejected_before_connecting(monkeypatch, endpoint):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: pytest.fail("connected"))
+    with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
+        encode_remote(["a"], EncoderSpec("remote", 16, endpoint=endpoint))
+    assert sleeps == []
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """The environment with no proxy variable set, restored after the test."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+@pytest.mark.parametrize(
+    "userinfo, proxy_auth",
+    [("", None), ("user:p%40ss@", "Basic " + base64.b64encode(b"user:p@ss").decode())],
+    ids=["anonymous", "credentials"],
+)
+def test_http_proxy_gets_the_absolute_uri(no_proxy_env, userinfo, proxy_auth):
+    with stub_service() as (server, spec):
+        no_proxy_env.setenv("http_proxy", spec.endpoint.replace("//", "//" + userinfo))
+        encode_remote(["a"], EncoderSpec("remote", 16, endpoint="http://embedder.invalid"))
+        assert server.paths == ["http://embedder.invalid/embed"]
+        assert server.proxy_auth == [proxy_auth]
+
+
+def test_no_proxy_host_skips_the_proxy(no_proxy_env):
+    no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{_dead_port()}")
+    no_proxy_env.setenv("no_proxy", "127.0.0.1")
+    with stub_service() as (server, spec):
+        encode_remote(["a"], spec)
+        assert server.paths == ["/embed"]
+
+
+def test_https_proxy_is_tunnelled(no_proxy_env):
+    seen = []
+
+    def refuse_tunnel(rfile, sock):
+        line, headers, _ = _read_request(rfile)
+        seen.append((line.split()[:2], headers["Proxy-Authorization"]))
+        sock.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
+
+    with raw_service(refuse_tunnel) as (server, endpoint):
+        no_proxy_env.setenv("https_proxy", endpoint.replace("//", "//user:pw@"))
+        with pytest.raises(ServiceUnreachableError, match="https://embedder.invalid/embed"):
+            encode_remote(["a"], EncoderSpec("remote", 16, endpoint="https://embedder.invalid"))
+    auth = "Basic " + base64.b64encode(b"user:pw").decode()
+    assert seen == [([b"CONNECT", b"embedder.invalid:443"], auth)] * 3
+
+
+def test_import_loads_no_third_party_http_client():
+    code = "import sys, f4search; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    src = Path(remote.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_oversized_text_rejected():
