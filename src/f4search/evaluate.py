@@ -16,7 +16,7 @@ the call needs, in bundle order: each bundle's prediction text when some
 weight fuses text, and for re-ranking the sparse text's item phrases. It
 encodes them into one matrix with one call to ``encoders._encode``, the
 array core of ``encode_texts``, so a remote encoder sends them in batches
-over one session, and a sweep encodes once for its whole grid. Each bundle
+over one connection, and a sweep encodes once for its whole grid. Each bundle
 gets its text's row and its phrases' rows. Scoring then runs the private
 cores of the per-bundle search functions on float64 arrays and index rows,
 so it builds no ``RankedList`` and no ``EmbeddingVector``. An encoder
