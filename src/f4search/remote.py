@@ -127,9 +127,12 @@ def _connect(endpoint: str, url: str) -> tuple[http.client.HTTPConnection, str, 
     if not proxy_url or urllib.request.proxy_bypass(host):
         return connection(host, port, timeout=TIMEOUT_S, **tls), path, {}
 
-    proxy = _split(proxy_url if "://" in proxy_url else "http://" + proxy_url)
+    proxy_url = proxy_url if "://" in proxy_url else "http://" + proxy_url
+    proxy = _split(proxy_url)
     if proxy is None or proxy.scheme != "http":
-        raise ValueError(f"proxy {proxy_url!r} is not http://[user:password@]host[:port]")
+        # Everything up to the last '@' after '//' goes: it may hold a password.
+        shown = re.sub(r"//.*@", "//", proxy_url, flags=re.S)
+        raise ValueError(f"proxy {shown!r} is not http://[user:password@]host[:port]")
     proxy_headers = {}
     if proxy.username is not None:
         credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
