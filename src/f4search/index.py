@@ -33,6 +33,7 @@ from .errors import (
     UnknownKindError,
 )
 from .rerank import parse_items
+from .search import _row_blocks
 from .vectors import UNIT_NORM_TOL
 
 F4I_MAGIC = b"F4IX"
@@ -73,12 +74,14 @@ class CaptionIndex:
     encoder_fingerprint: str
 
     def __post_init__(self):
+        if not self.captions:
+            raise EmptyCorpusError("cannot build an index from zero captions")
         mat = np.array(self.embeddings, dtype=np.float32)
         if mat.ndim != 2 or mat.shape[0] != len(self.captions):
             raise ValueError("embedding matrix must have one row per caption")
-        norms = np.linalg.norm(mat.astype(np.float64), axis=1)
-        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
-            raise ValueError("index rows must be unit-norm")
+        for _, rows in _row_blocks(mat):
+            if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_NORM_TOL):
+                raise ValueError("index rows must be unit-norm")
         seen = set()
         for cap in self.captions:
             if cap.id in seen:
@@ -129,7 +132,7 @@ def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionInd
     """Encode every caption text and assemble an immutable index."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    matrix = _encode([c.text for c in captions], encoder).astype(np.float32)
+    matrix = _encode([c.text for c in captions], encoder)
     return CaptionIndex(tuple(captions), matrix, captions[0].kind, encoder.fingerprint())
 
 
@@ -150,7 +153,7 @@ def build_index_from_records(
         if vec is None:
             raise KeyError(f"no embedding record for caption id {cap.id!r}")
         rows.append(vec.values)
-    matrix = np.stack(rows).astype(np.float32)
+    matrix = np.stack(rows)
     if fingerprint is None:
         fingerprint = f"file:dim={matrix.shape[1]}"
     return CaptionIndex(tuple(captions), matrix, captions[0].kind, fingerprint)
@@ -179,7 +182,7 @@ def load_index(path) -> CaptionIndex:
     """Load an F4I file written by save_index.
 
     Raises BadMagicError, VersionUnsupportedError, TruncatedFileError,
-    CorruptFileError or DuplicateIdError on malformed input.
+    CorruptFileError, DuplicateIdError or EmptyCorpusError on malformed input.
     """
     with _Reader(path, _HEADER, F4I_MAGIC, F4I_VERSION) as reader:
         kind_byte, dim, count = reader.fields

@@ -60,9 +60,9 @@ if TYPE_CHECKING:
 STAGE_INITIAL = "initial"
 STAGE_RERANKED = "reranked"
 
-# Bi-directional scoring and the oracle widen this many bytes of float64
-# rows at a time, so their temporaries stay small and cache-resident at any
-# index size.
+# Bi-directional scoring, the oracle and the index norm check widen this
+# many bytes of float64 rows at a time (``_row_blocks``), so their
+# temporaries stay small and cache-resident at any index size.
 _ROW_BLOCK_BYTES = 1 << 20
 
 # Bi-directional scoring at these index weights scores every row as stored.
@@ -141,6 +141,13 @@ def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows=None):
     return rows[order], scores[order]
 
 
+def _row_blocks(matrix: np.ndarray):
+    """Yield ``(start, block)``: ``matrix``'s rows in float64, ``_ROW_BLOCK_BYTES`` at a time."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * max(1, matrix.shape[1])))
+    for start in range(0, len(matrix), step):
+        yield start, matrix[start : start + step].astype(np.float64)
+
+
 def _ranked_list(index: "CaptionIndex", rows, scores, k: int, stage: str) -> RankedList:
     """The public result for ``_rank``'s rows and scores."""
     ids = [index.captions[i].id for i in rows.tolist()]
@@ -177,15 +184,13 @@ def _scores(
     img = w_index.w_img * e_img
     embeddings = index.embeddings if rows is None else index.embeddings[rows]
     scores = np.empty(len(embeddings))
-    step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
-    for start in range(0, len(embeddings), step):
-        fused_rows = embeddings[start : start + step].astype(np.float64)
+    for start, fused_rows in _row_blocks(embeddings):
         fused_rows *= w_index.w_text
         fused_rows += img
         norms = np.linalg.norm(fused_rows, axis=1)
         if (norms <= ZERO_NORM_EPS).any():
             raise ZeroVectorError("a candidate fusion collapsed to the zero vector")
-        scores[start : start + step] = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
+        scores[start : start + len(norms)] = np.einsum("ij,j->i", fused_rows, q) / (norms * qnorm)
     return scores
 
 
@@ -418,11 +423,7 @@ def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> 
     if k < 1:
         raise ValueError("k must be >= 1")
     q, qnorm = _query_direction(query.values, index)
-    sums = np.empty(len(index))
-    step = max(1, _ROW_BLOCK_BYTES // (8 * index.dim))
-    for start in range(0, len(index), step):
-        block = index.embeddings[start : start + step].astype(np.float64)
-        sums[start : start + step] = (block * q).sum(axis=1)
+    sums = np.concatenate([(block * q).sum(axis=1) for _, block in _row_blocks(index.embeddings)])
     scores = np.clip(sums / qnorm, -1.0, 1.0)
     order = np.lexsort((index._id_rank, -scores))[: min(k, len(index))]
     return _ranked_list(index, order, scores[order], len(order), STAGE_INITIAL)

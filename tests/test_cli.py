@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from f4search import remote
 from f4search.cli import main
 from f4search.embfile import load_embedding_file
 from f4search.encoders import EncoderSpec, encode_texts
@@ -99,7 +100,9 @@ class TestBuildIndex:
         result = runner.invoke(main, ["build-index", "--out", str(tmp_path / "x.f4i")])
         assert result.exit_code == 2
 
-    def test_remote_unreachable_exits_one(self, runner, corpus_dir, tmp_path):
+    def test_remote_unreachable_exits_one(self, runner, corpus_dir, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(remote.time, "sleep", sleeps.append)
         result = runner.invoke(
             main,
             [
@@ -113,6 +116,7 @@ class TestBuildIndex:
         )
         assert result.exit_code == 1
         assert "unreachable" in result.output
+        assert sleeps == [0.5, 1.0]
 
     def test_file_encoder_builds_from_f4e(self, runner, corpus_dir, tmp_path):
         # The image embeddings share ids with the captions, so they can
@@ -512,3 +516,27 @@ class TestSweep:
         assert result.exit_code == 0, result.output
         peak = result.output.split("peak w_text=")[1].split()[0]
         assert peak in ("0.2", "0.3")
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, message",
+    [
+        (lambda corpus, index, tmp: [
+            "build-index", "--captions", str(corpus / "captions_dense.jsonl"),
+            "--out", str(tmp / "x.f4i"), "--encoder", "file",
+        ], 1, "error: --encoder file requires --embeddings"),
+        (lambda corpus, index, tmp: [
+            "sweep", "--index", str(index), "--bundles", str(corpus / "bundles.jsonl"),
+            "--image-embeddings", str(corpus / "images.f4e"), "--grid-step", "0",
+            "--out", str(tmp / "s.csv"),
+        ], 2, "--grid-step must lie in (0, 1]"),
+        (lambda corpus, index, tmp: [
+            "gen-synthetic", "--items-per-caption", "x", "--out-dir", str(tmp / "x"),
+        ], 1, "error: cannot parse --items-per-caption 'x'"),
+    ],
+    ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-items-per-caption"],
+)
+def test_guard_exits(runner, corpus_dir, dense_index_path, tmp_path, args, exit_code, message):
+    result = runner.invoke(main, args(corpus_dir, dense_index_path, tmp_path))
+    assert result.exit_code == exit_code
+    assert message in result.output

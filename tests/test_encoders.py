@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,19 @@ class TestEncodeTexts:
     def test_file_kind_cannot_encode(self):
         with pytest.raises(ValueError, match="cannot encode"):
             encode_texts(["rice"], EncoderSpec("file", 32))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EncoderSpec.from_fingerprint("synthetic:dim=8"),
+         "unparseable encoder fingerprint 'synthetic:dim=8'"),
+        (lambda: EncoderSpec.from_fingerprint("remote:dim=8"),
+         "unparseable encoder fingerprint 'remote:dim=8'"),
+        (lambda: encode_texts(["a"], None), "encoding text requires an encoder spec"),
+    ],
+    ids=["synthetic-without-seed", "remote-without-endpoint", "no-spec"],
+)
+def test_guard_raises(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from dataclasses import replace
 
@@ -594,3 +595,30 @@ class TestLoadBundles:
         with pytest.raises(MalformedLineError, match=reason) as excinfo:
             load_bundles(tmp_path / "bundles.jsonl", tmp_path / "images.f4e")
         assert excinfo.value.line_no == 2
+
+
+def _bundles_without_image_id(index, bundle, tmp_path):
+    write_embedding_file([("img1", unit([1.0, 0.0]))], tmp_path / "images.f4e")
+    (tmp_path / "bundles.jsonl").write_text('{"gt_caption_ids": ["a"]}\n')
+    return load_bundles(tmp_path / "bundles.jsonl", tmp_path / "images.f4e")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda index, bundle, tmp_path: evaluate_corpus([], index, EvalConfig()),
+         ValueError, "no query bundles to evaluate"),
+        (lambda index, bundle, tmp_path: evaluate_corpus([bundle], index, EvalConfig(text_source="x")),
+         ConfigConflictError, "unknown text source 'x'"),
+        (lambda index, bundle, tmp_path: sweep_fusion_weight([bundle], index, [0.0], EvalConfig(),
+                                                             metric="x"),
+         ValueError, "unknown sweep metric 'x'"),
+        (_bundles_without_image_id, MalformedLineError, "line 1: expected an object with image_id"),
+    ],
+    ids=["no-bundles", "unknown-text-source", "unknown-metric", "no-image-id"],
+)
+def test_guard_raises(make_index, tmp_path, call, error, message):
+    index = make_index({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    bundle = QueryBundle("q", unit([1.0, 0.0]), dense_pred_text="rice", gt_caption_ids=("a",))
+    with pytest.raises(error, match=re.escape(message)):
+        call(index, bundle, tmp_path)

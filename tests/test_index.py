@@ -1,9 +1,12 @@
 import json
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from f4search import search
 from f4search.encoders import encode_texts
 from f4search.errors import (
     BadMagicError,
@@ -269,6 +272,11 @@ def test_index_validates_unit_rows():
         CaptionIndex(tuple(captions), np.array([[3.0, 4.0]], dtype=np.float32), "dense", "file:dim=2")
 
 
+def test_index_rejects_zero_captions():
+    with pytest.raises(EmptyCorpusError, match="cannot build an index from zero captions"):
+        CaptionIndex((), np.zeros((0, 2), dtype=np.float32), "dense", "file:dim=2")
+
+
 def test_index_rejects_non_finite_rows():
     captions = [Caption("a", "rice", "dense")]
     with pytest.raises(ValueError, match="unit-norm"):
@@ -302,10 +310,17 @@ class TestCorruptFiles:
 
     @staticmethod
     def one_caption_file(path, kind=0, text=b"rice", row=(1.0, 0.0)):
-        header = struct.pack("<4sHBIQ", F4I_MAGIC, 1, kind, 2, 1)
+        header = struct.pack("<4sHBIQ", F4I_MAGIC, 1, kind, len(row), 1)
         caption = struct.pack("<H", 1) + b"a" + struct.pack("<I", len(text)) + text
         fingerprint = struct.pack("<I", 10) + b"file:dim=2"
         path.write_bytes(header + caption + np.array(row, "<f4").tobytes() + fingerprint)
+
+    def test_hand_built_zero_row_file_is_empty_corpus(self, tmp_path):
+        header = struct.pack("<4sHBIQ", F4I_MAGIC, 1, 0, 2, 0)
+        fingerprint = struct.pack("<I", 10) + b"file:dim=2"
+        (tmp_path / "empty.f4i").write_bytes(header + fingerprint)
+        with pytest.raises(EmptyCorpusError, match="cannot build an index from zero captions"):
+            load_index(tmp_path / "empty.f4i")
 
     def test_hand_built_file_loads(self, tmp_path):
         self.one_caption_file(tmp_path / "ok.f4i")
@@ -319,10 +334,86 @@ class TestCorruptFiles:
             {"row": (np.nan, 0.0)},
             {"row": SIGNALLING_NAN_ROW},
             {"text": b" "},
+            {"row": ()},
         ],
-        ids=["invalid-utf8-text", "kind-byte-7", "nan-row", "signalling-nan-row", "blank-text"],
+        ids=["invalid-utf8-text", "kind-byte-7", "nan-row", "signalling-nan-row", "blank-text",
+             "zero-dim"],
     )
     def test_corrupt_content_raises_corrupt_file_error(self, tmp_path, fields):
         self.one_caption_file(tmp_path / "bad.f4i", **fields)
         with pytest.raises(CorruptFileError, match="bad.f4i"):
             load_index(tmp_path / "bad.f4i")
+
+
+def unit_rows(n, dim, seed):
+    rows = np.random.default_rng(seed).standard_normal((n, dim))
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+class TestStoredRows:
+    def test_builders_store_rows_rounded_once(self, synthetic_spec):
+        captions = sample_captions(5)
+        vectors = encode_texts([c.text for c in captions], synthetic_spec)
+        want = np.stack([v.values for v in vectors]).astype(np.float32).tobytes()
+        assert build_index(captions, synthetic_spec).embeddings.tobytes() == want
+        records = [(c.id, v) for c, v in zip(captions, vectors)]
+        assert build_index_from_records(captions, records).embeddings.tobytes() == want
+
+    @pytest.mark.parametrize("bad_row", [0, 4, 9])
+    def test_norm_check_reaches_every_block(self, bad_row, monkeypatch):
+        # Three rows per block over ten rows: the last block is partial.
+        dim = 8
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", 3 * 8 * dim)
+        captions = tuple(sample_captions(10))
+        rows = unit_rows(10, dim, seed=bad_row)
+        CaptionIndex(captions, rows, "dense", "f")
+        rows[bad_row] *= 1.01
+        with pytest.raises(ValueError, match="unit-norm"):
+            CaptionIndex(captions, rows, "dense", "f")
+
+    def test_memory_peaks_stay_near_the_matrix(self, tmp_path):
+        # 20,000 x 128 float32 rows are 10 MB. Building holds the matrix,
+        # its stored copy and one float64 row block; loading also holds the
+        # file bytes and the caption objects.
+        captions = tuple(sample_captions(20_000))
+        rows = unit_rows(20_000, 128, seed=3)
+        tracemalloc.start()
+        try:
+            index = CaptionIndex(captions, rows, "dense", "f")
+            build_peak = tracemalloc.get_traced_memory()[1]
+            save_index(index, tmp_path / "big.f4i")
+            del index
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            load_index(tmp_path / "big.f4i")
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 2 * rows.nbytes
+        assert load_peak <= 4 * rows.nbytes
+
+
+def _jsonl(tmp_path, line):
+    path = tmp_path / "caps.jsonl"
+    path.write_text(line + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp_path: ingest_captions(_jsonl(tmp_path, "[1, 2]")),
+         MalformedLineError, "line 1: expected a JSON object"),
+        (lambda tmp_path: ingest_captions(_jsonl(tmp_path, '{"id": "", "text": "rice", "kind": "dense"}')),
+         MalformedLineError, "line 1: caption id must be non-empty"),
+        (lambda tmp_path: build_index_from_records([], []),
+         EmptyCorpusError, "cannot build an index from zero captions"),
+        (lambda tmp_path: CaptionIndex((Caption("a", "rice", "dense"),), unit_rows(2, 2, seed=0),
+                                       "dense", "f"),
+         ValueError, "embedding matrix must have one row per caption"),
+    ],
+    ids=["line-not-object", "empty-id", "no-captions-from-records", "row-count-differs"],
+)
+def test_guard_raises(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)

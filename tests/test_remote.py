@@ -94,7 +94,7 @@ def stub_service(mode="ok", dim=16, handler=StubHandler):
     server.auth_headers = []
     server.paths = []
     server.proxy_auth = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         spec = EncoderSpec("remote", dim, endpoint=f"http://127.0.0.1:{server.server_address[1]}")
@@ -210,7 +210,7 @@ def raw_service(reply):
 
     server = _RawServer(("127.0.0.1", 0), Handler)
     server.connections = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_address[1]}"
@@ -419,3 +419,20 @@ def test_parse_batch_rejects_non_numbers(entry, reason):
     payload = {"dim": 8, "vectors": [[1.0] * 8, [entry, 1.0] + [0] * 6]}
     with pytest.raises(MalformedResponseError, match=reason):
         _parse_batch(payload, 2, 8)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: encode_remote(["a"], EncoderSpec("synthetic", 16, seed=1)),
+         ValueError, "encode_remote needs a remote encoder spec"),
+        (lambda: _parse_batch({"dim": 2}, 1, 2),
+         MalformedResponseError, "response missing 'dim' or 'vectors'"),
+        (lambda: _parse_batch({"dim": 2, "vectors": [[1.0]]}, 1, 2),
+         MalformedResponseError, "vector length does not match dim"),
+    ],
+    ids=["synthetic-spec", "no-vectors", "short-vector"],
+)
+def test_guard_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

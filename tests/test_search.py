@@ -684,3 +684,24 @@ class TestResultShape:
             assert score_bits(got) == score_bits(bidir)
         for N in (n, n + 5):
             retrieve_and_rerank(bundle, index, N=N, k=4, encoder=synthetic_spec)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda index, bundle: search_topk(bundle.e_img, index, 0),
+        lambda index, bundle: search_topk_naive(bundle.e_img, index, 0),
+        lambda index, bundle: search_bidirectional(bundle, index, k=0),
+        lambda index, bundle: retrieve_and_rerank(bundle, index, k=0),
+        lambda index, bundle: RankedList((), k=0),
+    ],
+    ids=["search_topk", "search_topk_naive", "search_bidirectional", "retrieve_and_rerank",
+         "RankedList"],
+)
+def test_k_below_one_raises_first(make_index, call):
+    # The query has the wrong dimension and no prediction text, so a k check
+    # that ran any later would meet another error first.
+    index = random_index(make_index, 4, 2, seed=0)
+    bundle = QueryBundle("q", unit([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        call(index, bundle)

@@ -101,3 +101,12 @@ def test_manifest_json_is_stable(tmp_path):
         "bundles",
         "bundles_items",
     }
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("vocab_size", "vocab_size must be >= 1"), ("num_captions", "num_captions must be >= 1")],
+)
+def test_config_guard_raises(field, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticCorpusConfig(**{field: 0})
