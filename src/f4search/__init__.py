@@ -9,9 +9,11 @@ variable-k mAP.
 from .embfile import load_embedding_file, write_embedding_file
 from .encoders import (
     EncoderSpec,
+    ParsedItems,
     encode_image_synthetic,
     encode_text_synthetic,
     encode_texts,
+    parse_items,
     tokenize,
 )
 from .errors import F4SearchError
@@ -37,7 +39,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .rerank import ParsedItems, parse_items, rerank, retrieve_and_rerank
+from .rerank import rerank, retrieve_and_rerank
 from .remote import encode_remote
 from .search import (
     QueryBundle,

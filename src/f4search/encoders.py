@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyTextError
+from .errors import EmptyTextError, NoItemsError
 from .vectors import EmbeddingVector, _unit
 
 MIN_DIM = 8
@@ -83,6 +83,35 @@ def tokenize(text: str) -> list[str]:
         if tok:
             tokens.append(tok)
     return tokens
+
+
+@dataclass(frozen=True)
+class ParsedItems:
+    """Ordered, deduplicated item phrases parsed from a sparse caption."""
+
+    phrases: tuple[str, ...]
+    source_text: str
+
+    def __post_init__(self):
+        if not self.phrases:
+            raise NoItemsError(f"no item phrases in {self.source_text!r}")
+
+
+def parse_items(sparse_text: str) -> ParsedItems:
+    """Split a sparse caption on commas into trimmed, lowercased phrases.
+
+    Empty fragments are dropped and duplicates are removed keeping the
+    first occurrence. Only the comma splits: multi-word items like
+    "herb oil" stay intact.
+    """
+    phrases = []
+    seen = set()
+    for fragment in sparse_text.split(","):
+        phrase = fragment.strip().lower()
+        if phrase and phrase not in seen:
+            seen.add(phrase)
+            phrases.append(phrase)
+    return ParsedItems(tuple(phrases), sparse_text)
 
 
 def _token_seed(token: str, seed: int) -> int:

@@ -11,17 +11,16 @@ hurting the score. In the sparse-ingredient task k varies per query and
 equals the number of ground-truth items. A re-ranked query keeps its top
 max(5, k) entries, so its initial pool must hold at least that many.
 
-An evaluation first encodes, then scores. It collects the distinct texts
-the call needs, in bundle order: each bundle's prediction text when some
-weight fuses text, and for re-ranking the sparse text's item phrases. It
-encodes them into one matrix with one call to ``encoders._encode``, the
-array core of ``encode_texts``, so a remote encoder sends them in batches
-over one connection, and a sweep encodes once for its whole grid. Each bundle
-gets its text's row and its phrases' rows. Scoring then runs the private
-cores of the per-bundle search functions on float64 arrays and index rows,
-so it builds no ``RankedList`` and no ``EmbeddingVector``. An encoder
-returns each text's vector independently of the rest of its batch, so the
-reports are byte-identical to encoding one bundle at a time.
+An evaluation first encodes, then scores. ``search._encode_bundles``, which
+every bundle search shares, encodes the distinct texts that the call needs
+(each bundle's prediction text when some weight fuses text, and for
+re-ranking the sparse text's item phrases) with one encoder call, so a
+remote encoder sends them in batches over one connection, and a sweep
+encodes once for its whole grid. Scoring then runs the private cores of the
+per-bundle search functions on float64 arrays and index rows, so it builds
+no ``RankedList`` and no ``EmbeddingVector``. An encoder returns each text's
+vector independently of the rest of its batch, so the reports are
+byte-identical to encoding one bundle at a time.
 """
 
 from __future__ import annotations
@@ -33,10 +32,8 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .embfile import _write_atomic, load_embedding_file
-from .encoders import EncoderSpec, _encode
+from .encoders import EncoderSpec, parse_items
 from .errors import (
     ConfigConflictError,
     EmptyGroundTruthError,
@@ -44,13 +41,9 @@ from .errors import (
     UnknownCandidateIdError,
 )
 from .index import CaptionIndex, read_jsonl
-from .rerank import _retrieve_and_rerank, default_pool_size, parse_items
-from .search import _UNIDIRECTIONAL, QueryBundle, RankedList, _gt_ranks, _pred_text
+from .rerank import _retrieve_and_rerank, default_pool_size
+from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _encode_bundles, _gt_ranks
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
-
-# One bundle's encoded texts: the prediction-text row (None when no weight
-# fuses text) and, for re-ranking, the item matrix (else None).
-Encoded = tuple[np.ndarray | None, np.ndarray | None]
 
 
 def recall_at_k(ranked: RankedList, gt_ids: Sequence[str], k: int) -> int:
@@ -186,30 +179,6 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
             )
 
 
-def _encode_bundles(
-    bundles: Sequence[QueryBundle], config: EvalConfig, weights: Iterable[FusionWeights]
-) -> list[Encoded]:
-    """Every bundle's encoded texts under any of ``weights``, from one encoding call.
-
-    The distinct texts are collected in bundle order first, so a missing
-    prediction text or an empty item list raises before anything is encoded.
-    """
-    fuse_text = any(w.w_text > 0.0 for w in weights)
-    source = "sparse" if config.rerank else config.text_source
-    needed = []
-    for bundle in bundles:
-        text = _pred_text(bundle, source) if fuse_text or config.rerank else None
-        phrases = parse_items(text).phrases if config.rerank else ()
-        needed.append((text if fuse_text else None, phrases))
-    distinct = list(dict.fromkeys(t for text, phrases in needed for t in (text, *phrases) if t))
-    matrix = _encode(distinct, config.encoder) if distinct else None
-    pos = {t: i for i, t in enumerate(distinct)}
-    return [
-        (matrix[pos[text]] if text else None, matrix[[pos[p] for p in phrases]] if phrases else None)
-        for text, phrases in needed
-    ]
-
-
 def _evaluate_bundle(
     bundle: QueryBundle, index: CaptionIndex, config: EvalConfig, encoded: Encoded
 ) -> QueryOutcome:
@@ -275,7 +244,8 @@ def evaluate_corpus(
     inputs, so concurrent callers get the same bytes as a serial caller.
     """
     _check_config(bundles, index, config)
-    encoded = _encode_bundles(bundles, config, [config.weights])
+    fuse_text = config.weights.w_text > 0.0
+    encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
     return _evaluate(bundles, index, config, encoded, corpus_name)
 
 
@@ -299,7 +269,8 @@ def sweep_fusion_weight(
 
     _check_config(bundles, index, config)
     points = [replace(config, weights=FusionWeights(1.0 - g, g)) for g in grid]
-    encoded = _encode_bundles(bundles, config, [p.weights for p in points])
+    fuse_text = any(p.weights.w_text > 0.0 for p in points)
+    encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
     values = []
     for point in points:
         value = getattr(_evaluate(bundles, index, point, encoded, "corpus"), metric)

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .embfile import Record, _pack_text, _Reader, _write_atomic
-from .encoders import EncoderSpec, _encode
+from .encoders import EncoderSpec, _encode, parse_items
 from .errors import (
     CorruptFileError,
     DuplicateIdError,
@@ -32,7 +32,6 @@ from .errors import (
     MalformedLineError,
     UnknownKindError,
 )
-from .rerank import parse_items
 from .search import _row_blocks
 from .vectors import UNIT_NORM_TOL
 

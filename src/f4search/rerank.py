@@ -1,69 +1,38 @@
 """Ingredient-level max-similarity re-ranking of an initial candidate set.
 
 A predicted sparse caption ("chicken, rice, curry leaves") is parsed into
-item phrases; every candidate caption is then re-scored by the maximum
-cosine similarity between its stored embedding and the individually
-encoded item embeddings. A candidate that strongly matches any one item
-rises to the top, which is what separates "shrimp" from a visually
-similar dish mentioning "chicken".
+item phrases (``encoders.parse_items``, re-exported here); every candidate
+caption is then re-scored by the maximum cosine similarity between its
+stored embedding and the individually encoded item embeddings. A candidate
+that strongly matches any one item rises to the top, which is what
+separates "shrimp" from a visually similar dish mentioning "chicken".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoders import EncoderSpec, _encode
-from .errors import NoItemsError, UnknownCandidateIdError
+from .encoders import EncoderSpec, ParsedItems, _encode, parse_items
+from .errors import UnknownCandidateIdError
 from .search import (
     STAGE_RERANKED,
     _UNIDIRECTIONAL,
     QueryBundle,
     RankedList,
-    _pred_text,
+    _encode_bundles,
     _rank,
     _ranked_list,
     _topk,
-    fused_query,
 )
-from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights
+from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
 if TYPE_CHECKING:
     from .index import CaptionIndex
 
 DEFAULT_POOL_FLOOR = 50
 DEFAULT_POOL_FACTOR = 5
-
-
-@dataclass(frozen=True)
-class ParsedItems:
-    """Ordered, deduplicated item phrases parsed from a sparse caption."""
-
-    phrases: tuple[str, ...]
-    source_text: str
-
-    def __post_init__(self):
-        if not self.phrases:
-            raise NoItemsError(f"no item phrases in {self.source_text!r}")
-
-
-def parse_items(sparse_text: str) -> ParsedItems:
-    """Split a sparse caption on commas into trimmed, lowercased phrases.
-
-    Empty fragments are dropped and duplicates are removed keeping the
-    first occurrence. Only the comma splits: multi-word items like
-    "herb oil" stay intact.
-    """
-    phrases = []
-    seen = set()
-    for fragment in sparse_text.split(","):
-        phrase = fragment.strip().lower()
-        if phrase and phrase not in seen:
-            seen.add(phrase)
-            phrases.append(phrase)
-    return ParsedItems(tuple(phrases), sparse_text)
 
 
 def default_pool_size(k: int) -> int:
@@ -132,8 +101,7 @@ def retrieve_and_rerank(
         N = default_pool_size(k)
     if N < k:
         raise ValueError(f"initial pool N={N} must be >= k={k}")
-    text = _pred_text(bundle, "sparse")
-    query = fused_query(bundle, w, "sparse", encoder)
-    items = _encode(list(parse_items(text).phrases), encoder)
-    ranked = _retrieve_and_rerank(query.values, index, items, N, k)
+    ((e_text, items),) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
+    query = bundle.e_img.values if e_text is None else _fused(bundle.e_img.values, e_text, w)
+    ranked = _retrieve_and_rerank(query, index, items, N, k)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

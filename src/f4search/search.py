@@ -23,7 +23,9 @@ ground-truth rows land: ``_gt_ranks`` counts each one's rank from the same
 bounds, re-scoring only the rows they leave undecided, with the same clamp
 and id tie-break.
 
-Fused queries improve the query side (weighted image+text sum). Fusing
+Fused queries improve the query side (weighted image+text sum). Every
+bundle search, evaluations included, picks, checks and encodes its query
+texts in ``_encode_bundles``, with one encoder call per search. Fusing
 index rows happens at scoring time, one block of rows at a time; the
 stored index is never mutated. The bi-directional screen takes its score
 from one float32 GEMM of the rows with the query and the image, and gives
@@ -34,11 +36,11 @@ zero vector, so the exact path still raises ``ZeroVectorError`` on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .encoders import EncoderSpec, encode_texts
+from .encoders import EncoderSpec, _encode, parse_items
 from .errors import (
     DimensionMismatchError,
     MissingPredictionTextError,
@@ -51,7 +53,7 @@ from .vectors import (
     ZERO_NORM_EPS,
     EmbeddingVector,
     FusionWeights,
-    fuse,
+    _fused,
 )
 
 if TYPE_CHECKING:
@@ -67,6 +69,10 @@ _ROW_BLOCK_BYTES = 1 << 20
 
 # Bi-directional scoring at these index weights scores every row as stored.
 _UNIDIRECTIONAL = FusionWeights(0.0, 1.0)
+
+# One bundle's encoded texts: the prediction-text row (None when no weight
+# fuses text) and, for re-ranking, the item matrix (else None).
+Encoded = tuple[np.ndarray | None, np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -441,6 +447,30 @@ def _pred_text(bundle: QueryBundle, text_source: str) -> str:
     return text
 
 
+def _encode_bundles(
+    bundles: Sequence[QueryBundle], encoder: EncoderSpec | None, source: str, fuse_text, rerank
+) -> list[Encoded]:
+    """Every bundle's encoded texts, from one ``_encode`` call of the distinct ones.
+
+    A bundle needs its ``source`` prediction text when ``fuse_text``; re-ranking
+    reads the sparse text, whatever ``source`` is, and needs its item phrases.
+    The texts are collected in bundle order first, so a missing prediction
+    text or an empty item list raises before anything is encoded.
+    """
+    needed = []
+    for bundle in bundles:
+        text = _pred_text(bundle, "sparse" if rerank else source) if fuse_text or rerank else None
+        phrases = parse_items(text).phrases if rerank else ()
+        needed.append((text if fuse_text else None, phrases))
+    distinct = list(dict.fromkeys(t for text, phrases in needed for t in (text, *phrases) if t))
+    matrix = _encode(distinct, encoder) if distinct else None
+    pos = {t: i for i, t in enumerate(distinct)}
+    return [
+        (matrix[pos[text]] if text else None, matrix[[pos[p] for p in phrases]] if phrases else None)
+        for text, phrases in needed
+    ]
+
+
 def fused_query(
     bundle: QueryBundle,
     w: FusionWeights,
@@ -455,8 +485,8 @@ def fused_query(
     """
     if w.w_text == 0.0:
         return bundle.e_img
-    text = _pred_text(bundle, text_source)
-    return fuse(bundle.e_img, encode_texts([text], encoder)[0], w)
+    ((e_text, _),) = _encode_bundles([bundle], encoder, text_source, True, False)
+    return EmbeddingVector(_fused(bundle.e_img.values, e_text, w), normalized=True)
 
 
 def search_fused_topk(

@@ -1,4 +1,4 @@
-"""Evaluations encode each call's distinct texts once, in batched remote requests."""
+"""Bundle searches encode each call's distinct texts once, in batched remote requests."""
 
 import dataclasses
 import math
@@ -9,10 +9,15 @@ import pytest
 
 from f4search import remote
 from f4search.encoders import encode_image_synthetic
-from f4search.errors import ConfigConflictError, EmptyTextError, MissingPredictionTextError
+from f4search.errors import (
+    ConfigConflictError,
+    EmptyTextError,
+    MissingPredictionTextError,
+    NoItemsError,
+)
 from f4search.evaluate import EvalConfig, evaluate_corpus, sweep_fusion_weight
 from f4search.index import Caption, build_index
-from f4search.rerank import parse_items
+from f4search.rerank import parse_items, retrieve_and_rerank
 from f4search.search import QueryBundle
 from f4search.vectors import FusionWeights
 
@@ -103,6 +108,24 @@ class TestRequestCount:
         one = sent(embed_stub)
         sweep_fusion_weight(bundles, index, GRID, config, "mean_ap")
         assert sent(embed_stub) == (2 * one[0], 2 * one[1])
+
+
+class TestRetrieveAndRerank:
+    """The public two-stage search encodes its texts as an evaluation does."""
+
+    def test_text_and_phrases_in_one_request(self, corpus, embed_stub):
+        index, bundles = corpus
+        bundle = dataclasses.replace(bundles[0], sparse_pred_text="shrimp, rice, greens")
+        got = retrieve_and_rerank(bundle, index, encoder=embed_stub.remote)
+        assert sent(embed_stub) == (1, 4)
+        assert got == retrieve_and_rerank(bundle, index, encoder=embed_stub.spec)
+
+    def test_no_items_raises_before_any_request(self, corpus, embed_stub):
+        index, bundles = corpus
+        bundle = dataclasses.replace(bundles[0], sparse_pred_text=",,,")
+        with pytest.raises(NoItemsError):
+            retrieve_and_rerank(bundle, index, encoder=embed_stub.remote)
+        assert sent(embed_stub) == (0, 0)
 
 
 class TestRemoteMatchesSynthetic:

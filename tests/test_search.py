@@ -203,6 +203,12 @@ class TestFusedSearch:
             search_fused_topk(bundle, index, FusionWeights(0.7, 0.3), k=1,
                               encoder=EncoderSpec("synthetic", 8, seed=0))
 
+    def test_unknown_text_source(self, make_index, synthetic_spec):
+        index = random_index(make_index, 5, 32, seed=14)
+        bundle = QueryBundle("q", unit(np.ones(32)), dense_pred_text="rice", sparse_pred_text="rice")
+        with pytest.raises(ValueError, match="unknown text source 'x'"):
+            search_fused_topk(bundle, index, FusionWeights(0.7, 0.3), "x", synthetic_spec)
+
     def test_fusion_recovers_ground_truth(self):
         # Image noise is set so pure-image retrieval misses the GT caption;
         # the prediction shares tokens with it, so the fused query must rank
@@ -380,6 +386,11 @@ def screen_case(dim, seed):
 
 class TestScreen:
     """The float32 screen plus exact re-score returns the full scan's bits."""
+
+    def test_delta_unbounded_from_dim_2_pow_23(self):
+        # There dim * 2^-24 reaches 1/2, where the float32 error bound gives out.
+        assert np.isfinite(search._screen_delta(2**23 - 1))
+        assert search._screen_delta(2**23) == np.inf
 
     @pytest.mark.parametrize("dim", [8, 64, 256])
     @pytest.mark.parametrize("k", [1, 5, 37])

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from f4search.encoders import EncoderSpec, tokenize
 from f4search.evaluate import load_bundles
 from f4search.index import build_index, ingest_captions
-from f4search.synthetic import SyntheticCorpusConfig, generate_corpus
+from f4search.synthetic import SyntheticCorpusConfig, _build_vocab, generate_corpus
 
 SMALL = dict(vocab_size=80, num_captions=60, dim=32, seed=11)
 
@@ -110,3 +111,19 @@ def test_manifest_json_is_stable(tmp_path):
 def test_config_guard_raises(field, message):
     with pytest.raises(ValueError, match=message):
         SyntheticCorpusConfig(**{field: 0})
+
+
+def test_vocab_beyond_the_generated_words_refused(tmp_path):
+    assert len(_build_vocab(5625, np.random.default_rng(0))) == 5625
+    config = SyntheticCorpusConfig(**{**SMALL, "vocab_size": 5626})
+    with pytest.raises(ValueError, match="vocab_size 5626 exceeds the 5625 available words"):
+        generate_corpus(config, tmp_path)
+
+
+def test_too_few_distinct_item_sets_refused(tmp_path):
+    # Three words make one 3-item set, so the second caption finds no new one.
+    config = SyntheticCorpusConfig(
+        **{**SMALL, "vocab_size": 3, "items_min": 3, "items_max": 3, "num_captions": 2}
+    )
+    with pytest.raises(ValueError, match="could not draw enough distinct item sets"):
+        generate_corpus(config, tmp_path)
