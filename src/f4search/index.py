@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     DuplicateIdError,
     EmptyCorpusError,
     MalformedLineError,
+    MixedDimsError,
     UnknownKindError,
 )
 from .search import _row_blocks
@@ -63,6 +64,12 @@ class Caption:
             parse_items(self.text)  # raises NoItemsError if nothing survives
 
 
+class _Adopted(NamedTuple):
+    """A float32 matrix that only this module holds: ``CaptionIndex`` keeps it, uncopied."""
+
+    matrix: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class CaptionIndex:
     """Immutable searchable corpus: captions plus unit-norm embedding rows."""
@@ -75,7 +82,8 @@ class CaptionIndex:
     def __post_init__(self):
         if not self.captions:
             raise EmptyCorpusError("cannot build an index from zero captions")
-        mat = np.array(self.embeddings, dtype=np.float32)
+        mat = self.embeddings
+        mat = mat.matrix if isinstance(mat, _Adopted) else np.array(mat, dtype=np.float32)
         if mat.ndim != 2 or mat.shape[0] != len(self.captions):
             raise ValueError("embedding matrix must have one row per caption")
         for _, rows in _row_blocks(mat):
@@ -151,30 +159,34 @@ def build_index_from_records(
         vec = by_id.get(cap.id)
         if vec is None:
             raise KeyError(f"no embedding record for caption id {cap.id!r}")
+        if rows and vec.dim != len(rows[0]):
+            raise MixedDimsError(
+                f"caption {cap.id!r} has a dim-{vec.dim} record, not dim {len(rows[0])}"
+            )
         rows.append(vec.values)
-    matrix = np.stack(rows)
+    # Each float64 value rounds to float32 as it is copied in: no float64 matrix.
+    matrix = np.array(rows, dtype=np.float32)
     if fingerprint is None:
         fingerprint = f"file:dim={matrix.shape[1]}"
-    return CaptionIndex(tuple(captions), matrix, captions[0].kind, fingerprint)
+    return CaptionIndex(tuple(captions), _Adopted(matrix), captions[0].kind, fingerprint)
 
 
 def save_index(index: CaptionIndex, path) -> None:
     """Serialize an index to F4I; saving the same index twice is byte-identical."""
-    parts = [
+    _write_atomic(
+        path,
         _HEADER.pack(
             F4I_MAGIC,
             F4I_VERSION,
             CAPTION_KINDS.index(index.kind),
             index.dim,
             len(index),
-        )
-    ]
-    for cap in index.captions:
-        parts.append(_pack_text(_U16, cap.id))
-        parts.append(_pack_text(_U32, cap.text))
-    parts.append(index.embeddings.astype("<f4").tobytes())
-    parts.append(_pack_text(_U32, index.encoder_fingerprint))
-    _write_atomic(path, b"".join(parts))
+        ),
+        *(_pack_text(_U16, cap.id) + _pack_text(_U32, cap.text) for cap in index.captions),
+        # The matrix itself, not a copy, on a little-endian host.
+        np.ascontiguousarray(index.embeddings, dtype="<f4"),
+        _pack_text(_U32, index.encoder_fingerprint),
+    )
 
 
 def load_index(path) -> CaptionIndex:
@@ -191,10 +203,11 @@ def load_index(path) -> CaptionIndex:
         captions = tuple(
             Caption(reader.text(_U16), reader.text(_U32), kind) for _ in range(count)
         )
-        matrix = reader.floats(count * dim).reshape(count, dim)
+        block = reader.floats(count * dim)
         fingerprint = reader.text(_U32)
         reader.end()
-        return CaptionIndex(captions, matrix, kind, fingerprint)
+        matrix = reader.aligned(block).reshape(count, dim)
+        return CaptionIndex(captions, _Adopted(matrix), kind, fingerprint)
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:

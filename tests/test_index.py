@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import re
 import struct
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from f4search import search
+from f4search.embfile import write_embedding_file
 from f4search.encoders import encode_texts
 from f4search.errors import (
     BadMagicError,
@@ -15,6 +18,7 @@ from f4search.errors import (
     EmptyCorpusError,
     F4SearchError,
     MalformedLineError,
+    MixedDimsError,
     NoItemsError,
     TruncatedFileError,
     UnknownKindError,
@@ -392,6 +396,92 @@ class TestStoredRows:
         assert build_peak <= 2 * rows.nbytes
         assert load_peak <= 4 * rows.nbytes
 
+    def test_build_save_and_load_copy_no_matrix(self, tmp_path):
+        # Building from records holds the float32 matrix and one float64 row
+        # block, saving writes the matrix as it is, and loading holds the
+        # file bytes and the caption objects.
+        captions = sample_captions(20_000)
+        rows = unit_rows(20_000, 128, seed=4)
+        records = [(c.id, EmbeddingVector(row, normalized=True)) for c, row in zip(captions, rows)]
+
+        def peak(call):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            index, build_peak = peak(lambda: build_index_from_records(captions, records))
+            _, save_peak = peak(lambda: save_index(index, tmp_path / "big.f4i"))
+            del index
+            _, load_peak = peak(lambda: load_index(tmp_path / "big.f4i"))
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 1.5 * rows.nbytes
+        assert save_peak <= 0.5 * rows.nbytes
+        assert load_peak <= 2 * rows.nbytes
+
+    def test_constructor_copies_the_callers_rows(self):
+        captions = tuple(sample_captions(3))
+        rows = unit_rows(3, 4, seed=5)
+        read_only = rows.view()
+        read_only.flags.writeable = False
+        want = rows.tobytes()
+        indexes = [CaptionIndex(captions, given, "dense", "f") for given in (rows, read_only)]
+        rows *= -1
+        assert [index.embeddings.tobytes() for index in indexes] == [want, want]
+
+
+@pytest.mark.parametrize("residue", range(4))
+class TestFloatBlockOffsets:
+    @staticmethod
+    def saved(path, residue):
+        """Save a two-row index whose float block starts at ``residue`` mod 4."""
+        # Header 19 bytes, captions 2 * 7 + 8 bytes before the padding "s".
+        text = "bean" + "s" * ((residue - 41) % 4)
+        captions = (Caption("a", "rice", "dense"), Caption("b", text, "dense"))
+        index = CaptionIndex(captions, unit_rows(2, 8, seed=residue), "dense", "f")
+        save_index(index, path)
+        data = path.read_bytes()
+        assert (len(data) - index.embeddings.nbytes - 5) % 4 == residue
+        return index, data
+
+    def test_loaded_rows_are_aligned_and_read_only(self, tmp_path, residue):
+        index, data = self.saved(tmp_path / "x.f4i", residue)
+        back = load_index(tmp_path / "x.f4i")
+        assert back.embeddings.tobytes() == index.embeddings.tobytes()
+        assert back.embeddings.ctypes.data % 4096 == 0
+        assert not back.embeddings.flags.writeable
+        save_index(back, tmp_path / "y.f4i")
+        assert (tmp_path / "y.f4i").read_bytes() == data
+
+    def test_one_byte_short_is_truncated(self, tmp_path, residue):
+        path = tmp_path / "x.f4i"
+        _, data = self.saved(path, residue)
+        path.write_bytes(data[:-1])
+        message = f"{path}: 1 bytes needed at byte {len(data) - 1}, too few left"
+        with pytest.raises(TruncatedFileError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+
+def test_saved_bytes_match_pinned_digests(tmp_path):
+    # Rows are float literals and the captions fixed strings, so no
+    # arithmetic that could differ between hosts feeds the saved bytes.
+    rows = list(dict.fromkeys(itertools.permutations((0.6, -0.8, 0.0, 0.0))))
+    rows += list(itertools.product((0.5, -0.5), repeat=4))
+    captions = [
+        Caption(f"cap-{j:02d}-é", f"plat n° {j}: riz, haricots 🍚", "dense") for j in range(len(rows))
+    ]
+    records = [(c.id, EmbeddingVector(np.array(r), normalized=True)) for c, r in zip(captions, rows)]
+    save_index(build_index_from_records(captions, records), tmp_path / "g.f4i")
+    write_embedding_file(records, tmp_path / "g.f4e")
+    digests = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in ("g.f4i", "g.f4e")}
+    assert digests == {
+        "g.f4i": "24e5ff40f789b4e3ca8a31a08024374035521dd742cc5e19b45af3321303cc25",
+        "g.f4e": "9ebabbd658ec8972a9cab6a9a16b4b169080380a1eadf1b7c2bc979e38a3822c",
+    }
+
 
 def _jsonl(tmp_path, line):
     path = tmp_path / "caps.jsonl"
@@ -411,8 +501,13 @@ def _jsonl(tmp_path, line):
         (lambda tmp_path: CaptionIndex((Caption("a", "rice", "dense"),), unit_rows(2, 2, seed=0),
                                        "dense", "f"),
          ValueError, "embedding matrix must have one row per caption"),
+        (lambda tmp_path: build_index_from_records(
+            [Caption(cid, "rice", "dense") for cid in "abc"],
+            [("a", unit([1.0, 0.0])), ("b", unit([0.0, 1.0])), ("c", unit([1.0, 0.0, 0.0]))]),
+         MixedDimsError, "caption 'c' has a dim-3 record, not dim 2"),
     ],
-    ids=["line-not-object", "empty-id", "no-captions-from-records", "row-count-differs"],
+    ids=["line-not-object", "empty-id", "no-captions-from-records", "row-count-differs",
+         "mixed-record-dims"],
 )
 def test_guard_raises(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
