@@ -196,10 +196,14 @@ def cmd_evaluate(index_path, bundles_path, embeddings_path, w_text, text_source,
 @click.option("--grid-step", default=None, type=float, help="Step size for a uniform grid over [0, 1].")
 @click.option("--metric", type=click.Choice(["recall_at_1", "recall_at_5", "mean_ap"]), default="recall_at_1", show_default=True)
 @click.option("--text-source", type=click.Choice(["dense", "sparse"]), default="dense", show_default=True)
+@click.option("--bidirectional", is_flag=True)
+@click.option("--index-w-text", default=0.7, show_default=True)
+@click.option("--rerank", "do_rerank", is_flag=True)
+@click.option("--n", "pool_size", default=None, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @_runtime_errors
 def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, metric,
-              text_source, out_path):
+              text_source, bidirectional, index_w_text, do_rerank, pool_size, out_path):
     """Evaluate across a text-weight grid and write a plot-ready CSV."""
     if grid_text is not None:
         grid = [float(x) for x in grid_text.split(",") if x.strip()]
@@ -215,7 +219,7 @@ def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, m
 
     index = load_index(index_path)
     bundles = load_bundles(bundles_path, embeddings_path)
-    config = _eval_config(index, 0.3, 0.7, text_source, False, False, None)
+    config = _eval_config(index, 0.3, index_w_text, text_source, bidirectional, do_rerank, pool_size)
     sweep = sweep_fusion_weight(bundles, index, grid, config, metric=metric)
     write_sweep(sweep, out_path)
     peak_w, peak_v = sweep.peak()

@@ -18,8 +18,10 @@ re-ranking the sparse text's item phrases) with one encoder call, so a
 remote encoder sends them in batches over one connection, and a sweep
 encodes once for its whole grid. Scoring then runs the private cores of the
 per-bundle search functions on float64 arrays and index rows, so it builds
-no ``RankedList`` and no ``EmbeddingVector``. An encoder returns each text's
-vector independently of the rest of its batch, so the reports are
+no ``RankedList`` and no ``EmbeddingVector``. Each bundle runs every point
+of a sweep in turn; re-ranking counts its ranks from each point's pool, and
+one float32 screen serves the bundle's whole grid. An encoder returns each
+text's vector independently of the rest of its batch, so the reports are
 byte-identical to encoding one bundle at a time.
 """
 
@@ -41,7 +43,7 @@ from .errors import (
     UnknownCandidateIdError,
 )
 from .index import CaptionIndex, read_jsonl
-from .rerank import _retrieve_and_rerank, default_pool_size
+from .rerank import _rerank_ranks, default_pool_size
 from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _encode_bundles, _gt_ranks
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
@@ -180,54 +182,53 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
 
 
 def _evaluate_bundle(
-    bundle: QueryBundle, index: CaptionIndex, config: EvalConfig, encoded: Encoded
-) -> QueryOutcome:
+    bundle: QueryBundle, index: CaptionIndex, points: Sequence[EvalConfig], encoded: Encoded
+) -> list[QueryOutcome]:
+    """The bundle's outcome at each of ``points``, configs that differ only in their weights."""
     e_text, items = encoded
     gt_rows = [index.row_of(cid) for cid in set(bundle.gt_caption_ids)]
     k_q = len(gt_rows)
     e_img = bundle.e_img.values
-    query = e_img if e_text is None else _fused(e_img, e_text, config.weights)
+    queries = [e_img if e_text is None else _fused(e_img, e_text, p.weights) for p in points]
+    config = points[0]
     if config.rerank:
         k_out = max(5, k_q)
         pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-        rows, _ = _retrieve_and_rerank(query, index, items, pool, k_out)
-        ranks = [r for r, row in enumerate(rows.tolist(), start=1) if row in gt_rows]
+        per_point = _rerank_ranks(queries, index, items, pool, k_out, gt_rows)
     else:
         # The metrics read only where the ground truth lands, so count its
         # ranks from the screen instead of ranking every row.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
-        ranks = _gt_ranks(query, e_img, index, w_index, gt_rows)
+        per_point = [_gt_ranks(query, e_img, index, w_index, gt_rows) for query in queries]
 
-    gt_rank = ranks[0] if ranks else None
-    ap = None
-    if index.kind == "sparse":
-        ap = _ap_from_ranks([r for r in ranks if r <= k_q], k_q)
-    return QueryOutcome(
-        image_id=bundle.image_id,
-        k=k_q,
-        gt_rank=gt_rank,
-        ap=ap,
-        hit_at_1=int(gt_rank is not None and gt_rank <= 1),
-        hit_at_5=int(gt_rank is not None and gt_rank <= 5),
-    )
+    outcomes = []
+    for ranks in per_point:
+        gt_rank = ranks[0] if ranks else None
+        ap = _ap_from_ranks([r for r in ranks if r <= k_q], k_q) if index.kind == "sparse" else None
+        hit_at_1 = int(gt_rank is not None and gt_rank <= 1)
+        hit_at_5 = int(gt_rank is not None and gt_rank <= 5)
+        outcomes.append(QueryOutcome(bundle.image_id, k_q, gt_rank, ap, hit_at_1, hit_at_5))
+    return outcomes
 
 
 def _evaluate(
     bundles: Sequence[QueryBundle],
     index: CaptionIndex,
-    config: EvalConfig,
+    points: Sequence[EvalConfig],
     encoded: Sequence[Encoded],
     corpus_name: str,
-) -> EvalReport:
-    """Score already-checked and encoded bundles and aggregate the metrics."""
-    outcomes = tuple(_evaluate_bundle(b, index, config, e) for b, e in zip(bundles, encoded))
-
-    n = len(outcomes)
-    r1 = sum(o.hit_at_1 for o in outcomes) / n
-    r5 = sum(o.hit_at_5 for o in outcomes) / n
-    aps = [o.ap for o in outcomes if o.ap is not None]
-    mean_ap = sum(aps) / len(aps) if aps else None
-    return EvalReport(corpus_name, config.as_dict(), r1, r5, mean_ap, outcomes)
+) -> list[EvalReport]:
+    """One report per point for checked and encoded bundles; each bundle runs every point."""
+    per_bundle = [_evaluate_bundle(b, index, points, e) for b, e in zip(bundles, encoded)]
+    reports = []
+    for config, outcomes in zip(points, zip(*per_bundle)):
+        n = len(outcomes)
+        r1 = sum(o.hit_at_1 for o in outcomes) / n
+        r5 = sum(o.hit_at_5 for o in outcomes) / n
+        aps = [o.ap for o in outcomes if o.ap is not None]
+        mean_ap = sum(aps) / len(aps) if aps else None
+        reports.append(EvalReport(corpus_name, config.as_dict(), r1, r5, mean_ap, outcomes))
+    return reports
 
 
 def evaluate_corpus(
@@ -246,7 +247,7 @@ def evaluate_corpus(
     _check_config(bundles, index, config)
     fuse_text = config.weights.w_text > 0.0
     encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
-    return _evaluate(bundles, index, config, encoded, corpus_name)
+    return _evaluate(bundles, index, [config], encoded, corpus_name)[0]
 
 
 def sweep_fusion_weight(
@@ -256,9 +257,9 @@ def sweep_fusion_weight(
     config: EvalConfig,
     metric: str = "recall_at_1",
 ) -> SweepResult:
-    """Evaluate the corpus once per grid point with weights (1 - g, g).
+    """Evaluate the corpus at each grid point with weights (1 - g, g).
 
-    The texts of the whole grid are encoded once, before the first point.
+    The texts of the whole grid are encoded once, and each bundle then runs the whole grid.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
@@ -268,16 +269,14 @@ def sweep_fusion_weight(
         raise ValueError(f"unknown sweep metric {metric!r}")
 
     _check_config(bundles, index, config)
+    if metric == "mean_ap" and index.kind != "sparse":
+        raise ConfigConflictError(f"metric {metric} unavailable on a dense index")
     points = [replace(config, weights=FusionWeights(1.0 - g, g)) for g in grid]
     fuse_text = any(p.weights.w_text > 0.0 for p in points)
     encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
-    values = []
-    for point in points:
-        value = getattr(_evaluate(bundles, index, point, encoded, "corpus"), metric)
-        if value is None:
-            raise ConfigConflictError(f"metric {metric} unavailable on a dense index")
-        values.append(float(value))
-    return SweepResult(tuple(float(g) for g in grid), tuple(values), metric)
+    reports = _evaluate(bundles, index, points, encoded, "corpus")
+    values = tuple(float(getattr(r, metric)) for r in reports)
+    return SweepResult(tuple(float(g) for g in grid), values, metric)
 
 
 def render_report(report: EvalReport, fmt: str = "json") -> str:

@@ -22,6 +22,7 @@ from .search import (
     QueryBundle,
     RankedList,
     _encode_bundles,
+    _pools,
     _rank,
     _ranked_list,
     _topk,
@@ -40,16 +41,45 @@ def default_pool_size(k: int) -> int:
     return max(DEFAULT_POOL_FLOOR, DEFAULT_POOL_FACTOR * k)
 
 
-def _rerank(index: "CaptionIndex", rows, items: np.ndarray, k: int):
-    """``_rank`` of the index ``rows`` by max cosine with any row of ``items``, cut to k.
+def _max_sim(index: "CaptionIndex", rows, items: np.ndarray) -> np.ndarray:
+    """Raw max cosine of each index row in ``rows`` with any row of ``items``.
 
     ``items`` stacks the unit vectors of the item phrases, one per row.
     """
     cand_matrix = index.embeddings[rows].astype(np.float64)
-    # einsum keeps each (candidate, item) dot independent of matrix layout,
-    # so the max is bitwise stable under item permutations.
-    max_sim = np.einsum("ij,kj->ik", cand_matrix, items).max(axis=1)
-    return _rank(index, max_sim, k, rows)
+    # einsum keeps each (candidate, item) dot independent of matrix layout
+    # and of the other rows, so the max is bitwise stable under item
+    # permutations and row subsets.
+    return np.einsum("ij,kj->ik", cand_matrix, items).max(axis=1)
+
+
+def _rerank(index: "CaptionIndex", rows, items: np.ndarray, k: int):
+    """``_rank`` of the index ``rows`` by ``_max_sim``, cut to k."""
+    return _rank(index, _max_sim(index, rows, items), k, rows)
+
+
+def _rerank_ranks(queries, index: "CaptionIndex", items, pool: int, k_out: int, gt_rows) -> list[list[int]]:
+    """Per query, the ascending ranks of ``gt_rows`` in ``_rerank`` of its top ``pool`` rows.
+
+    Ranks above ``k_out`` are dropped, and no ranking is built. Only the
+    set of a query's pool matters (``search._pools``): ``_rank``
+    orders it by clamped ``_max_sim``, then caption id, so a pool row's
+    rank is 1 plus the pool rows ahead of it in that order. ``_max_sim``
+    runs once, over the rows in any pool, since a row's bits do not depend
+    on the other rows scored.
+    """
+    rows, in_pool = _pools(queries, index, pool)
+    pooled = in_pool.any(axis=1)
+    rows, in_pool = rows[pooled], in_pool[pooled]
+    max_sim = _max_sim(index, rows, items).clip(-1.0, 1.0)
+    # Rows are in caption-id order, so a smaller position is a smaller id.
+    at = np.flatnonzero(np.isin(rows, gt_rows))
+    own = max_sim[at, None]
+    ahead = (max_sim > own) | ((max_sim == own) & (np.arange(len(rows)) < at[:, None]))
+    ranks = 1 + ahead.astype(np.intp) @ in_pool
+    kept = in_pool[at] & (ranks <= k_out)
+    columns = zip(ranks.T.tolist(), kept.T.tolist())
+    return [sorted(r for r, keep in zip(*column) if keep) for column in columns]
 
 
 def rerank(
@@ -76,12 +106,6 @@ def rerank(
     return _ranked_list(index, *ranked, candidates.k, STAGE_RERANKED)
 
 
-def _retrieve_and_rerank(query: np.ndarray, index: "CaptionIndex", items, N: int, k: int):
-    """``_rerank`` of the top-N rows for ``query`` by the item matrix, cut to top-k."""
-    rows, _ = _topk(query, None, index, _UNIDIRECTIONAL, N)
-    return _rerank(index, rows, items, k)
-
-
 def retrieve_and_rerank(
     bundle: QueryBundle,
     index: "CaptionIndex",
@@ -103,5 +127,6 @@ def retrieve_and_rerank(
         raise ValueError(f"initial pool N={N} must be >= k={k}")
     ((e_text, items),) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
     query = bundle.e_img.values if e_text is None else _fused(bundle.e_img.values, e_text, w)
-    ranked = _retrieve_and_rerank(query, index, items, N, k)
+    rows, _ = _topk(query, None, index, _UNIDIRECTIONAL, N)
+    ranked = _rerank(index, rows, items, k)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

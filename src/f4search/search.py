@@ -21,7 +21,8 @@ keeps around the k-th bound. Only the public functions turn rows into a
 ``RankedList`` (``_ranked_list``). Evaluation needs only where the
 ground-truth rows land: ``_gt_ranks`` counts each one's rank from the same
 bounds, re-scoring only the rows they leave undecided, with the same clamp
-and id tie-break.
+and id tie-break. A re-ranked evaluation needs only the set of each
+query's top N: ``_pools`` screens a bundle's whole weight grid at once.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
@@ -262,14 +263,21 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     the k-th largest screen score, and a row with cheap < fl(m - delta) has
     an exact score below m, since that rounding moves the threshold by less
     than the 2^-41 that delta spares.
+
+    With a scalar delta, ``cheap`` may also be an (n, G) screen of G
+    queries. The result is then the union of the columns' bands, or None
+    when any column's lam is at most -1. A row outside column j's band
+    clamps strictly below column j's k-th clamped exact score, so scoring
+    the other columns' rows as well never changes column j's top k.
     """
     n = cheap.shape[0]
     if np.ndim(delta) == 0:
-        lam = float(np.partition(cheap, n - k)[n - k]) - delta
-        if lam <= -1.0:
+        lam = np.partition(cheap, n - k, axis=0)[n - k].astype(np.float64) - delta
+        if np.any(lam <= -1.0):
             return None
         # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
-        return np.flatnonzero(cheap >= np.float64(min(lam, 1.0) - delta))
+        keep = cheap >= np.minimum(lam, 1.0) - delta
+        return np.flatnonzero(keep if keep.ndim == 1 else keep.any(axis=1))
     lower = _lower_bounds(cheap, delta)
     lower.partition(n - k)
     lam = float(lower[n - k])
@@ -378,6 +386,34 @@ def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeight
     q, qnorm = _query_direction(query, index)
     rows = _band(*_screen(q, qnorm, e_img, index, w_index), k) if k < len(index) else None
     return _rank(index, _scores(q, qnorm, e_img, index, w_index, rows), k, rows)
+
+
+def _pools(queries: Sequence[np.ndarray], index: "CaptionIndex", k: int):
+    """The sets of rows that ``_topk`` at ``_UNIDIRECTIONAL`` keeps for each query.
+
+    Returns ``rows``, index rows in caption-id order, and a
+    (len(rows), len(queries)) mask whose column j marks query j's top k.
+    Below a full ranking, one float32 GEMM screens every query's unit
+    direction; ``_screen_delta`` bounds each column as it bounds
+    ``_screen``'s mat-vec, since its proof holds for any summation order.
+    Only the union of the columns' bands (``_band``) is re-scored, and a
+    tie at a column's k-th clamped score is filled in id order, as in ``_rank``.
+    """
+    directions = [_query_direction(q, index) for q in queries]
+    rows = None
+    if k < len(index):
+        # C order: an F-ordered (d, G) operand makes the GEMM several times slower.
+        units = np.stack([q / qnorm for q, qnorm in directions], axis=1).astype(np.float32)
+        rows = _band(index.embeddings @ units, _screen_delta(index.dim), k)
+    rows = np.argsort(index._id_rank) if rows is None else rows[np.argsort(index._id_rank[rows])]
+    block = index.embeddings[rows]
+    scores = np.stack([_cosines(block, q, qnorm) for q, qnorm in directions], axis=1).clip(-1.0, 1.0)
+    # At k >= len(rows) the k-th score is the least one, and every row fits.
+    cut = max(len(rows) - k, 0)
+    kth = np.partition(scores, cut, axis=0)[cut]
+    above, tied = scores > kth, scores == kth
+    free = k - np.count_nonzero(above, axis=0)
+    return rows, above | (tied & (np.cumsum(tied, axis=0) <= free))
 
 
 def _gt_ranks(

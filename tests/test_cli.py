@@ -517,6 +517,74 @@ class TestSweep:
         peak = result.output.split("peak w_text=")[1].split()[0]
         assert peak in ("0.2", "0.3")
 
+    @pytest.mark.parametrize("pool", [[], ["--n", "10"]], ids=["default-pool", "pool-10"])
+    def test_rerank_values_equal_evaluate_at_each_weight(
+        self, runner, corpus_dir, items_index_path, tmp_path, pool
+    ):
+        data = [
+            "--index", str(items_index_path),
+            "--bundles", str(corpus_dir / "bundles_items.jsonl"),
+            "--image-embeddings", str(corpus_dir / "images.f4e"),
+            "--text-source", "sparse",
+            "--rerank", *pool,
+        ]
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(
+            main, ["sweep", *data, "--grid-step", "0.25", "--metric", "mean_ap", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [g for g, _ in rows] == ["0.0", "0.25", "0.5", "0.75", "1.0"]
+        for g, value in rows:
+            report = tmp_path / f"report-{g}.json"
+            result = runner.invoke(main, ["evaluate", *data, "--w-text", g, "--out", str(report)])
+            assert result.exit_code == 0, result.output
+            assert float(value) == json.loads(report.read_text())["mean_ap"]
+
+    @pytest.mark.parametrize(
+        "index_fixture, flags, message",
+        [
+            ("items_index_path", ["--rerank", "--bidirectional"], "uni-directional initial retrieval"),
+            ("dense_index_path", ["--rerank"], "requires a sparse caption index"),
+            ("items_index_path", ["--rerank", "--n", "-5"], "re-rank pool -5"),
+        ],
+        ids=["rerank-bidirectional", "rerank-dense-index", "pool-below-the-cut"],
+    )
+    def test_conflicts_exit_one(self, runner, corpus_dir, tmp_path, request, index_fixture, flags, message):
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                "--index", str(request.getfixturevalue(index_fixture)),
+                "--bundles", str(corpus_dir / "bundles_items.jsonl"),
+                "--image-embeddings", str(corpus_dir / "images.f4e"),
+                "--text-source", "sparse",
+                "--grid-step", "0.5",
+                "--out", str(tmp_path / "s.csv"),
+                *flags,
+            ],
+        )
+        assert result.exit_code == 1
+        assert message in result.output
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_bidirectional_values_equal_evaluate(self, runner, corpus_dir, dense_index_path, tmp_path):
+        data = [
+            "--index", str(dense_index_path),
+            "--bundles", str(corpus_dir / "bundles.jsonl"),
+            "--image-embeddings", str(corpus_dir / "images.f4e"),
+            "--bidirectional", "--index-w-text", "0.6",
+        ]
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, ["sweep", *data, "--grid", "0,0.4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        for line in out.read_text().splitlines()[1:]:
+            g, value = line.split(",")
+            report = tmp_path / f"report-{g}.json"
+            result = runner.invoke(main, ["evaluate", *data, "--w-text", g, "--out", str(report)])
+            assert result.exit_code == 0, result.output
+            assert float(value) == json.loads(report.read_text())["recall_at_1"]
+
 
 @pytest.mark.parametrize(
     "args, exit_code, message",

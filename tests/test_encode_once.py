@@ -179,6 +179,14 @@ class TestErrorOrder:
             sweep_fusion_weight(bundles, index, GRID, config)
         assert sent(embed_stub) == (0, 0)
 
+    def test_map_on_dense_index_raises_before_any_request(self, corpus, synthetic_spec, embed_stub):
+        index, bundles = corpus
+        dense = build_index([Caption(c.id, c.text, "dense") for c in index.captions], synthetic_spec)
+        config = EvalConfig(encoder=embed_stub.remote, **MODES["fused"])
+        with pytest.raises(ConfigConflictError, match="^metric mean_ap unavailable on a dense index$"):
+            sweep_fusion_weight(bundles, dense, GRID, config, "mean_ap")
+        assert sent(embed_stub) == (0, 0)
+
     @pytest.mark.parametrize(
         "mode, field, text",
         [("fused", "dense", "!!! ..."), ("rerank", "sparse", "herb01, ???")],

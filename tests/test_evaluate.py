@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import threading
 from dataclasses import replace
 
@@ -282,12 +283,14 @@ class TestEvaluateCorpus:
         assert [o.gt_rank for o in a.per_query] == [o.gt_rank for o in b.per_query]
 
 
-def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6):
+def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6, item_rows=False):
     """Bundles whose ground truth sits among exact ties and clamped scores.
 
     Every bundle adds, next to random rows: near-duplicates of its image and
     of its fused query (cosines that can round above 1.0 and clamp to a tie),
     two exact copies of one image near-duplicate and three of a random row.
+    With ``item_rows``, it also adds three near-duplicates of its sparse
+    text's vector, whose re-rank similarities can clamp to a tie at 1.0.
     Ids are shuffled against row order, so a row-order tie-break gives
     different ranks than the id order.
     """
@@ -304,6 +307,9 @@ def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6):
         rows += [e_img.values + 1e-8 * rng.standard_normal(dim) for _ in range(2)]
         rows += [fused + 1e-8 * rng.standard_normal(dim) for _ in range(2)]
         rows += [rows[first]] * 2 + [rows[int(rng.integers(n_random))]] * 3
+        if item_rows:
+            item = encode_text_synthetic(bundle.sparse_pred_text, spec).values
+            rows += [item + 1e-8 * rng.standard_normal(dim) for _ in range(3)]
         special = list(range(first, len(rows)))
         candidates = special + rng.choice(n_random, size=3, replace=False).tolist()
         gt_rows = rng.choice(candidates, size=1 + j % 5, replace=False).tolist()
@@ -322,12 +328,17 @@ def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6):
     return spec, index, bundles
 
 
-def full_ranking_outcome(bundle, index, config, encoded=None):
-    """The outcome read off a complete ranking with the public metrics.
+def full_ranking_outcome(bundle, index, points, encoded=None):
+    """A stand-in for ``evaluate._evaluate_bundle`` built on complete rankings.
 
     The public per-bundle functions encode their own texts, so the
     pre-encoded vectors are ignored.
     """
+    return [_full_ranking_outcome(bundle, index, config) for config in points]
+
+
+def _full_ranking_outcome(bundle, index, config):
+    """The outcome at one config, read off a complete ranking with the public metrics."""
     if config.rerank:
         k_out = max(5, len(set(bundle.gt_caption_ids)))
         ranked = retrieve_and_rerank(
@@ -415,6 +426,74 @@ class TestCountedOutcome:
                     by_id = int(np.count_nonzero(index._id_rank[tied] < index._id_rank[row]))
                     tie_broken |= by_row != by_id
         assert clamped and tie_broken
+
+
+GRID = [i / 10 for i in range(11)]
+METRICS = ("recall_at_1", "recall_at_5", "mean_ap")
+
+
+def pool_of(pool, index):
+    return {"n-1": len(index) - 1, "n": len(index), "above-n": len(index) + 6}.get(pool, pool)
+
+
+class TestRerankSweep:
+    """A re-rank sweep scores each bundle's grid at once; it equals per-point public rankings."""
+
+    @pytest.mark.parametrize("pool", [5, 7, 20, 50, "n-1", "n", "above-n"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_point_full_ranking(self, seed, pool, monkeypatch):
+        spec, index, bundles = tie_corpus(seed, "sparse", item_rows=seed % 2 == 1)
+        config = EvalConfig(
+            encoder=spec, rerank=True, text_source="sparse", pool_size=pool_of(pool, index)
+        )
+        swept = {m: sweep_fusion_weight(bundles, index, GRID, config, m).values for m in METRICS}
+        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        reports = [
+            evaluate_corpus(bundles, index, replace(config, weights=FusionWeights(1.0 - g, g)))
+            for g in GRID
+        ]
+        for m in METRICS:
+            assert swept[m] == tuple(float(getattr(r, m)) for r in reports)
+
+    def test_corpus_ties_at_the_pool_cut(self):
+        # Guard the fixture: at some point, rows tied at the N-th clamped
+        # stage-1 score overflow the pool, so the id order picks its members.
+        overflows = 0
+        for seed in range(3):
+            spec, index, bundles = tie_corpus(seed, "sparse")
+            for b in bundles:
+                e_text = encode_text_synthetic(b.sparse_pred_text, spec).values
+                for g in GRID:
+                    query = evaluate._fused(b.e_img.values, e_text, FusionWeights(1.0 - g, g))
+                    direction = search._query_direction(query, index)
+                    scores = np.clip(search._cosines(index.embeddings, *direction), -1.0, 1.0)
+                    for pool in (5, 7, 20):
+                        nth = np.sort(scores)[-pool]
+                        overflows += int(np.count_nonzero(scores >= nth) > pool)
+        assert overflows > 0
+
+    def test_corpus_has_clamped_item_similarities(self):
+        # Guard the fixture: item rows re-rank above 1.0 before clamping.
+        spec, index, bundles = tie_corpus(1, "sparse", item_rows=True)
+        items = np.stack([encode_text_synthetic(b.sparse_pred_text, spec).values for b in bundles])
+        max_sim = sys.modules["f4search.rerank"]._max_sim(index, np.arange(len(index)), items)
+        assert np.count_nonzero(max_sim > 1.0) >= 2
+
+    def test_ranks_nothing(self, monkeypatch):
+        spec, index, bundles = tie_corpus(0, "sparse")
+        config = EvalConfig(encoder=spec, rerank=True, text_source="sparse", pool_size=20)
+
+        def refuse(*args):
+            raise AssertionError("ranked rows")
+
+        # ``f4search.rerank`` is also the name of the public function.
+        monkeypatch.setattr(sys.modules["f4search.rerank"], "_rerank", refuse)
+        monkeypatch.setattr(search, "_rank", refuse)
+        sweep_fusion_weight(bundles, index, GRID, config, "mean_ap")
+        evaluate_corpus(bundles, index, config)
+        # The patches do reach the public ordered path.
+        with pytest.raises(AssertionError, match="ranked rows"):
+            retrieve_and_rerank(bundles[0], index, N=20, encoder=spec)
 
 
 class TestSweep:

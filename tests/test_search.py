@@ -444,6 +444,31 @@ class TestScreen:
                 sub = search._cosines(embeddings, q, qnorm, rows)
                 assert sub.view(np.uint64).tolist() == full[rows].view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("k", [1, 5, 37])
+    def test_grid_band_is_the_union_of_column_bands(self, k):
+        delta = search._screen_delta(64)
+        widened = 0
+        for seed in range(5):
+            index, query = screen_case(64, seed)
+            rng = np.random.default_rng(seed)
+            units = [query.values, unit(query.values + 0.05 * rng.standard_normal(64)).values]
+            units += [unit(rng.standard_normal(64)).values for _ in range(2)]
+            cheap = index.embeddings @ np.stack(units, axis=1).astype(np.float32)
+            columns = [search._band(cheap[:, j], delta, k) for j in range(len(units))]
+            want = np.unique(np.concatenate(columns))
+            assert search._band(cheap, delta, k).tolist() == want.tolist()
+            widened += int(len(want) > max(len(c) for c in columns))
+        # Fixture guard: the columns' bands differ, so the union is wider.
+        assert widened > 0
+
+    def test_grid_band_collapses_with_any_column(self):
+        delta = search._screen_delta(8)
+        cheap = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 3)).astype(np.float32)
+        cheap[:, 1] = -1.0
+        assert search._band(cheap[:, 0], delta, 5) is not None
+        assert search._band(cheap[:, 1], delta, 5) is None
+        assert search._band(cheap, delta, 5) is None
+
     def test_band_stays_near_k(self):
         # A bound that silently widened to every row would stay exact but
         # lose the speed-up; noisy copies of rows re-score about k rows.
