@@ -18,9 +18,10 @@ re-ranking the sparse text's item phrases) with one encoder call, so a
 remote encoder sends them in batches over one connection, and a sweep
 encodes once for its whole grid. Scoring then runs the private cores of the
 per-bundle search functions on float64 arrays and index rows, so it builds
-no ``RankedList`` and no ``EmbeddingVector``. Each bundle runs every point
-of a sweep in turn; re-ranking counts its ranks from each point's pool, and
-one float32 screen serves the bundle's whole grid. An encoder returns each
+no ``RankedList`` and no ``EmbeddingVector``. Each bundle runs a sweep's
+whole grid at once: in every mode one float32 screen (``search._screen``)
+serves all of its points, and each point's ground-truth ranks are counted
+from it, from the point's pool when re-ranking. An encoder returns each
 text's vector independently of the rest of its batch, so the reports are
 byte-identical to encoding one bundle at a time.
 """
@@ -196,10 +197,9 @@ def _evaluate_bundle(
         pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
         per_point = _rerank_ranks(queries, index, items, pool, k_out, gt_rows)
     else:
-        # The metrics read only where the ground truth lands, so count its
-        # ranks from the screen instead of ranking every row.
+        # The metrics read only where the ground truth lands: count its ranks, rank no rows.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
-        per_point = [_gt_ranks(query, e_img, index, w_index, gt_rows) for query in queries]
+        per_point = _gt_ranks(queries, e_img, index, w_index, gt_rows)
 
     outcomes = []
     for ranks in per_point:
@@ -212,22 +212,21 @@ def _evaluate_bundle(
 
 
 def _evaluate(
-    bundles: Sequence[QueryBundle],
-    index: CaptionIndex,
-    points: Sequence[EvalConfig],
-    encoded: Sequence[Encoded],
-    corpus_name: str,
+    bundles: Sequence[QueryBundle], index: CaptionIndex, points: Sequence[EvalConfig], corpus_name: str
 ) -> list[EvalReport]:
-    """One report per point for checked and encoded bundles; each bundle runs every point."""
+    """One report per point for checked bundles; their texts are encoded once for every point."""
+    config = points[0]
+    fuse_text = any(p.weights.w_text > 0.0 for p in points)
+    encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
     per_bundle = [_evaluate_bundle(b, index, points, e) for b, e in zip(bundles, encoded)]
     reports = []
-    for config, outcomes in zip(points, zip(*per_bundle)):
+    for point, outcomes in zip(points, zip(*per_bundle)):
         n = len(outcomes)
         r1 = sum(o.hit_at_1 for o in outcomes) / n
         r5 = sum(o.hit_at_5 for o in outcomes) / n
         aps = [o.ap for o in outcomes if o.ap is not None]
         mean_ap = sum(aps) / len(aps) if aps else None
-        reports.append(EvalReport(corpus_name, config.as_dict(), r1, r5, mean_ap, outcomes))
+        reports.append(EvalReport(corpus_name, point.as_dict(), r1, r5, mean_ap, outcomes))
     return reports
 
 
@@ -245,9 +244,7 @@ def evaluate_corpus(
     inputs, so concurrent callers get the same bytes as a serial caller.
     """
     _check_config(bundles, index, config)
-    fuse_text = config.weights.w_text > 0.0
-    encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
-    return _evaluate(bundles, index, [config], encoded, corpus_name)[0]
+    return _evaluate(bundles, index, [config], corpus_name)[0]
 
 
 def sweep_fusion_weight(
@@ -272,9 +269,7 @@ def sweep_fusion_weight(
     if metric == "mean_ap" and index.kind != "sparse":
         raise ConfigConflictError(f"metric {metric} unavailable on a dense index")
     points = [replace(config, weights=FusionWeights(1.0 - g, g)) for g in grid]
-    fuse_text = any(p.weights.w_text > 0.0 for p in points)
-    encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
-    reports = _evaluate(bundles, index, points, encoded, "corpus")
+    reports = _evaluate(bundles, index, points, "corpus")
     values = tuple(float(getattr(r, metric)) for r in reports)
     return SweepResult(tuple(float(g) for g in grid), values, metric)
 

@@ -18,14 +18,12 @@ from .encoders import EncoderSpec, ParsedItems, _encode, parse_items
 from .errors import UnknownCandidateIdError
 from .search import (
     STAGE_RERANKED,
-    _UNIDIRECTIONAL,
     QueryBundle,
     RankedList,
     _encode_bundles,
     _pools,
     _rank,
     _ranked_list,
-    _topk,
 )
 from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
@@ -127,6 +125,6 @@ def retrieve_and_rerank(
         raise ValueError(f"initial pool N={N} must be >= k={k}")
     ((e_text, items),) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
     query = bundle.e_img.values if e_text is None else _fused(bundle.e_img.values, e_text, w)
-    rows, _ = _topk(query, None, index, _UNIDIRECTIONAL, N)
-    ranked = _rerank(index, rows, items, k)
+    rows, in_pool = _pools([query], index, N)
+    ranked = _rerank(index, rows[in_pool[:, 0]], items, k)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

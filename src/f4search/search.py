@@ -19,19 +19,19 @@ Every ranking (top-k, bi-directional, re-ranked) is ordered by one routine,
 ``_rank``, over index rows; ``_topk`` re-scores only the band that ``_band``
 keeps around the k-th bound. Only the public functions turn rows into a
 ``RankedList`` (``_ranked_list``). Evaluation needs only where the
-ground-truth rows land: ``_gt_ranks`` counts each one's rank from the same
-bounds, re-scoring only the rows they leave undecided, with the same clamp
-and id tie-break. A re-ranked evaluation needs only the set of each
-query's top N: ``_pools`` screens a bundle's whole weight grid at once.
+ground-truth rows land (``_gt_ranks`` counts each one's rank from the same
+bounds) or, re-ranked, each query's top-N set (``_pools``). Both take G
+queries and make one ``_screen`` for them, so every evaluation and sweep
+screens each bundle once for its whole weight grid, in every mode.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
 texts in ``_encode_bundles``, with one encoder call per search. Fusing
 index rows happens at scoring time, one block of rows at a time; the
-stored index is never mutated. The bi-directional screen takes its score
-from one float32 GEMM of the rows with the query and the image, and gives
-an infinite bound to every row whose fusion could collapse towards the
-zero vector, so the exact path still raises ``ZeroVectorError`` on it.
+stored index is never mutated. The bi-directional screen takes its scores
+from one float32 GEMM of the rows with the G queries and the image, with
+one per-row bound for all of them; it is infinite on every row whose fusion
+could collapse to zero, so the exact path still raises ``ZeroVectorError``.
 """
 
 from __future__ import annotations
@@ -241,10 +241,7 @@ def _lower_bounds(cheap: np.ndarray, delta) -> np.ndarray:
 
 
 def _upper_bounds(cheap: np.ndarray, delta) -> np.ndarray:
-    """Float64 U = cheap + delta, strictly above every row's exact score.
-
-    The proof is that of ``_lower_bounds``.
-    """
+    """Float64 U = cheap + delta, strictly above every row's exact score (see ``_lower_bounds``)."""
     return np.add(cheap, delta, dtype=np.float64)
 
 
@@ -264,47 +261,53 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     an exact score below m, since that rounding moves the threshold by less
     than the 2^-41 that delta spares.
 
-    With a scalar delta, ``cheap`` may also be an (n, G) screen of G
-    queries. The result is then the union of the columns' bands, or None
-    when any column's lam is at most -1. A row outside column j's band
+    ``cheap`` may also be an (n, G) screen of G queries, with delta a scalar
+    or an (n, 1) column: the result is the union of the columns' bands, or
+    None when any column's lam is at most -1. A row outside column j's band
     clamps strictly below column j's k-th clamped exact score, so scoring
     the other columns' rows as well never changes column j's top k.
     """
     n = cheap.shape[0]
-    if np.ndim(delta) == 0:
+    if np.isscalar(delta):
         lam = np.partition(cheap, n - k, axis=0)[n - k].astype(np.float64) - delta
         if np.any(lam <= -1.0):
             return None
         # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
         keep = cheap >= np.minimum(lam, 1.0) - delta
-        return np.flatnonzero(keep if keep.ndim == 1 else keep.any(axis=1))
-    lower = _lower_bounds(cheap, delta)
-    lower.partition(n - k)
-    lam = float(lower[n - k])
-    if lam <= -1.0:
-        return None
-    # Freed before U is made: two large temporaries alive at once cost
-    # fresh pages on every query.
-    del lower
-    return np.flatnonzero(_upper_bounds(cheap, delta) >= min(lam, 1.0))
+    else:
+        lower = _lower_bounds(cheap, delta)
+        lower.partition(n - k, axis=0)
+        lam = lower[n - k]
+        if np.any(lam <= -1.0):
+            return None
+        # Freed before U is made: two large temporaries alive at once cost
+        # fresh pages on every query.
+        del lower
+        keep = _upper_bounds(cheap, delta) >= np.minimum(lam, 1.0)
+    return np.flatnonzero(keep if keep.ndim == 1 else keep.any(axis=1))
 
 
-def _screen(q: np.ndarray, qnorm: float, e_img, index: "CaptionIndex", w_index: FusionWeights):
-    """Screen scores of every row and the bound delta on their distance from ``_scores``.
+def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
+    """An (n, G) screen of every row for G queries, and one bound delta on its distance from ``_scores``.
 
-    At ``w_img == 0`` one float32 mat-vec scores every row against the unit
-    direction q / qnorm, within the scalar ``_screen_delta`` of the exact
-    ``_cosines`` (the proof is there), so ``_band`` needs no float64 pass
-    over the rows.
+    ``directions`` are the queries' ``_query_direction`` pairs, and column j
+    belongs to query j. One float32 GEMM, whose (d, G) operand is C-ordered
+    (an F-ordered one is several times slower), serves every column, and
+    delta, a scalar or an (n, 1) column, bounds them all.
+
+    At ``w_img == 0`` the GEMM scores every row against the unit directions
+    q / qnorm, within the scalar ``_screen_delta`` of the exact ``_cosines``
+    (the proof is there), so ``_band`` needs no float64 pass over the rows.
 
     Otherwise, with a, b the index weights, p = e_img, c = qnorm and
-    q' = q / c, one float32 GEMM of the rows with [b q', 2ab p] gives
-    x_i ~ b r_i.q' and y_i ~ 2ab r_i.p, and the screen score is
+    q' = q / c, the GEMM of the rows with [b q'_1 ... b q'_G, 2ab p] gives
+    x_i ~ b r_i.q' per query and y_i ~ 2ab r_i.p, and the screen score is
 
         s_i = (a p.q' + x_i) / hi_i,  hi_i^2 = a^2 p.p + b^2 + y_i,
 
     taking |r_i|^2 = 1 from the unit-norm tolerance instead of a stored
-    norm. delta_i bounds |s_i - exact_i| a posteriori.
+    norm. delta_i bounds |s_i - exact_i| a posteriori. It does not depend
+    on the query, so it serves all G columns.
 
     Proof. Notation as in ``_screen_delta``, whose delta e bounds the error
     of a float32 screen of the unit direction; rows and p have norms in
@@ -347,16 +350,18 @@ def _screen(q: np.ndarray, qnorm: float, e_img, index: "CaptionIndex", w_index: 
     which the exact scan raises ZeroVectorError is re-scored, and the
     screened paths raise exactly when the full scan does.
     """
+    # Screening the unit directions keeps this valid at any query scale,
+    # even where q itself would overflow float32.
+    units = [q / qnorm for q, qnorm in directions]
     if w_index.w_img == 0.0:
-        # Screening the unit direction keeps this valid at any query scale,
-        # even where q itself would overflow float32.
-        return index.embeddings @ (q / qnorm).astype(np.float32), _screen_delta(index.dim)
-    a, b = w_index.w_img, w_index.w_text
-    p, unit_q = e_img, q / qnorm
-    columns = np.stack([b * unit_q, 2 * a * b * p], axis=1).astype(np.float32)
-    xy = (index.embeddings @ columns).astype(np.float64)
-    num = a * float(p @ unit_q) + xy[:, 0]
-    hi2 = (a * a * float(p @ p) + b * b) + xy[:, 1]
+        units32 = np.ascontiguousarray(np.array(units, dtype=np.float32).T)
+        return index.embeddings @ units32, _screen_delta(index.dim)
+    a, b, p = w_index.w_img, w_index.w_text, e_img
+    columns = np.array([b * u for u in units] + [2 * a * b * p], dtype=np.float32)
+    xy = (index.embeddings @ np.ascontiguousarray(columns.T)).T.astype(np.float64, order="C")
+    num = xy[:-1]  # one contiguous float64 row per query
+    num += a * (np.array(units) @ p)[:, None]
+    hi2 = (a * a * float(p @ p) + b * b) + xy[-1]
 
     v, tol, e = 2.0**-53, UNIT_NORM_TOL, _screen_delta(index.dim)
     g = (index.dim + 1) * v / (1 - (index.dim + 1) * v)
@@ -375,7 +380,8 @@ def _screen(q: np.ndarray, qnorm: float, e_img, index: "CaptionIndex", w_index: 
     inv_hi = 1.0 / np.sqrt(np.maximum(hi2, e_den))
     delta = inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0
     delta[hi2 < 2 * e_den] = np.inf
-    return num * inv_hi, delta
+    num *= inv_hi
+    return num.T, delta[:, None]
 
 
 def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
@@ -383,9 +389,9 @@ def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeight
 
     A full ranking computes no screen.
     """
-    q, qnorm = _query_direction(query, index)
-    rows = _band(*_screen(q, qnorm, e_img, index, w_index), k) if k < len(index) else None
-    return _rank(index, _scores(q, qnorm, e_img, index, w_index, rows), k, rows)
+    direction = _query_direction(query, index)
+    rows = _band(*_screen([direction], e_img, index, w_index), k) if k < len(index) else None
+    return _rank(index, _scores(*direction, e_img, index, w_index, rows), k, rows)
 
 
 def _pools(queries: Sequence[np.ndarray], index: "CaptionIndex", k: int):
@@ -393,18 +399,12 @@ def _pools(queries: Sequence[np.ndarray], index: "CaptionIndex", k: int):
 
     Returns ``rows``, index rows in caption-id order, and a
     (len(rows), len(queries)) mask whose column j marks query j's top k.
-    Below a full ranking, one float32 GEMM screens every query's unit
-    direction; ``_screen_delta`` bounds each column as it bounds
-    ``_screen``'s mat-vec, since its proof holds for any summation order.
-    Only the union of the columns' bands (``_band``) is re-scored, and a
-    tie at a column's k-th clamped score is filled in id order, as in ``_rank``.
+    Below a full ranking, one ``_screen`` serves every query. Only the
+    union of the columns' bands (``_band``) is re-scored, and a tie at a
+    column's k-th clamped score is filled in id order, as in ``_rank``.
     """
     directions = [_query_direction(q, index) for q in queries]
-    rows = None
-    if k < len(index):
-        # C order: an F-ordered (d, G) operand makes the GEMM several times slower.
-        units = np.stack([q / qnorm for q, qnorm in directions], axis=1).astype(np.float32)
-        rows = _band(index.embeddings @ units, _screen_delta(index.dim), k)
+    rows = _band(*_screen(directions, None, index, _UNIDIRECTIONAL), k) if k < len(index) else None
     rows = np.argsort(index._id_rank) if rows is None else rows[np.argsort(index._id_rank[rows])]
     block = index.embeddings[rows]
     scores = np.stack([_cosines(block, q, qnorm) for q, qnorm in directions], axis=1).clip(-1.0, 1.0)
@@ -417,38 +417,44 @@ def _pools(queries: Sequence[np.ndarray], index: "CaptionIndex", k: int):
 
 
 def _gt_ranks(
-    query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, rows: list[int]
-) -> list[int]:
-    """Ascending 1-based ranks that ``_rank`` would give the given rows by ``_scores``.
+    queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights,
+    rows: list[int],
+) -> list[list[int]]:
+    """Per query, the ascending 1-based ranks that ``_rank`` would give ``rows`` by ``_scores``.
 
     A row's rank is one plus the rows with a higher clamped exact score plus
     the rows tied with it whose caption id sorts first, so no ranking is
-    built. ``_screen``'s scores and delta bound every row's exact score as
-    in ``_lower_bounds``. With c a ground-truth row's clamped exact score, a
-    row with L > c scores above c and, when c < 1, clamps above it; a row
-    with U < c clamps below c when c > -1. Only the other rows, which
-    include the ground-truth row itself, are scored exactly and compared
-    with the id tie-break; where delta is infinite that is the full exact
-    scan. The ground-truth rows are scored together; the counting runs per
-    row, since a query has few of them and broadcasting costs more calls
-    than it saves at small indexes.
+    built. One ``_screen`` serves every query, and its scores and delta give
+    every row's bounds L and U (``_lower_bounds``) once. With c a
+    ground-truth row's clamped exact score, a row with L > c scores above c
+    and, when c < 1, clamps above it; a row with U < c clamps below c when
+    c > -1. Only the other rows, which include the ground-truth row itself,
+    are scored exactly and compared with the id tie-break; where delta is
+    infinite that is the full exact scan. A query's ground-truth rows are
+    scored together; the counting runs per row, since a query has few of
+    them and broadcasting costs more calls than it saves at small indexes.
     """
-    q, qnorm = _query_direction(query, index)
-    cheap, delta = _screen(q, qnorm, e_img, index, w_index)
-    scores = _scores(q, qnorm, e_img, index, w_index, np.asarray(rows, dtype=np.intp))
-    scores = scores.clip(-1.0, 1.0)
-    ranks = []
-    for row, c in zip(rows, scores.tolist()):
-        not_above = _lower_bounds(cheap, delta) <= (c if c < 1.0 else np.inf)
-        undecided = not_above & (_upper_bounds(cheap, delta) >= (c if c > -1.0 else -np.inf))
-        band = np.flatnonzero(undecided)
-        rank = 1 + len(cheap) - int(np.count_nonzero(not_above))
-        if len(band) > 1:  # more than the row itself
-            s = _scores(q, qnorm, e_img, index, w_index, band).clip(-1.0, 1.0)
-            ids = index._id_rank[band]
-            rank += int(np.count_nonzero((s > c) | ((s == c) & (ids < index._id_rank[row]))))
-        ranks.append(rank)
-    return sorted(ranks)
+    directions = [_query_direction(q, index) for q in queries]
+    cheap, delta = _screen(directions, e_img, index, w_index)
+    delta = delta if np.isscalar(delta) else delta[:, 0]  # to match one column of the screen
+    per_query = []
+    for (q, qnorm), column in zip(directions, cheap.T):
+        scores = _scores(q, qnorm, e_img, index, w_index, np.asarray(rows, dtype=np.intp))
+        column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
+        low, up = _lower_bounds(column, delta), _upper_bounds(column, delta)
+        ranks = []
+        for row, c in zip(rows, scores.clip(-1.0, 1.0).tolist()):
+            not_above = low <= (c if c < 1.0 else np.inf)
+            undecided = not_above & (up >= (c if c > -1.0 else -np.inf))
+            rank = 1 + len(low) - int(np.count_nonzero(not_above))
+            if np.count_nonzero(undecided) > 1:  # more than the row itself
+                band = np.flatnonzero(undecided)
+                s = _scores(q, qnorm, e_img, index, w_index, band).clip(-1.0, 1.0)
+                ids = index._id_rank[band]
+                rank += int(np.count_nonzero((s > c) | ((s == c) & (ids < index._id_rank[row]))))
+            ranks.append(rank)
+        per_query.append(sorted(ranks))
+    return per_query
 
 
 def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> RankedList:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from f4search import evaluate, search
-from f4search.encoders import EncoderSpec, encode_text_synthetic
+from f4search.encoders import EncoderSpec, encode_text_synthetic, parse_items
 from f4search.errors import (
     ConfigConflictError,
     DimensionMismatchError,
@@ -32,13 +32,14 @@ from f4search.evaluate import (
 )
 from f4search.embfile import write_embedding_file
 from f4search.index import Caption, CaptionIndex, build_index
-from f4search.rerank import retrieve_and_rerank
+from f4search.rerank import rerank, retrieve_and_rerank
 from f4search.search import (
     QueryBundle,
     RankedList,
     fused_query,
     search_bidirectional,
     search_fused_topk,
+    search_topk_naive,
 )
 from f4search.vectors import EmbeddingVector, FusionWeights
 
@@ -432,6 +433,10 @@ GRID = [i / 10 for i in range(11)]
 METRICS = ("recall_at_1", "recall_at_5", "mean_ap")
 
 
+def score_bits(ranked):
+    return np.array(ranked.scores, dtype=np.float64).view(np.uint64).tolist()
+
+
 def pool_of(pool, index):
     return {"n-1": len(index) - 1, "n": len(index), "above-n": len(index) + 6}.get(pool, pool)
 
@@ -454,6 +459,31 @@ class TestRerankSweep:
         ]
         for m in METRICS:
             assert swept[m] == tuple(float(getattr(r, m)) for r in reports)
+
+    @pytest.mark.parametrize("pool", [5, 7, 20, "n-1", "n", "above-n"])
+    @pytest.mark.parametrize("item_rows", [False, True])
+    def test_public_pipeline_reranks_the_naive_pool(self, item_rows, pool):
+        # The oracle above runs the public retrieve_and_rerank, whose stage 1
+        # is the sweep's own ``_pools``; this pins it to the public rerank of
+        # the reference oracle's top N, cut to k, for k = 5 and k = N.
+        cut_ties = 0
+        for seed in range(5):
+            spec, index, bundles = tie_corpus(seed, "sparse", item_rows=item_rows)
+            N = pool_of(pool, index)
+            for b in bundles:
+                items = parse_items(b.sparse_pred_text)
+                for g in GRID:
+                    w = FusionWeights(1.0 - g, g)
+                    query = fused_query(b, w, "sparse", spec)
+                    full = search_topk_naive(query, index, len(index))
+                    cut_ties += int(N < len(index) and full.scores[N - 1] == full.scores[N])
+                    want = rerank(search_topk_naive(query, index, N), items, index, spec)
+                    for k in (5, N):
+                        got = retrieve_and_rerank(b, index, w, N=N, k=k, encoder=spec)
+                        assert got.ids == want.ids[:k]
+                        assert score_bits(got) == score_bits(want)[:k]
+        # Fixture guard: some pool's N-th score ties with the first row left out.
+        assert cut_ties > 0 or pool in ("n", "above-n")
 
     def test_corpus_ties_at_the_pool_cut(self):
         # Guard the fixture: at some point, rows tied at the N-th clamped
@@ -496,7 +526,45 @@ class TestRerankSweep:
             retrieve_and_rerank(bundles[0], index, N=20, encoder=spec)
 
 
+SWEEP_MODES = {
+    "fused": dict(),
+    "bidir-0.3": dict(bidirectional=True, index_weights=FusionWeights(0.3, 0.7)),
+    "bidir-0.5": dict(bidirectional=True, index_weights=FusionWeights(0.5, 0.5)),
+    "rerank": dict(rerank=True, text_source="sparse", pool_size=20),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("mode", ["fused", "bidir-0.3", "bidir-0.5"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_point_full_ranking(self, seed, mode, kind, monkeypatch):
+        spec, index, bundles = tie_corpus(seed, kind)
+        config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
+        metrics = METRICS if kind == "sparse" else METRICS[:2]
+        swept = {m: sweep_fusion_weight(bundles, index, GRID, config, m).values for m in metrics}
+        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        reports = [
+            evaluate_corpus(bundles, index, replace(config, weights=FusionWeights(1.0 - g, g)))
+            for g in GRID
+        ]
+        for m in metrics:
+            assert swept[m] == tuple(float(getattr(r, m)) for r in reports)
+
+    @pytest.mark.parametrize("mode", ["fused", "bidir-0.3", "rerank"])
+    def test_screens_each_bundle_once(self, mode, monkeypatch):
+        spec, index, bundles = tie_corpus(0, "sparse")
+        config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
+        assert (config.pool_size or 0) < len(index)  # a pool of every row needs no screen
+        screen, calls = search._screen, []
+        monkeypatch.setattr(search, "_screen", lambda *a: calls.append(a) or screen(*a))
+        sweep_fusion_weight(bundles, index, GRID, config)
+        assert len(calls) == len(bundles)
+        assert [len(directions) for directions, *_ in calls] == [len(GRID)] * len(bundles)
+        calls.clear()
+        evaluate_corpus(bundles, index, config)
+        assert len(calls) == len(bundles)
+
     def test_grid_zero_equals_baseline(self):
         spec, index, bundles = small_corpus()
         config = EvalConfig(encoder=spec, text_source="sparse")

@@ -494,7 +494,7 @@ class TestScreen:
         rows = np.tile(-e_img.values, (12, 1)).astype(np.float32)
         index = CaptionIndex(captions, rows, "dense", "test")
         direction = search._query_direction(e_img.values, index)
-        assert search._band(*search._screen(*direction, e_img.values, index, w_index), 3) is None
+        assert search._band(*search._screen([direction], e_img.values, index, w_index), 3) is None
         bundle = QueryBundle("q", e_img)
         got = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=3)
         want = unscreened(index, exact_scores(e_img.values, e_img.values, index, w_index), 3)
@@ -559,7 +559,7 @@ def diff_case(dim, seed, w_index):
                          "dense", "test")
     # The screen's bound: a scalar for cosines, else the probe row's.
     direction = search._query_direction(query.values, probe)
-    delta = float(np.max(search._screen(*direction, bundle.e_img.values, probe, w_index)[1]))
+    delta = float(np.max(search._screen([direction], bundle.e_img.values, probe, w_index)[1]))
     step = score_step(base, q, p, w_index)
     first = len(rows)
     for t in np.linspace(-4.0, 4.0, 40):
@@ -600,7 +600,7 @@ class TestScreenedRanks:
             with monkeypatch.context() as mp:
                 mp.setattr(search, "_scores",
                            lambda *a: rescored.append(len(a[-1])) or score(*a))
-                got = search._gt_ranks(*args, gt_rows)
+                (got,) = search._gt_ranks([query.values], *args[1:], gt_rows)
             full = unscreened(index, raw, len(index))
             rank_of = {cid: r for r, cid in enumerate(full.ids, start=1)}
             assert got == sorted(rank_of[index.captions[g].id] for g in gt_rows)
@@ -657,7 +657,7 @@ class TestScreenedRanks:
             full = unscreened(index, exact_scores(*args), len(index)).ids
             for gt in (7, 40):
                 want = full.index(index.captions[gt].id) + 1
-                assert search._gt_ranks(*args, [gt]) == [want]
+                assert search._gt_ranks([query.values], *args[1:], [gt]) == [[want]]
                 if query is e_img:
                     bundle = QueryBundle("q", e_img, gt_caption_ids=(index.captions[gt].id,))
                     assert evaluate_corpus([bundle], index, config).per_query[0].gt_rank == want
