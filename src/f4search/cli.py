@@ -30,7 +30,7 @@ from .rerank import retrieve_and_rerank
 from .remote import default_endpoint
 from .search import QueryBundle, search_bidirectional, search_fused_topk
 from .synthetic import SyntheticCorpusConfig, generate_corpus
-from .vectors import EmbeddingVector, FusionWeights, l2_normalize
+from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights, l2_normalize
 
 
 def _runtime_errors(fn):
@@ -90,6 +90,11 @@ def _encoder_from_index(index) -> EncoderSpec:
     return spec
 
 
+def _weights(w_text: float, default: FusionWeights) -> FusionWeights:
+    """(1 - w_text, w_text), or the library's ``default`` at its own text weight (1 - 0.7 != 0.3)."""
+    return default if w_text == default.w_text else FusionWeights(1.0 - w_text, w_text)
+
+
 def _parse_image_embedding(value: str) -> EmbeddingVector:
     """Accept either "FILE.f4e:RECORD_ID" or inline comma-separated floats."""
     path_part, sep, record_id = value.rpartition(":")
@@ -111,10 +116,10 @@ def _parse_image_embedding(value: str) -> EmbeddingVector:
 @click.option("--dense-text", default=None)
 @click.option("--sparse-text", default=None)
 @click.option("--k", default=5, show_default=True)
-@click.option("--w-text", default=0.3, show_default=True)
+@click.option("--w-text", default=DEFAULT_QUERY_WEIGHTS.w_text, show_default=True)
 @click.option("--text-source", type=click.Choice(["dense", "sparse"]), default=None, help="Prediction text used for fusion (default: whichever was given).")
 @click.option("--bidirectional", is_flag=True)
-@click.option("--index-w-text", default=0.7, show_default=True, help="Text weight for index-side fusion (bi-directional mode).")
+@click.option("--index-w-text", default=DEFAULT_INDEX_WEIGHTS.w_text, show_default=True, help="Text weight for index-side fusion (bi-directional mode).")
 @click.option("--rerank", "do_rerank", is_flag=True)
 @click.option("--n", "pool_size", default=None, type=int, help="Initial pool size before re-ranking.")
 @_runtime_errors
@@ -125,7 +130,7 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
     e_img = _parse_image_embedding(image_embedding)
     encoder = _encoder_from_index(index)
     bundle = QueryBundle("query", e_img, dense_pred_text=dense_text, sparse_pred_text=sparse_text)
-    weights = FusionWeights(1.0 - w_text, w_text)
+    weights = _weights(w_text, DEFAULT_QUERY_WEIGHTS)
     if text_source is None:
         text_source = "dense" if dense_text else "sparse"
 
@@ -136,7 +141,7 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
             raise ConfigConflictError("re-ranking uses uni-directional initial retrieval")
         ranked = retrieve_and_rerank(bundle, index, weights, N=pool_size, k=k, encoder=encoder)
     elif bidirectional:
-        index_weights = FusionWeights(1.0 - index_w_text, index_w_text)
+        index_weights = _weights(index_w_text, DEFAULT_INDEX_WEIGHTS)
         ranked = search_bidirectional(bundle, index, weights, index_weights, text_source, encoder, k=k)
     else:
         ranked = search_fused_topk(bundle, index, weights, text_source, encoder, k=k)
@@ -147,11 +152,10 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
 
 
 def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size):
-    encoder = _encoder_from_index(index)
     return EvalConfig(
-        encoder=encoder,
-        weights=FusionWeights(1.0 - w_text, w_text),
-        index_weights=FusionWeights(1.0 - index_w_text, index_w_text),
+        encoder=_encoder_from_index(index),
+        weights=_weights(w_text, DEFAULT_QUERY_WEIGHTS),
+        index_weights=_weights(index_w_text, DEFAULT_INDEX_WEIGHTS),
         text_source=text_source,
         bidirectional=bidirectional,
         rerank=do_rerank,
@@ -163,10 +167,10 @@ def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rer
 @click.option("--index", "index_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--bundles", "bundles_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--image-embeddings", "embeddings_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--w-text", default=0.3, show_default=True)
+@click.option("--w-text", default=DEFAULT_QUERY_WEIGHTS.w_text, show_default=True)
 @click.option("--text-source", type=click.Choice(["dense", "sparse"]), default="dense", show_default=True)
 @click.option("--bidirectional", is_flag=True)
-@click.option("--index-w-text", default=0.7, show_default=True)
+@click.option("--index-w-text", default=DEFAULT_INDEX_WEIGHTS.w_text, show_default=True)
 @click.option("--rerank", "do_rerank", is_flag=True)
 @click.option("--n", "pool_size", default=None, type=int)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
@@ -197,7 +201,7 @@ def cmd_evaluate(index_path, bundles_path, embeddings_path, w_text, text_source,
 @click.option("--metric", type=click.Choice(["recall_at_1", "recall_at_5", "mean_ap"]), default="recall_at_1", show_default=True)
 @click.option("--text-source", type=click.Choice(["dense", "sparse"]), default="dense", show_default=True)
 @click.option("--bidirectional", is_flag=True)
-@click.option("--index-w-text", default=0.7, show_default=True)
+@click.option("--index-w-text", default=DEFAULT_INDEX_WEIGHTS.w_text, show_default=True)
 @click.option("--rerank", "do_rerank", is_flag=True)
 @click.option("--n", "pool_size", default=None, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
@@ -219,7 +223,7 @@ def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, m
 
     index = load_index(index_path)
     bundles = load_bundles(bundles_path, embeddings_path)
-    config = _eval_config(index, 0.3, index_w_text, text_source, bidirectional, do_rerank, pool_size)
+    config = _eval_config(index, DEFAULT_QUERY_WEIGHTS.w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size)
     sweep = sweep_fusion_weight(bundles, index, grid, config, metric=metric)
     write_sweep(sweep, out_path)
     peak_w, peak_v = sweep.peak()

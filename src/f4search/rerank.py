@@ -20,10 +20,13 @@ from .search import (
     STAGE_RERANKED,
     QueryBundle,
     RankedList,
+    _UNIDIRECTIONAL,
+    _ahead,
+    _candidates,
     _encode_bundles,
-    _pools,
     _rank,
     _ranked_list,
+    _topk,
 )
 from .vectors import DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
@@ -59,22 +62,26 @@ def _rerank(index: "CaptionIndex", rows, items: np.ndarray, k: int):
 def _rerank_ranks(queries, index: "CaptionIndex", items, pool: int, k_out: int, gt_rows) -> list[list[int]]:
     """Per query, the ascending ranks of ``gt_rows`` in ``_rerank`` of its top ``pool`` rows.
 
-    Ranks above ``k_out`` are dropped, and no ranking is built. Only the
-    set of a query's pool matters (``search._pools``): ``_rank``
-    orders it by clamped ``_max_sim``, then caption id, so a pool row's
-    rank is 1 plus the pool rows ahead of it in that order. ``_max_sim``
-    runs once, over the rows in any pool, since a row's bits do not depend
-    on the other rows scored.
+    Ranks above ``k_out`` are dropped, and no ranking is built. A pool is
+    the query's top ``pool`` of ``_candidates``, a tie at the cut filled in
+    id order as in ``_rank``; a pool row's rank is 1 plus the pool rows
+    ``_ahead`` of it by clamped ``_max_sim``. ``_max_sim`` runs once, over
+    the rows in any pool, since a row's bits do not depend on the others.
     """
-    rows, in_pool = _pools(queries, index, pool)
+    rows, scores = _candidates(queries, None, index, _UNIDIRECTIONAL, pool)
+    order = np.argsort(index._id_rank[rows])  # caption-id order, for the tie fill
+    rows, scores = rows[order], scores[order].clip(-1.0, 1.0)
+    # At pool >= len(rows) the pool-th score is the least one, and every row fits.
+    cut = max(len(rows) - pool, 0)
+    kth = np.partition(scores, cut, axis=0)[cut]
+    above, tied = scores > kth, scores == kth
+    in_pool = above | (tied & (np.cumsum(tied, axis=0) <= pool - np.count_nonzero(above, axis=0)))
     pooled = in_pool.any(axis=1)
     rows, in_pool = rows[pooled], in_pool[pooled]
     max_sim = _max_sim(index, rows, items).clip(-1.0, 1.0)
-    # Rows are in caption-id order, so a smaller position is a smaller id.
+    ids = index._id_rank[rows]
     at = np.flatnonzero(np.isin(rows, gt_rows))
-    own = max_sim[at, None]
-    ahead = (max_sim > own) | ((max_sim == own) & (np.arange(len(rows)) < at[:, None]))
-    ranks = 1 + ahead.astype(np.intp) @ in_pool
+    ranks = 1 + _ahead(max_sim, ids, max_sim[at, None], ids[at, None]).astype(np.intp) @ in_pool
     kept = in_pool[at] & (ranks <= k_out)
     columns = zip(ranks.T.tolist(), kept.T.tolist())
     return [sorted(r for r, keep in zip(*column) if keep) for column in columns]
@@ -125,6 +132,5 @@ def retrieve_and_rerank(
         raise ValueError(f"initial pool N={N} must be >= k={k}")
     ((e_text, items),) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
     query = bundle.e_img.values if e_text is None else _fused(bundle.e_img.values, e_text, w)
-    rows, in_pool = _pools([query], index, N)
-    ranked = _rerank(index, rows[in_pool[:, 0]], items, k)
+    ranked = _rerank(index, _topk(query, None, index, _UNIDIRECTIONAL, N)[0], items, k)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

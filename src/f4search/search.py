@@ -16,13 +16,13 @@ counted rank equals that of the full double-precision scan.
 over every row and one full sort, with no partition and no screen.
 
 Every ranking (top-k, bi-directional, re-ranked) is ordered by one routine,
-``_rank``, over index rows; ``_topk`` re-scores only the band that ``_band``
-keeps around the k-th bound. Only the public functions turn rows into a
-``RankedList`` (``_ranked_list``). Evaluation needs only where the
-ground-truth rows land (``_gt_ranks`` counts each one's rank from the same
-bounds) or, re-ranked, each query's top-N set (``_pools``). Both take G
-queries and make one ``_screen`` for them, so every evaluation and sweep
-screens each bundle once for its whole weight grid, in every mode.
+``_rank``, and counted by one comparison, ``_ahead``. ``_candidates`` scores
+only the band that ``_band`` keeps around the k-th bound of G queries;
+``_topk`` ranks it for one query, and re-ranked evaluation cuts it to each
+query's top-N set. Only the public functions build a ``RankedList``
+(``_ranked_list``). Other evaluation counts the ground-truth rows' ranks
+from the same bounds (``_gt_ranks``). Both take G queries and one
+``_screen``, so every evaluation and sweep screens each bundle once.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
@@ -78,7 +78,7 @@ Encoded = tuple[np.ndarray | None, np.ndarray | None]
 
 @dataclass(frozen=True)
 class RankedList:
-    """Ordered (caption_id, score) results with retrieval-stage provenance."""
+    """At most k ordered (caption_id, score) results, one per id, with retrieval-stage provenance."""
 
     entries: tuple[tuple[str, float], ...]
     k: int
@@ -87,6 +87,10 @@ class RankedList:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if len(self.entries) > self.k:
+            raise ValueError(f"{len(self.entries)} entries exceed k={self.k}")
+        if len(set(self.ids)) < len(self.entries):
+            raise ValueError("entries must have distinct caption ids")
         for _, score in self.entries:
             if not -1.0 <= score <= 1.0:
                 raise ValueError(f"score {score!r} outside [-1, 1]")
@@ -161,35 +165,28 @@ def _ranked_list(index: "CaptionIndex", rows, scores, k: int, stage: str) -> Ran
     return RankedList(tuple(zip(ids, scores.tolist())), k=k, stage=stage)
 
 
-def _cosines(
-    embeddings: np.ndarray, q: np.ndarray, qnorm: float, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Raw cosine of ``q`` with the given rows (every row when ``rows`` is None)."""
-    if rows is not None:
-        embeddings = embeddings[rows]
+def _cosines(embeddings: np.ndarray, q: np.ndarray, qnorm: float) -> np.ndarray:
+    """Raw cosine of ``q`` with every row of ``embeddings``."""
     # einsum rather than a BLAS product: every row reduces on its own, so a
     # row's score bits do not depend on the matrix shape, the row subset or
     # the BLAS build.
     return np.einsum("ij,j->i", embeddings, q) / qnorm
 
 
-def _scores(
-    q: np.ndarray, qnorm: float, e_img, index: "CaptionIndex", w_index: FusionWeights, rows=None
-) -> np.ndarray:
-    """Raw score of index rows, each fused with ``e_img`` at ``w_index``, against ``q``.
+def _scores(q: np.ndarray, qnorm: float, e_img, embeddings: np.ndarray, w_index: FusionWeights) -> np.ndarray:
+    """Raw score of each row of ``embeddings``, fused with ``e_img`` at ``w_index``, against ``q``.
 
-    ``q`` and ``qnorm`` come from ``_query_direction``. Scores the given
-    ``rows`` in that order, or every row in row order when ``rows`` is None.
-    At ``w_img == 0`` a row is scored as stored, by ``_cosines``, and
-    ``e_img`` is not read. Otherwise rows are fused with the image embedding
-    ``e_img`` in blocks of ``_ROW_BLOCK_BYTES``; each row's arithmetic is the
-    one-shot ``w_img * e_img + w_text * row`` formula, so neither the block
-    size nor the row subset changes a score bit.
+    ``q`` and ``qnorm`` come from ``_query_direction``; ``embeddings`` is the
+    index matrix or a block of its rows, sliced once by the caller. At
+    ``w_img == 0`` a row is scored as stored, by ``_cosines``, and ``e_img``
+    is not read. Otherwise rows are fused with the image embedding ``e_img``
+    in blocks of ``_ROW_BLOCK_BYTES``; each row's arithmetic is the one-shot
+    ``w_img * e_img + w_text * row`` formula, so neither the block size nor
+    the row subset changes a score bit.
     """
     if w_index.w_img == 0.0:
-        return _cosines(index.embeddings, q, qnorm, rows)
+        return _cosines(embeddings, q, qnorm)
     img = w_index.w_img * e_img
-    embeddings = index.embeddings if rows is None else index.embeddings[rows]
     scores = np.empty(len(embeddings))
     for start, fused_rows in _row_blocks(embeddings):
         fused_rows *= w_index.w_text
@@ -384,36 +381,29 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     return num.T, delta[:, None]
 
 
-def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
-    """``_rank`` of the top k rows by ``_scores``, scoring only the rows ``_band`` keeps.
+def _candidates(queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
+    """The rows that can reach any query's top k by ``_scores``, and their raw scores.
 
-    A full ranking computes no screen.
-    """
-    direction = _query_direction(query, index)
-    rows = _band(*_screen([direction], e_img, index, w_index), k) if k < len(index) else None
-    return _rank(index, _scores(*direction, e_img, index, w_index, rows), k, rows)
-
-
-def _pools(queries: Sequence[np.ndarray], index: "CaptionIndex", k: int):
-    """The sets of rows that ``_topk`` at ``_UNIDIRECTIONAL`` keeps for each query.
-
-    Returns ``rows``, index rows in caption-id order, and a
-    (len(rows), len(queries)) mask whose column j marks query j's top k.
-    Below a full ranking, one ``_screen`` serves every query. Only the
-    union of the columns' bands (``_band``) is re-scored, and a tie at a
-    column's k-th clamped score is filled in id order, as in ``_rank``.
+    Returns ascending index rows and a (len(rows), G) array, column j for
+    query j. Below a full ranking one ``_screen`` serves every query, and the
+    union of the columns' bands (``_band``) is sliced once and scored.
     """
     directions = [_query_direction(q, index) for q in queries]
-    rows = _band(*_screen(directions, None, index, _UNIDIRECTIONAL), k) if k < len(index) else None
-    rows = np.argsort(index._id_rank) if rows is None else rows[np.argsort(index._id_rank[rows])]
-    block = index.embeddings[rows]
-    scores = np.stack([_cosines(block, q, qnorm) for q, qnorm in directions], axis=1).clip(-1.0, 1.0)
-    # At k >= len(rows) the k-th score is the least one, and every row fits.
-    cut = max(len(rows) - k, 0)
-    kth = np.partition(scores, cut, axis=0)[cut]
-    above, tied = scores > kth, scores == kth
-    free = k - np.count_nonzero(above, axis=0)
-    return rows, above | (tied & (np.cumsum(tied, axis=0) <= free))
+    rows = _band(*_screen(directions, e_img, index, w_index), k) if k < len(index) else None
+    block = index.embeddings if rows is None else index.embeddings[rows]
+    scores = np.stack([_scores(q, qnorm, e_img, block, w_index) for q, qnorm in directions], axis=1)
+    return (np.arange(len(index)) if rows is None else rows), scores
+
+
+def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
+    """``_rank`` of the top k rows by ``_scores``, scoring only ``_candidates``' rows."""
+    rows, scores = _candidates([query], e_img, index, w_index, k)
+    return _rank(index, scores[:, 0], k, rows)
+
+
+def _ahead(scores, ids, score, id_rank):
+    """Whether rows at (``scores``, ``ids``) come before (``score``, ``id_rank``) in ``_rank``'s order."""
+    return (scores > score) | ((scores == score) & (ids < id_rank))
 
 
 def _gt_ranks(
@@ -439,7 +429,7 @@ def _gt_ranks(
     delta = delta if np.isscalar(delta) else delta[:, 0]  # to match one column of the screen
     per_query = []
     for (q, qnorm), column in zip(directions, cheap.T):
-        scores = _scores(q, qnorm, e_img, index, w_index, np.asarray(rows, dtype=np.intp))
+        scores = _scores(q, qnorm, e_img, index.embeddings[rows], w_index)
         column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
         low, up = _lower_bounds(column, delta), _upper_bounds(column, delta)
         ranks = []
@@ -449,9 +439,8 @@ def _gt_ranks(
             rank = 1 + len(low) - int(np.count_nonzero(not_above))
             if np.count_nonzero(undecided) > 1:  # more than the row itself
                 band = np.flatnonzero(undecided)
-                s = _scores(q, qnorm, e_img, index, w_index, band).clip(-1.0, 1.0)
-                ids = index._id_rank[band]
-                rank += int(np.count_nonzero((s > c) | ((s == c) & (ids < index._id_rank[row]))))
+                s = _scores(q, qnorm, e_img, index.embeddings[band], w_index).clip(-1.0, 1.0)
+                rank += int(np.count_nonzero(_ahead(s, index._id_rank[band], c, index._id_rank[row])))
             ranks.append(rank)
         per_query.append(sorted(ranks))
     return per_query

@@ -7,10 +7,12 @@ from f4search import remote
 from f4search.cli import main
 from f4search.embfile import load_embedding_file
 from f4search.encoders import EncoderSpec, encode_texts
+from f4search.evaluate import EvalConfig, evaluate_corpus, load_bundles, render_report
 from f4search.index import Caption, build_index_from_records, load_index, save_index
 from f4search.remote import ENDPOINT_ENV_VAR
+from f4search.rerank import retrieve_and_rerank
 from f4search.search import QueryBundle, search_bidirectional, search_fused_topk, search_topk
-from f4search.vectors import FusionWeights, l2_normalize
+from f4search.vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, l2_normalize
 
 
 @pytest.fixture(scope="module")
@@ -244,21 +246,30 @@ class TestSearch:
 
     def test_rerank_prints_reranked_stage(self, runner, corpus_dir, items_index_path):
         records = load_embedding_file(corpus_dir / "images.f4e")
-        image_id, _ = records[0]
+        image_id, e_img = records[0]
         bundle = json.loads((corpus_dir / "bundles_items.jsonl").read_text().splitlines()[0])
-        result = runner.invoke(
-            main,
-            [
-                "search",
-                "--index", str(items_index_path),
-                "--image-embedding", f"{corpus_dir / 'images.f4e'}:{image_id}",
-                "--sparse-text", bundle["sparse_pred_text"],
-                "--k", "4",
-                "--rerank",
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        assert result.output.startswith("# stage=reranked")
+        args = [
+            "search",
+            "--index", str(items_index_path),
+            "--image-embedding", f"{corpus_dir / 'images.f4e'}:{image_id}",
+            "--sparse-text", bundle["sparse_pred_text"],
+            "--rerank",
+        ]
+        index = load_index(items_index_path)
+        spec = EncoderSpec.from_fingerprint(index.encoder_fingerprint)
+        query = QueryBundle("query", e_img, sparse_pred_text=bundle["sparse_pred_text"])
+        for flags, N, k in ((("--k", "4"), None, 4), (("--n", "7", "--k", "5"), 7, 5)):
+            result = runner.invoke(main, [*args, *flags])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("# stage=reranked")
+            # Every printed field is the library's: rank, id, score to six places and text.
+            expected = retrieve_and_rerank(query, index, N=N, k=k, encoder=spec)
+            assert len(expected.entries) == k
+            got = [line.split("\t") for line in result.output.splitlines()[1:]]
+            assert got == [
+                [str(rank), cid, f"{score:.6f}", index.text_of(cid)]
+                for rank, (cid, score) in enumerate(expected.entries, start=1)
+            ]
 
     def test_rerank_without_sparse_text_exits_one(self, runner, corpus_dir, dense_index_path):
         records = load_embedding_file(corpus_dir / "images.f4e")
@@ -307,6 +318,30 @@ class TestSearch:
 
 
 class TestEvaluate:
+    def test_default_weights_are_the_library_defaults(self, runner, corpus_dir, dense_index_path, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main,
+            [
+                "evaluate",
+                "--index", str(dense_index_path),
+                "--bundles", str(corpus_dir / "bundles.jsonl"),
+                "--image-embeddings", str(corpus_dir / "images.f4e"),
+                "--bidirectional",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        index = load_index(dense_index_path)
+        bundles = load_bundles(corpus_dir / "bundles.jsonl", corpus_dir / "images.f4e")
+        config = EvalConfig(encoder=EncoderSpec.from_fingerprint(index.encoder_fingerprint), bidirectional=True)
+        assert out.read_bytes() == render_report(evaluate_corpus(bundles, index, config)).encode("utf-8")
+        for command in ("search", "evaluate", "sweep"):
+            shown = runner.invoke(main, [command, "--help"], terminal_width=200).output
+            assert f"[default: {DEFAULT_INDEX_WEIGHTS.w_text}]" in shown
+            if command != "sweep":
+                assert f"[default: {DEFAULT_QUERY_WEIGHTS.w_text}]" in shown
+
     def test_baseline_matches_manifest(self, runner, corpus_dir, dense_index_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         result = runner.invoke(

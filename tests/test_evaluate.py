@@ -418,7 +418,7 @@ class TestCountedOutcome:
             _, index, bundles = tie_corpus(seed, "dense")
             for b in bundles:
                 direction = search._query_direction(b.e_img.values, index)
-                scores = search._scores(*direction, None, index, search._UNIDIRECTIONAL)
+                scores = search._scores(*direction, None, index.embeddings, search._UNIDIRECTIONAL)
                 for cid in b.gt_caption_ids:
                     row = index.row_of(cid)
                     clamped |= bool(scores[row] > 1.0)
@@ -464,8 +464,8 @@ class TestRerankSweep:
     @pytest.mark.parametrize("item_rows", [False, True])
     def test_public_pipeline_reranks_the_naive_pool(self, item_rows, pool):
         # The oracle above runs the public retrieve_and_rerank, whose stage 1
-        # is the sweep's own ``_pools``; this pins it to the public rerank of
-        # the reference oracle's top N, cut to k, for k = 5 and k = N.
+        # ranks the sweep's own ``_candidates``; this pins it to the public
+        # rerank of the reference oracle's top N, cut to k, for k = 5 and k = N.
         cut_ties = 0
         for seed in range(5):
             spec, index, bundles = tie_corpus(seed, "sparse", item_rows=item_rows)

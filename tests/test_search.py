@@ -46,7 +46,7 @@ def cosine_band(index, query, k):
     score = search._scores
 
     def recording(*args):
-        scored.append(args[-1])
+        scored.append(args[3])
         return score(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -57,7 +57,7 @@ def cosine_band(index, query, k):
 
 def exact_scores(query, e_img, index, w_index):
     """``_scores`` of every index row against the raw query array ``query``."""
-    return search._scores(*search._query_direction(query, index), e_img, index, w_index)
+    return search._scores(*search._query_direction(query, index), e_img, index.embeddings, w_index)
 
 
 def cosines(query, index):
@@ -82,6 +82,19 @@ class TestRankedList:
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(ValueError, match="outside"):
             RankedList((("a", 1.5),), k=1)
+
+    def test_rejects_duplicate_ids(self):
+        # A repeated id would count as two hits: this list's AP would be 2.0.
+        with pytest.raises(ValueError, match="distinct"):
+            RankedList((("a", 0.9), ("a", 0.9)), k=2)
+        with pytest.raises(ValueError, match="distinct"):
+            RankedList((("a", 0.9), ("b", 0.5), ("a", 0.1)), k=3)
+
+    def test_rejects_more_entries_than_k(self):
+        # rerank keeps the candidate set but cuts to k, so it would drop entries.
+        with pytest.raises(ValueError, match="exceed k=2"):
+            RankedList(tuple((f"c{i}", 0.9 - 0.1 * i) for i in range(5)), k=2)
+        assert len(RankedList((("a", 0.9),), k=2).entries) == 1
 
     def test_ids_and_scores_views(self):
         rl = RankedList((("a", 0.9), ("b", 0.1)), k=2)
@@ -441,7 +454,7 @@ class TestScreen:
         for size in (1, 10, n - 1):
             for _ in range(5):
                 rows = rng.choice(n, size, replace=False)
-                sub = search._cosines(embeddings, q, qnorm, rows)
+                sub = search._cosines(embeddings[rows], q, qnorm)
                 assert sub.view(np.uint64).tolist() == full[rows].view(np.uint64).tolist()
 
     @pytest.mark.parametrize("k", [1, 5, 37])
@@ -599,7 +612,7 @@ class TestScreenedRanks:
             rescored = []
             with monkeypatch.context() as mp:
                 mp.setattr(search, "_scores",
-                           lambda *a: rescored.append(len(a[-1])) or score(*a))
+                           lambda *a: rescored.append(len(a[3])) or score(*a))
                 (got,) = search._gt_ranks([query.values], *args[1:], gt_rows)
             full = unscreened(index, raw, len(index))
             rank_of = {cid: r for r, cid in enumerate(full.ids, start=1)}
