@@ -131,6 +131,8 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
     encoder = _encoder_from_index(index)
     bundle = QueryBundle("query", e_img, dense_pred_text=dense_text, sparse_pred_text=sparse_text)
     weights = _weights(w_text, DEFAULT_QUERY_WEIGHTS)
+    if weights.w_text > 0 and not (dense_text or sparse_text or do_rerank):
+        raise ConfigConflictError("fusing a text needs --dense-text or --sparse-text; pass --w-text 0 for image-only search")
     if text_source is None:
         text_source = "dense" if dense_text else "sparse"
 

@@ -6,12 +6,11 @@ ascending caption id. One scorer, ``_scores``, and one screen, ``_screen``,
 serve every path, keyed by the index weights: uni-directional retrieval is
 bi-directional scoring at index weights (0, 1), ``_UNIDIRECTIONAL``. Every
 path screens, then verifies: a cheap float32 BLAS score s' of every row
-comes with a proven bound delta on its distance from the exact
-double-precision score (a scalar at ``_UNIDIRECTIONAL``, one value per row
-otherwise), so each row's exact score lies strictly between
-L = s' - delta and U = s' + delta (``_lower_bounds``). Only the rows these
-bounds cannot place are re-scored exactly, so every id, score bit and
-counted rank equals that of the full double-precision scan.
+comes with one proven scalar bound delta on every row's distance from
+the exact double-precision score, so each row's exact score lies strictly
+between L = s' - delta and U = s' + delta (``_screen_delta``). Only the
+rows these bounds cannot place are re-scored exactly, so every id, score
+bit and counted rank equals that of the full double-precision scan.
 ``search_topk_naive`` is the reference oracle: a plain float64 product sum
 over every row and one full sort, with no partition and no screen.
 
@@ -30,8 +29,9 @@ texts in ``_encode_bundles``, with one encoder call per search. Fusing
 index rows happens at scoring time, one block of rows at a time; the
 stored index is never mutated. The bi-directional screen takes its scores
 from one float32 GEMM of the rows with the G queries and the image, with
-one per-row bound for all of them; it is infinite on every row whose fusion
-could collapse to zero, so the exact path still raises ``ZeroVectorError``.
+one bound for every row and query; it is infinite when any row's fusion
+could collapse to zero, so that query runs the full exact scan, which
+raises ``ZeroVectorError``.
 """
 
 from __future__ import annotations
@@ -212,8 +212,13 @@ def _screen_delta(dim: int) -> float:
     float32 (each component off by at most u + 2v relative) and takes a
     float32 dot product (g_d(u) times |row| |q32| <= (1 + 2u) S), so it is
     within ((g_d(u) + u)(1 + 2u) + g) S of t. Underflow anywhere adds less
-    than 2^-120, so the final 2^-40 leaves the 2^-41 that
-    ``_lower_bounds`` needs.
+    than 2^-120, so the final 2^-40 leaves 2^-41 to spare.
+
+    Bounds. A delta that spares 2^-41 gives float64 L = fl(cheap - delta)
+    strictly below, and U = fl(cheap + delta) strictly above, every row's
+    exact score: rounding moves them by at most 2^-53 times their
+    magnitude, less than 2^-41 while it is at most 2^12, and beyond that
+    L < exact < 2 forces L < -2^12 (and U > 2^12).
     """
     u, v = 2.0**-24, 2.0**-53
     if dim * u >= 0.5:
@@ -224,25 +229,7 @@ def _screen_delta(dim: int) -> float:
     return scale * ((g32 + u) * (1 + 2 * u) + 2 * g) + 2.0**-40
 
 
-def _lower_bounds(cheap: np.ndarray, delta) -> np.ndarray:
-    """Float64 L = cheap - delta, strictly below every row's exact score.
-
-    ``delta`` is a scalar or one value per row, and bounds |cheap - exact|
-    with more than 2^-41 to spare. Rounding cheap - delta to float64 moves
-    it by at most 2^-53 times its magnitude: less than 2^-41 while the
-    magnitude is at most 2^12, and beyond that L < exact < 2 forces
-    L < -2^12, so the strict bound survives the rounding. The same holds
-    for ``_upper_bounds``.
-    """
-    return np.subtract(cheap, delta, dtype=np.float64)
-
-
-def _upper_bounds(cheap: np.ndarray, delta) -> np.ndarray:
-    """Float64 U = cheap + delta, strictly above every row's exact score (see ``_lower_bounds``)."""
-    return np.add(cheap, delta, dtype=np.float64)
-
-
-def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
+def _band(cheap: np.ndarray, delta: float, k: int) -> np.ndarray | None:
     """Rows that can reach the exact top k, or None when every row can.
 
     With L and U the row bounds and lam the k-th largest L, at least k rows
@@ -252,49 +239,40 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     band could clamp to a tie at -1, so every row is kept. Callers pass a k
     below the row count.
 
-    A scalar delta (finite ones stay below 2) needs no float64 pass over
-    the rows: L = fl(cheap - delta) is monotone in cheap, so lam comes from
-    the k-th largest screen score, and a row with cheap < fl(m - delta) has
-    an exact score below m, since that rounding moves the threshold by less
-    than the 2^-41 that delta spares.
+    One scalar delta bounds every row (``_screen``), so this needs no
+    float64 pass over the rows: L = fl(cheap - delta) is monotone in cheap,
+    so lam comes from the k-th largest screen score, and a row with
+    cheap < fl(m - delta) has an exact score below m. That rounding moves
+    the threshold by at most 2^-53 (1 + delta), and every delta spares
+    more: ``_screen_delta`` is below 2 and spares 2^-41, and the
+    bi-directional delta spares more than 2^-42 (1 + delta).
 
-    ``cheap`` may also be an (n, G) screen of G queries, with delta a scalar
-    or an (n, 1) column: the result is the union of the columns' bands, or
-    None when any column's lam is at most -1. A row outside column j's band
-    clamps strictly below column j's k-th clamped exact score, so scoring
-    the other columns' rows as well never changes column j's top k.
+    ``cheap`` may also be an (n, G) screen of G queries: the result is the
+    union of the columns' bands, or None when any column's lam is at most
+    -1. A row outside column j's band clamps strictly below column j's k-th
+    clamped exact score, so scoring the other columns' rows as well never
+    changes column j's top k.
     """
     n = cheap.shape[0]
-    if np.isscalar(delta):
-        lam = np.partition(cheap, n - k, axis=0)[n - k].astype(np.float64) - delta
-        if np.any(lam <= -1.0):
-            return None
-        # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
-        keep = cheap >= np.minimum(lam, 1.0) - delta
-    else:
-        lower = _lower_bounds(cheap, delta)
-        lower.partition(n - k, axis=0)
-        lam = lower[n - k]
-        if np.any(lam <= -1.0):
-            return None
-        # Freed before U is made: two large temporaries alive at once cost
-        # fresh pages on every query.
-        del lower
-        keep = _upper_bounds(cheap, delta) >= np.minimum(lam, 1.0)
+    lam = np.partition(cheap, n - k, axis=0)[n - k].astype(np.float64) - delta
+    if np.any(lam <= -1.0):
+        return None
+    # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
+    keep = cheap >= np.minimum(lam, 1.0) - delta
     return np.flatnonzero(keep if keep.ndim == 1 else keep.any(axis=1))
 
 
 def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
-    """An (n, G) screen of every row for G queries, and one bound delta on its distance from ``_scores``.
+    """An (n, G) screen of every row for G queries, and one scalar bound delta on its distance from ``_scores``.
 
     ``directions`` are the queries' ``_query_direction`` pairs, and column j
     belongs to query j. One float32 GEMM, whose (d, G) operand is C-ordered
     (an F-ordered one is several times slower), serves every column, and
-    delta, a scalar or an (n, 1) column, bounds them all.
+    one float delta bounds every row of every column.
 
     At ``w_img == 0`` the GEMM scores every row against the unit directions
-    q / qnorm, within the scalar ``_screen_delta`` of the exact ``_cosines``
-    (the proof is there), so ``_band`` needs no float64 pass over the rows.
+    q / qnorm, within ``_screen_delta`` of the exact ``_cosines`` (the proof
+    is there).
 
     Otherwise, with a, b the index weights, p = e_img, c = qnorm and
     q' = q / c, the GEMM of the rows with [b q'_1 ... b q'_G, 2ab p] gives
@@ -303,8 +281,9 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
         s_i = (a p.q' + x_i) / hi_i,  hi_i^2 = a^2 p.p + b^2 + y_i,
 
     taking |r_i|^2 = 1 from the unit-norm tolerance instead of a stored
-    norm. delta_i bounds |s_i - exact_i| a posteriori. It does not depend
-    on the query, so it serves all G columns.
+    norm. A bound B(hi_i^2) on |s_i - exact_i| falls as hi_i^2 grows, so
+    delta, its value at the least hi_i^2, bounds every row a posteriori. It
+    does not depend on the query, so it serves all G columns.
 
     Proof. Notation as in ``_screen_delta``, whose delta e bounds the error
     of a float32 screen of the unit direction; rows and p have norms in
@@ -331,21 +310,25 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     Where hi^2 >= 2 e_den, D_i >= hi^2 - e_den >= hi^2 / 2, so
     |F| >= hi / sqrt 2 and |1 / hi - 1 / |F|| <= e_den / hi^3. The
     screen's final sqrt, reciprocal and product round by less than
-    4v |num| / hi. Hence
+    4v |num| / hi. Hence |s_i - T_i| and |exact_i - T_i| together are at most
 
-        delta_i <= (sqrt 2 (e_num + 2 q1 e_fuse) + 4v n_max) / hi
-                   + n_max e_den / hi^3 + e_exact.
+        B(hi_i^2) = (sqrt 2 (e_num + 2 q1 e_fuse) + 4v n_max) / hi_i
+                    + n_max e_den / hi_i^3 + e_exact.
 
-    The constants are raised by the factor 1 + 2^-40, which covers
-    evaluating this in float64 (less than 40v relative), and 2^-40 is added
-    for ``_lower_bounds``; float32 underflow adds less than 2^-120.
+    One delta. B falls as hi^2 grows, so B(h2) with h2 = min hi_i^2 bounds
+    every row, and delta is B(h2) evaluated once. Its constants c1, c3 and
+    c0 are raised by the factor 1 + 2^-40, which covers evaluating it in
+    float64 (less than 40v relative), and 2^-40 is added; float32 underflow
+    adds less than 2^-120. So delta exceeds B(h2) by more than
+    2^-41 (1 + B(h2)) > 2^-42 (1 + delta), which ``_band`` and the bounds
+    of ``_screen_delta`` need.
 
-    Collapse. Where hi^2 < 2 e_den, delta_i is infinite, so the row is always
-    re-scored exactly. Elsewhere |F|^2 >= hi^2 / 2 >= e_den > 7v, a far
-    wider margin than ZERO_NORM_EPS needs: the exact norm
-    fl(|f|) >= (1 - g)(|F| - e_fuse) exceeds ZERO_NORM_EPS. So every row on
-    which the exact scan raises ZeroVectorError is re-scored, and the
-    screened paths raise exactly when the full scan does.
+    Collapse. Where h2 < 2 e_den, delta is infinite, so ``_band`` keeps every
+    row and ``_gt_ranks`` re-scores every row: the full exact scan. Elsewhere
+    every row has |F|^2 >= hi^2 / 2 >= e_den > 7v, a far wider margin than
+    ZERO_NORM_EPS needs: the exact norm fl(|f|) >= (1 - g)(|F| - e_fuse)
+    exceeds ZERO_NORM_EPS, and no row collapses. So the screened paths raise
+    ZeroVectorError exactly when the full scan does.
     """
     # Screening the unit directions keeps this valid at any query scale,
     # even where q itself would overflow float32.
@@ -374,11 +357,12 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     c3 = slack * n_max * e_den
     c0 = slack * e_exact + 2.0**-40
 
-    inv_hi = 1.0 / np.sqrt(np.maximum(hi2, e_den))
-    delta = inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0
-    delta[hi2 < 2 * e_den] = np.inf
-    num *= inv_hi
-    return num.T, delta[:, None]
+    h2, delta = float(hi2.min()), np.inf
+    if h2 >= 2 * e_den:
+        inv_hi = 1.0 / np.sqrt(h2)
+        delta = float(inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0)
+    num *= 1.0 / np.sqrt(np.maximum(hi2, e_den))
+    return num.T, delta
 
 
 def _candidates(queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
@@ -414,8 +398,8 @@ def _gt_ranks(
 
     A row's rank is one plus the rows with a higher clamped exact score plus
     the rows tied with it whose caption id sorts first, so no ranking is
-    built. One ``_screen`` serves every query, and its scores and delta give
-    every row's bounds L and U (``_lower_bounds``) once. With c a
+    built. One ``_screen`` serves every query, and its scores and scalar
+    delta give every row's bounds L and U (``_screen_delta``) once. With c a
     ground-truth row's clamped exact score, a row with L > c scores above c
     and, when c < 1, clamps above it; a row with U < c clamps below c when
     c > -1. Only the other rows, which include the ground-truth row itself,
@@ -426,12 +410,11 @@ def _gt_ranks(
     """
     directions = [_query_direction(q, index) for q in queries]
     cheap, delta = _screen(directions, e_img, index, w_index)
-    delta = delta if np.isscalar(delta) else delta[:, 0]  # to match one column of the screen
     per_query = []
     for (q, qnorm), column in zip(directions, cheap.T):
         scores = _scores(q, qnorm, e_img, index.embeddings[rows], w_index)
         column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
-        low, up = _lower_bounds(column, delta), _upper_bounds(column, delta)
+        low, up = column - delta, column + delta
         ranks = []
         for row, c in zip(rows, scores.clip(-1.0, 1.0).tolist()):
             not_above = low <= (c if c < 1.0 else np.inf)

@@ -303,6 +303,26 @@ class TestSearch:
         assert result.exit_code == 1
         assert "re-ranking uses uni-directional initial retrieval" in result.output
 
+    def test_image_only_needs_no_text(self, runner, corpus_dir, dense_index_path):
+        image_id, e_img = load_embedding_file(corpus_dir / "images.f4e")[0]
+        result = runner.invoke(
+            main,
+            [
+                "search",
+                "--index", str(dense_index_path),
+                "--image-embedding", f"{corpus_dir / 'images.f4e'}:{image_id}",
+                "--w-text", "0",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        index = load_index(dense_index_path)
+        expected = search_topk(e_img, index, 5)
+        got = [line.split("\t") for line in result.output.splitlines()[1:]]
+        assert got == [
+            [str(rank), cid, f"{score:.6f}", index.text_of(cid)]
+            for rank, (cid, score) in enumerate(expected.entries, start=1)
+        ]
+
     def test_unknown_record_id_exits_one(self, runner, corpus_dir, dense_index_path):
         result = runner.invoke(
             main,
@@ -636,8 +656,15 @@ class TestSweep:
         (lambda corpus, index, tmp: [
             "gen-synthetic", "--items-per-caption", "x", "--out-dir", str(tmp / "x"),
         ], 1, "error: cannot parse --items-per-caption 'x'"),
+        *[
+            (lambda corpus, index, tmp, flags=flags: [
+                "search", "--index", str(index), "--image-embedding", ",".join(["0.25"] * 32), *flags,
+            ], 1, "error: fusing a text needs --dense-text or --sparse-text; pass --w-text 0")
+            for flags in ((), ("--bidirectional", "--k", "3"))
+        ],
     ],
-    ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-items-per-caption"],
+    ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-items-per-caption",
+         "search-without-text", "bidirectional-search-without-text"],
 )
 def test_guard_exits(runner, corpus_dir, dense_index_path, tmp_path, args, exit_code, message):
     result = runner.invoke(main, args(corpus_dir, dense_index_path, tmp_path))

@@ -631,6 +631,28 @@ class TestScreenedRanks:
         assert wide_bands > 0
         assert clamped_gt > 0
 
+    @pytest.mark.parametrize("mode", sorted(DIFF_MODES))
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_one_scalar_bound_covers_every_row(self, dim, mode):
+        w_index = DIFF_MODES[mode]
+        for seed in range(10):
+            index, bundle, _, _, query, _ = diff_case(dim, seed, w_index)
+            direction = search._query_direction(query.values, index)
+            cheap, delta = search._screen([direction], bundle.e_img.values, index, w_index)
+            assert type(delta) is float
+            exact = exact_scores(query.values, bundle.e_img.values, index, w_index)
+            assert np.all(np.abs(cheap[:, 0] - exact) < delta)
+
+    @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
+    def test_one_collapsing_row_makes_the_bound_infinite(self, collapsing_row):
+        # The index of test_collapse_raises_in_evaluation_and_top_k.
+        e_img = np.zeros(8)
+        e_img[0] = 1.0
+        index = block_index(3 * TestBidirectionalBlocks.BLOCK, 8, seed=1, rows={collapsing_row: -e_img})
+        direction = search._query_direction(e_img, index)
+        _, delta = search._screen([direction], e_img, index, FusionWeights(0.5, 0.5))
+        assert delta == np.inf
+
     @pytest.mark.parametrize("k", [None, 1])
     @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
     def test_collapse_raises_in_evaluation_and_top_k(self, collapsing_row, k, monkeypatch):
