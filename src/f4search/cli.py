@@ -19,6 +19,7 @@ from .encoders import EncoderSpec
 from .errors import ConfigConflictError, F4SearchError
 from .evaluate import (
     EvalConfig,
+    _check_mode,
     evaluate_corpus,
     load_bundles,
     sweep_fusion_weight,
@@ -128,25 +129,21 @@ def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
     """One-shot query: print ranked (id, score, text) lines."""
     index = load_index(index_path)
     e_img = _parse_image_embedding(image_embedding)
-    encoder = _encoder_from_index(index)
     bundle = QueryBundle("query", e_img, dense_pred_text=dense_text, sparse_pred_text=sparse_text)
-    weights = _weights(w_text, DEFAULT_QUERY_WEIGHTS)
-    if weights.w_text > 0 and not (dense_text or sparse_text or do_rerank):
+    text_source = text_source or ("dense" if dense_text else "sparse")
+    config = _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rerank, pool_size)
+    if config.weights.w_text > 0 and not (dense_text or sparse_text or do_rerank):
         raise ConfigConflictError("fusing a text needs --dense-text or --sparse-text; pass --w-text 0 for image-only search")
-    if text_source is None:
-        text_source = "dense" if dense_text else "sparse"
+    if do_rerank and not sparse_text:
+        raise ConfigConflictError("--rerank requires --sparse-text")
+    _check_mode(index, config)
 
     if do_rerank:
-        if not sparse_text:
-            raise ConfigConflictError("--rerank requires --sparse-text")
-        if bidirectional:
-            raise ConfigConflictError("re-ranking uses uni-directional initial retrieval")
-        ranked = retrieve_and_rerank(bundle, index, weights, N=pool_size, k=k, encoder=encoder)
+        ranked = retrieve_and_rerank(bundle, index, config.weights, N=pool_size, k=k, encoder=config.encoder)
     elif bidirectional:
-        index_weights = _weights(index_w_text, DEFAULT_INDEX_WEIGHTS)
-        ranked = search_bidirectional(bundle, index, weights, index_weights, text_source, encoder, k=k)
+        ranked = search_bidirectional(bundle, index, config.weights, config.index_weights, text_source, config.encoder, k=k)
     else:
-        ranked = search_fused_topk(bundle, index, weights, text_source, encoder, k=k)
+        ranked = search_fused_topk(bundle, index, config.weights, text_source, config.encoder, k=k)
 
     click.echo(f"# stage={ranked.stage}")
     for rank, (cid, score) in enumerate(ranked.entries, start=1):

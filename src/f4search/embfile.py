@@ -28,7 +28,7 @@ from .errors import (
     TruncatedFileError,
     VersionUnsupportedError,
 )
-from .vectors import EmbeddingVector, _checked, _unit
+from .vectors import EmbeddingVector, _unit
 
 F4E_MAGIC = b"F4EM"
 F4E_VERSION = 1
@@ -178,14 +178,15 @@ def load_embedding_file(path) -> list[Record]:
     seen: set[str] = set()
     with _Reader(path, _HEADER, F4E_MAGIC, F4E_VERSION) as reader:
         dim, count = reader.fields
+        if count and not dim:
+            raise ValueError("embedding must be a non-empty 1-D vector")
         for _ in range(count):
             rid = reader.text(_ID_LEN)
             raw = reader.floats(dim)
             if rid in seen:
                 raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
             seen.add(rid)
-            # A float32 vector's float64 norm cannot overflow, so the
-            # overflow guard of l2_normalize is not needed here.
-            records.append((rid, EmbeddingVector(_unit(_checked(raw)), normalized=True)))
+            # ``floats`` checked it finite, and a float32 vector's float64 norm cannot overflow.
+            records.append((rid, EmbeddingVector(_unit(raw.astype(np.float64)), normalized=True)))
         reader.end()
     return records

@@ -150,15 +150,20 @@ class SweepResult:
         return self.grid[best], self.values[best]
 
 
-def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: EvalConfig):
-    if not bundles:
-        raise ValueError("no query bundles to evaluate")
+def _check_mode(index: CaptionIndex, config: EvalConfig):
+    """The rules ``config``'s retrieval mode must meet on ``index``, for every search and evaluation."""
     if config.rerank and index.kind != "sparse":
         raise ConfigConflictError("re-ranking requires a sparse caption index")
     if config.rerank and config.bidirectional:
         raise ConfigConflictError("re-ranking uses uni-directional initial retrieval")
     if config.text_source not in ("dense", "sparse"):
         raise ConfigConflictError(f"unknown text source {config.text_source!r}")
+
+
+def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: EvalConfig):
+    if not bundles:
+        raise ValueError("no query bundles to evaluate")
+    _check_mode(index, config)
     for bundle in bundles:
         if not bundle.gt_caption_ids:
             raise EmptyGroundTruthError(f"bundle {bundle.image_id!r} has no gt ids")

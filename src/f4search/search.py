@@ -132,22 +132,20 @@ def _query_direction(query: np.ndarray, index: "CaptionIndex") -> tuple[np.ndarr
     return query, norm
 
 
-def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows=None):
+def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows):
     """Rows and clamped scores of the best k scored rows: score desc, then caption id asc.
 
-    ``scores[i]`` belongs to index row ``rows[i]`` (row ``i`` when ``rows``
-    is None). Scores are clamped before selection, so selection and
-    ordering see the same values and ties at +-1 break by id, as in the
-    oracle. Rows tied with the k-th score all reach the id tie-break.
+    ``scores[i]`` belongs to index row ``rows[i]``. Scores are clamped
+    before selection, so selection and ordering see the same values and
+    ties at +-1 break by id, as in the oracle. Rows tied with the k-th
+    score all reach the id tie-break.
     """
     scores = np.clip(scores, -1.0, 1.0)
+    rows = np.asarray(rows, dtype=np.intp)
     n = scores.shape[0]
     if k < n:
         keep = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    else:
-        keep = np.arange(n)
-    rows = keep if rows is None else np.asarray(rows, dtype=np.intp)[keep]
-    scores = scores[keep]
+        rows, scores = rows[keep], scores[keep]
     order = np.lexsort((index._id_rank[rows], -scores))[:k]
     return rows[order], scores[order]
 
@@ -247,19 +245,18 @@ def _band(cheap: np.ndarray, delta: float, k: int) -> np.ndarray | None:
     more: ``_screen_delta`` is below 2 and spares 2^-41, and the
     bi-directional delta spares more than 2^-42 (1 + delta).
 
-    ``cheap`` may also be an (n, G) screen of G queries: the result is the
-    union of the columns' bands, or None when any column's lam is at most
-    -1. A row outside column j's band clamps strictly below column j's k-th
-    clamped exact score, so scoring the other columns' rows as well never
-    changes column j's top k.
+    ``cheap`` is ``_screen``'s (n, G) screen of G queries: the result is the
+    union of the columns' bands, or None when any column's lam is at most -1. A
+    row outside column j's band clamps strictly below column j's k-th clamped
+    exact score, so scoring the other columns' rows as well never changes
+    column j's top k.
     """
     n = cheap.shape[0]
     lam = np.partition(cheap, n - k, axis=0)[n - k].astype(np.float64) - delta
     if np.any(lam <= -1.0):
         return None
     # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
-    keep = cheap >= np.minimum(lam, 1.0) - delta
-    return np.flatnonzero(keep if keep.ndim == 1 else keep.any(axis=1))
+    return np.flatnonzero((cheap >= np.minimum(lam, 1.0) - delta).any(axis=1))
 
 
 def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):

@@ -662,9 +662,13 @@ class TestSweep:
             ], 1, "error: fusing a text needs --dense-text or --sparse-text; pass --w-text 0")
             for flags in ((), ("--bidirectional", "--k", "3"))
         ],
+        (lambda corpus, index, tmp: [
+            "search", "--index", str(index), "--image-embedding", ",".join(["0.25"] * 32),
+            "--sparse-text", "rice, chicken", "--rerank",
+        ], 1, "error: re-ranking requires a sparse caption index"),
     ],
     ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-items-per-caption",
-         "search-without-text", "bidirectional-search-without-text"],
+         "search-without-text", "bidirectional-search-without-text", "rerank-search-on-dense-index"],
 )
 def test_guard_exits(runner, corpus_dir, dense_index_path, tmp_path, args, exit_code, message):
     result = runner.invoke(main, args(corpus_dir, dense_index_path, tmp_path))

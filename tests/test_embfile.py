@@ -158,17 +158,18 @@ def test_every_prefix_truncated_and_every_bit_flip_domain_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "record",
+    "dim, record",
     [
-        struct.pack("<H", 2) + b"\xc3\x28" + np.array([1.0, 0.0], "<f4").tobytes(),
-        struct.pack("<H", 1) + b"x" + np.array([np.nan, 1.0], "<f4").tobytes(),
-        struct.pack("<H", 1) + b"x" + np.array([np.inf, 1.0], "<f4").tobytes(),
-        struct.pack("<H", 1) + b"x" + SIGNALLING_NAN_ROW.tobytes(),
+        (2, struct.pack("<H", 2) + b"\xc3\x28" + np.array([1.0, 0.0], "<f4").tobytes()),
+        (2, struct.pack("<H", 1) + b"x" + np.array([np.nan, 1.0], "<f4").tobytes()),
+        (2, struct.pack("<H", 1) + b"x" + np.array([np.inf, 1.0], "<f4").tobytes()),
+        (2, struct.pack("<H", 1) + b"x" + SIGNALLING_NAN_ROW.tobytes()),
+        (0, struct.pack("<H", 1) + b"x"),
     ],
-    ids=["invalid-utf8-id", "nan", "inf", "signalling-nan"],
+    ids=["invalid-utf8-id", "nan", "inf", "signalling-nan", "zero-dim"],
 )
-def test_corrupt_content_raises_corrupt_file_error(tmp_path, record):
+def test_corrupt_content_raises_corrupt_file_error(tmp_path, dim, record):
     path = tmp_path / "bad.f4e"
-    path.write_bytes(struct.pack("<4sHIQ", F4E_MAGIC, 1, 2, 1) + record)
+    path.write_bytes(struct.pack("<4sHIQ", F4E_MAGIC, 1, dim, 1) + record)
     with pytest.raises(CorruptFileError, match="bad.f4e"):
         load_embedding_file(path)

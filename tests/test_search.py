@@ -37,7 +37,7 @@ def score_bits(ranked):
 
 def unscreened(index, raw, k):
     """The unscreened reference: ``_rank`` over every row's raw score, as a public result."""
-    return search._ranked_list(index, *search._rank(index, raw, k), k, "initial")
+    return search._ranked_list(index, *search._rank(index, raw, k, np.arange(len(index))), k, "initial")
 
 
 def cosine_band(index, query, k):
@@ -467,7 +467,7 @@ class TestScreen:
             units = [query.values, unit(query.values + 0.05 * rng.standard_normal(64)).values]
             units += [unit(rng.standard_normal(64)).values for _ in range(2)]
             cheap = index.embeddings @ np.stack(units, axis=1).astype(np.float32)
-            columns = [search._band(cheap[:, j], delta, k) for j in range(len(units))]
+            columns = [search._band(cheap[:, [j]], delta, k) for j in range(len(units))]
             want = np.unique(np.concatenate(columns))
             assert search._band(cheap, delta, k).tolist() == want.tolist()
             widened += int(len(want) > max(len(c) for c in columns))
@@ -478,8 +478,8 @@ class TestScreen:
         delta = search._screen_delta(8)
         cheap = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 3)).astype(np.float32)
         cheap[:, 1] = -1.0
-        assert search._band(cheap[:, 0], delta, 5) is not None
-        assert search._band(cheap[:, 1], delta, 5) is None
+        assert search._band(cheap[:, [0]], delta, 5) is not None
+        assert search._band(cheap[:, [1]], delta, 5) is None
         assert search._band(cheap, delta, 5) is None
 
     def test_band_stays_near_k(self):
