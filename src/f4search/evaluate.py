@@ -18,12 +18,13 @@ re-ranking the sparse text's item phrases) with one encoder call, so a
 remote encoder sends them in batches over one connection, and a sweep
 encodes once for its whole grid. Scoring then runs the private cores of the
 per-bundle search functions on float64 arrays and index rows, so it builds
-no ``RankedList`` and no ``EmbeddingVector``. Each bundle runs a sweep's
-whole grid at once: in every mode one float32 screen (``search._screen``)
-serves all of its points, and each point's ground-truth ranks are counted
-from it, from the point's pool when re-ranking. An encoder returns each
-text's vector independently of the rest of its batch, so the reports are
-byte-identical to encoding one bundle at a time.
+no ``RankedList`` and no ``EmbeddingVector``. One float32 screen
+(``search._screen``) serves a block of bundles at every point of a sweep's
+grid, and each query's ground-truth ranks are counted from it on its own;
+a re-ranking screen serves one bundle's points, and ranks are counted in
+each point's pool. An encoder returns each text's vector independently of
+the rest of its batch, and a query's ranks do not depend on its block, so
+the reports are byte-identical to encoding and scoring one bundle at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .index import CaptionIndex, read_jsonl
 from .rerank import _rerank_ranks, default_pool_size
-from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _encode_bundles, _gt_ranks
+from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _block_len, _encode_bundles, _gt_ranks
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
 
@@ -187,43 +188,56 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
             )
 
 
-def _evaluate_bundle(
-    bundle: QueryBundle, index: CaptionIndex, points: Sequence[EvalConfig], encoded: Encoded
-) -> list[QueryOutcome]:
-    """The bundle's outcome at each of ``points``, configs that differ only in their weights."""
-    e_text, items = encoded
-    gt_rows = [index.row_of(cid) for cid in set(bundle.gt_caption_ids)]
-    k_q = len(gt_rows)
-    e_img = bundle.e_img.values
-    queries = [e_img if e_text is None else _fused(e_img, e_text, p.weights) for p in points]
-    config = points[0]
+def _evaluate_block(
+    bundles: Sequence[QueryBundle], index: CaptionIndex, points: Sequence[EvalConfig],
+    encoded: Sequence[Encoded],
+) -> list[list[QueryOutcome]]:
+    """Each bundle's outcome at each of ``points``, configs that differ only in their weights."""
+    config, n = points[0], len(points)
+    gt_rows = [[index.row_of(cid) for cid in set(b.gt_caption_ids)] for b in bundles]
+    queries = [
+        b.e_img.values if e_text is None else _fused(b.e_img.values, e_text, p.weights)
+        for b, (e_text, _) in zip(bundles, encoded) for p in points
+    ]
     if config.rerank:
-        k_out = max(5, k_q)
-        pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-        per_point = _rerank_ranks(queries, index, items, pool, k_out, gt_rows)
+        # One pool per bundle: a band union across bundles would score more rows.
+        per_query = []
+        for j, ((_, items), rows) in enumerate(zip(encoded, gt_rows)):
+            k_out = max(5, len(rows))
+            pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
+            per_query += _rerank_ranks(queries[j * n : (j + 1) * n], index, items, pool, k_out, rows)
     else:
         # The metrics read only where the ground truth lands: count its ranks, rank no rows.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
-        per_point = _gt_ranks(queries, e_img, index, w_index, gt_rows)
+        images = [b.e_img.values for b in bundles for _ in points]
+        per_query = _gt_ranks(queries, images, index, w_index, [r for r in gt_rows for _ in points])
 
-    outcomes = []
-    for ranks in per_point:
-        gt_rank = ranks[0] if ranks else None
+    outcomes = [[] for _ in bundles]
+    for j, ranks in enumerate(per_query):
+        k_q, gt_rank = len(gt_rows[j // n]), ranks[0] if ranks else None
         ap = _ap_from_ranks([r for r in ranks if r <= k_q], k_q) if index.kind == "sparse" else None
         hit_at_1 = int(gt_rank is not None and gt_rank <= 1)
         hit_at_5 = int(gt_rank is not None and gt_rank <= 5)
-        outcomes.append(QueryOutcome(bundle.image_id, k_q, gt_rank, ap, hit_at_1, hit_at_5))
+        outcomes[j // n].append(QueryOutcome(bundles[j // n].image_id, k_q, gt_rank, ap, hit_at_1, hit_at_5))
     return outcomes
 
 
 def _evaluate(
     bundles: Sequence[QueryBundle], index: CaptionIndex, points: Sequence[EvalConfig], corpus_name: str
 ) -> list[EvalReport]:
-    """One report per point for checked bundles; their texts are encoded once for every point."""
+    """One report per point for checked bundles; their texts are encoded once for every point.
+
+    Bundles are scored in blocks (``_evaluate_block``) whose screen of every
+    bundle at every point takes about ``_ROW_BLOCK_BYTES`` in float64.
+    """
     config = points[0]
     fuse_text = any(p.weights.w_text > 0.0 for p in points)
     encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
-    per_bundle = [_evaluate_bundle(b, index, points, e) for b, e in zip(bundles, encoded)]
+    step = max(1, _block_len(len(index)) // len(points))
+    per_bundle = []
+    for start in range(0, len(bundles), step):
+        block = slice(start, start + step)
+        per_bundle += _evaluate_block(bundles[block], index, points, encoded[block])
     reports = []
     for point, outcomes in zip(points, zip(*per_bundle)):
         n = len(outcomes)
@@ -244,7 +258,7 @@ def evaluate_corpus(
     """Run the configured pipeline over every bundle and aggregate metrics.
 
     The call's distinct texts are encoded once, up front. Bundles are then
-    scored one after another on the calling thread, in bundle order; BLAS
+    scored block after block on the calling thread, in bundle order; BLAS
     may use its own threads inside a product. A report depends only on the
     inputs, so concurrent callers get the same bytes as a serial caller.
     """
@@ -261,7 +275,7 @@ def sweep_fusion_weight(
 ) -> SweepResult:
     """Evaluate the corpus at each grid point with weights (1 - g, g).
 
-    The texts of the whole grid are encoded once, and each bundle then runs the whole grid.
+    The texts of the whole grid are encoded once, and each block of bundles then runs the whole grid.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")

@@ -80,7 +80,9 @@ def _rerank_ranks(queries, index: "CaptionIndex", items, pool: int, k_out: int, 
     rows, in_pool = rows[pooled], in_pool[pooled]
     max_sim = _max_sim(index, rows, items).clip(-1.0, 1.0)
     ids = index._id_rank[rows]
-    at = np.flatnonzero(np.isin(rows, gt_rows))
+    is_gt = np.zeros(len(index), dtype=bool)
+    is_gt[gt_rows] = True
+    at = np.flatnonzero(is_gt[rows])
     ranks = 1 + _ahead(max_sim, ids, max_sim[at, None], ids[at, None]).astype(np.intp) @ in_pool
     kept = in_pool[at] & (ranks <= k_out)
     columns = zip(ranks.T.tolist(), kept.T.tolist())

@@ -6,11 +6,12 @@ ascending caption id. One scorer, ``_scores``, and one screen, ``_screen``,
 serve every path, keyed by the index weights: uni-directional retrieval is
 bi-directional scoring at index weights (0, 1), ``_UNIDIRECTIONAL``. Every
 path screens, then verifies: a cheap float32 BLAS score s' of every row
-comes with one proven scalar bound delta on every row's distance from
-the exact double-precision score, so each row's exact score lies strictly
-between L = s' - delta and U = s' + delta (``_screen_delta``). Only the
-rows these bounds cannot place are re-scored exactly, so every id, score
-bit and counted rank equals that of the full double-precision scan.
+comes with a proven bound delta, one float per screened query, on every
+row's distance from the exact double-precision score, so each row's
+exact score lies strictly between L = s' - delta and U = s' + delta
+(``_screen_delta``). Only the rows these bounds cannot place are
+re-scored exactly, so every id, score bit and counted rank equals that
+of the full double-precision scan.
 ``search_topk_naive`` is the reference oracle: a plain float64 product sum
 over every row and one full sort, with no partition and no screen.
 
@@ -21,17 +22,18 @@ only the band that ``_band`` keeps around the k-th bound of G queries;
 query's top-N set. Only the public functions build a ``RankedList``
 (``_ranked_list``). Other evaluation counts the ground-truth rows' ranks
 from the same bounds (``_gt_ranks``). Both take G queries and one
-``_screen``, so every evaluation and sweep screens each bundle once.
+``_screen``: a re-ranked evaluation screens each bundle once for all its
+points, other evaluation each block of bundles once for all theirs.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
 texts in ``_encode_bundles``, with one encoder call per search. Fusing
 index rows happens at scoring time, one block of rows at a time; the
 stored index is never mutated. The bi-directional screen takes its scores
-from one float32 GEMM of the rows with the G queries and the image, with
-one bound for every row and query; it is infinite when any row's fusion
-could collapse to zero, so that query runs the full exact scan, which
-raises ``ZeroVectorError``.
+from one float32 GEMM of the rows with the G queries and their distinct
+images, with one bound per image for every row; it is infinite when any
+row's fusion with that image could collapse to zero, so that image's
+queries run the full exact scan, which raises ``ZeroVectorError``.
 """
 
 from __future__ import annotations
@@ -150,9 +152,14 @@ def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows):
     return rows[order], scores[order]
 
 
+def _block_len(width: int) -> int:
+    """How many float64 vectors of ``width`` fit in ``_ROW_BLOCK_BYTES``, and at least one."""
+    return max(1, _ROW_BLOCK_BYTES // (8 * max(1, width)))
+
+
 def _row_blocks(matrix: np.ndarray):
     """Yield ``(start, block)``: ``matrix``'s rows in float64, ``_ROW_BLOCK_BYTES`` at a time."""
-    step = max(1, _ROW_BLOCK_BYTES // (8 * max(1, matrix.shape[1])))
+    step = _block_len(matrix.shape[1])
     for start in range(0, len(matrix), step):
         yield start, matrix[start : start + step].astype(np.float64)
 
@@ -227,7 +234,7 @@ def _screen_delta(dim: int) -> float:
     return scale * ((g32 + u) * (1 + 2 * u) + 2 * g) + 2.0**-40
 
 
-def _band(cheap: np.ndarray, delta: float, k: int) -> np.ndarray | None:
+def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     """Rows that can reach the exact top k, or None when every row can.
 
     With L and U the row bounds and lam the k-th largest L, at least k rows
@@ -237,7 +244,7 @@ def _band(cheap: np.ndarray, delta: float, k: int) -> np.ndarray | None:
     band could clamp to a tie at -1, so every row is kept. Callers pass a k
     below the row count.
 
-    One scalar delta bounds every row (``_screen``), so this needs no
+    One delta bounds every row of a column (``_screen``), so this needs no
     float64 pass over the rows: L = fl(cheap - delta) is monotone in cheap,
     so lam comes from the k-th largest screen score, and a row with
     cheap < fl(m - delta) has an exact score below m. That rounding moves
@@ -245,8 +252,9 @@ def _band(cheap: np.ndarray, delta: float, k: int) -> np.ndarray | None:
     more: ``_screen_delta`` is below 2 and spares 2^-41, and the
     bi-directional delta spares more than 2^-42 (1 + delta).
 
-    ``cheap`` is ``_screen``'s (n, G) screen of G queries: the result is the
-    union of the columns' bands, or None when any column's lam is at most -1. A
+    ``cheap`` and ``delta`` are ``_screen``'s (n, G) screen of G queries
+    and its bound, one float or one per column: the result is the union of
+    the columns' bands, or None when any column's lam is at most -1. A
     row outside column j's band clamps strictly below column j's k-th clamped
     exact score, so scoring the other columns' rows as well never changes
     column j's top k.
@@ -260,27 +268,32 @@ def _band(cheap: np.ndarray, delta: float, k: int) -> np.ndarray | None:
 
 
 def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
-    """An (n, G) screen of every row for G queries, and one scalar bound delta on its distance from ``_scores``.
+    """An (n, G) screen of every row for G queries, and the bound delta on each column's distance from ``_scores``.
 
     ``directions`` are the queries' ``_query_direction`` pairs, and column j
-    belongs to query j. One float32 GEMM, whose (d, G) operand is C-ordered
-    (an F-ordered one is several times slower), serves every column, and
-    one float delta bounds every row of every column.
+    belongs to query j. ``e_img`` is one image for every query, or a list of
+    one image per query. One float32 GEMM, whose operand is C-ordered (an
+    F-ordered one is several times slower), serves every column. delta is
+    one float that bounds every row of every column, except for a list of
+    images at ``w_img > 0``: then it is an array of one float per column.
 
     At ``w_img == 0`` the GEMM scores every row against the unit directions
     q / qnorm, within ``_screen_delta`` of the exact ``_cosines`` (the proof
     is there).
 
-    Otherwise, with a, b the index weights, p = e_img, c = qnorm and
-    q' = q / c, the GEMM of the rows with [b q'_1 ... b q'_G, 2ab p] gives
-    x_i ~ b r_i.q' per query and y_i ~ 2ab r_i.p, and the screen score is
+    Otherwise, with a, b the index weights, p a query's image, c = qnorm
+    and q' = q / c, the GEMM of the rows with [b q'_1 ... b q'_G, 2ab p_1
+    ... 2ab p_M], one image column per distinct image object, gives
+    x_i ~ b r_i.q' per query and y_i ~ 2ab r_i.p per image, and the query's
+    screen score is
 
         s_i = (a p.q' + x_i) / hi_i,  hi_i^2 = a^2 p.p + b^2 + y_i,
 
     taking |r_i|^2 = 1 from the unit-norm tolerance instead of a stored
     norm. A bound B(hi_i^2) on |s_i - exact_i| falls as hi_i^2 grows, so
-    delta, its value at the least hi_i^2, bounds every row a posteriori. It
-    does not depend on the query, so it serves all G columns.
+    delta, its value at the image's least hi_i^2, bounds every row a
+    posteriori. It does not depend on the query, so it serves every column
+    of that image.
 
     Proof. Notation as in ``_screen_delta``, whose delta e bounds the error
     of a float32 screen of the unit direction; rows and p have norms in
@@ -312,8 +325,9 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
         B(hi_i^2) = (sqrt 2 (e_num + 2 q1 e_fuse) + 4v n_max) / hi_i
                     + n_max e_den / hi_i^3 + e_exact.
 
-    One delta. B falls as hi^2 grows, so B(h2) with h2 = min hi_i^2 bounds
-    every row, and delta is B(h2) evaluated once. Its constants c1, c3 and
+    One delta per image. B falls as hi^2 grows, so B(h2) with h2 the
+    image's min hi_i^2 bounds every row, and delta is B(h2) evaluated once
+    per image. Its constants c1, c3 and
     c0 are raised by the factor 1 + 2^-40, which covers evaluating it in
     float64 (less than 40v relative), and 2^-40 is added; float32 underflow
     adds less than 2^-120. So delta exceeds B(h2) by more than
@@ -329,16 +343,19 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     """
     # Screening the unit directions keeps this valid at any query scale,
     # even where q itself would overflow float32.
-    units = [q / qnorm for q, qnorm in directions]
+    units = np.array([q / qnorm for q, qnorm in directions])
     if w_index.w_img == 0.0:
-        units32 = np.ascontiguousarray(np.array(units, dtype=np.float32).T)
-        return index.embeddings @ units32, _screen_delta(index.dim)
-    a, b, p = w_index.w_img, w_index.w_text, e_img
-    columns = np.array([b * u for u in units] + [2 * a * b * p], dtype=np.float32)
+        return index.embeddings @ np.ascontiguousarray(units.T, np.float32), _screen_delta(index.dim)
+    a, b, n_q = w_index.w_img, w_index.w_text, len(units)
+    images = e_img if isinstance(e_img, list) else [e_img] * n_q
+    seen = {}  # id -> (column, image), one entry per distinct image object
+    owner = [seen.setdefault(id(img), (len(seen), img))[0] for img in images]
+    p = np.array([img for _, img in seen.values()])  # (M, d), one row per distinct image
+    columns = np.concatenate([b * units, 2 * a * b * p]).astype(np.float32)
     xy = (index.embeddings @ np.ascontiguousarray(columns.T)).T.astype(np.float64, order="C")
-    num = xy[:-1]  # one contiguous float64 row per query
-    num += a * (np.array(units) @ p)[:, None]
-    hi2 = (a * a * float(p @ p) + b * b) + xy[-1]
+    num = xy[:n_q]  # one contiguous float64 row per query
+    num += a * np.einsum("ij,ij->i", units, p[owner])[:, None]
+    hi2 = (a * a * np.einsum("ij,ij->i", p, p) + b * b)[:, None] + xy[n_q:]
 
     v, tol, e = 2.0**-53, UNIT_NORM_TOL, _screen_delta(index.dim)
     g = (index.dim + 1) * v / (1 - (index.dim + 1) * v)
@@ -354,12 +371,11 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     c3 = slack * n_max * e_den
     c0 = slack * e_exact + 2.0**-40
 
-    h2, delta = float(hi2.min()), np.inf
-    if h2 >= 2 * e_den:
-        inv_hi = 1.0 / np.sqrt(h2)
-        delta = float(inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0)
-    num *= 1.0 / np.sqrt(np.maximum(hi2, e_den))
-    return num.T, delta
+    h2 = hi2.min(axis=1)
+    inv_hi = 1.0 / np.sqrt(np.maximum(h2, 2 * e_den))
+    delta = np.where(h2 >= 2 * e_den, inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0, np.inf)
+    num *= (1.0 / np.sqrt(np.maximum(hi2, e_den)))[owner]
+    return num.T, (delta[owner] if isinstance(e_img, list) else float(delta[0]))
 
 
 def _candidates(queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
@@ -389,14 +405,16 @@ def _ahead(scores, ids, score, id_rank):
 
 def _gt_ranks(
     queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights,
-    rows: list[int],
+    rows: list,
 ) -> list[list[int]]:
-    """Per query, the ascending 1-based ranks that ``_rank`` would give ``rows`` by ``_scores``.
+    """Per query, the ascending 1-based ranks that ``_rank`` would give its ground-truth ``rows`` by ``_scores``.
 
-    A row's rank is one plus the rows with a higher clamped exact score plus
-    the rows tied with it whose caption id sorts first, so no ranking is
-    built. One ``_screen`` serves every query, and its scores and scalar
-    delta give every row's bounds L and U (``_screen_delta``) once. With c a
+    ``e_img`` is as in ``_screen``; ``rows`` is one list of index rows for
+    every query, or a list of one such list per query. A row's rank is one
+    plus the rows with a higher clamped exact score plus the rows tied with
+    it whose caption id sorts first, so no ranking is built. One
+    ``_screen`` serves every query, and each column's scores and delta give
+    every row's bounds L and U (``_screen_delta``) once. With c a
     ground-truth row's clamped exact score, a row with L > c scores above c
     and, when c < 1, clamps above it; a row with U < c clamps below c when
     c > -1. Only the other rows, which include the ground-truth row itself,
@@ -407,19 +425,22 @@ def _gt_ranks(
     """
     directions = [_query_direction(q, index) for q in queries]
     cheap, delta = _screen(directions, e_img, index, w_index)
+    n_q = len(queries)
+    images = e_img if isinstance(e_img, list) else [e_img] * n_q
+    per_rows = rows if isinstance(rows[0], list) else [rows] * n_q
     per_query = []
-    for (q, qnorm), column in zip(directions, cheap.T):
-        scores = _scores(q, qnorm, e_img, index.embeddings[rows], w_index)
+    for (q, qnorm), p, gt_rows, d, column in zip(directions, images, per_rows, np.broadcast_to(delta, n_q), cheap.T):
+        scores = _scores(q, qnorm, p, index.embeddings[gt_rows], w_index)
         column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
-        low, up = column - delta, column + delta
+        low, up = column - d, column + d
         ranks = []
-        for row, c in zip(rows, scores.clip(-1.0, 1.0).tolist()):
+        for row, c in zip(gt_rows, scores.clip(-1.0, 1.0).tolist()):
             not_above = low <= (c if c < 1.0 else np.inf)
             undecided = not_above & (up >= (c if c > -1.0 else -np.inf))
             rank = 1 + len(low) - int(np.count_nonzero(not_above))
             if np.count_nonzero(undecided) > 1:  # more than the row itself
                 band = np.flatnonzero(undecided)
-                s = _scores(q, qnorm, e_img, index.embeddings[band], w_index).clip(-1.0, 1.0)
+                s = _scores(q, qnorm, p, index.embeddings[band], w_index).clip(-1.0, 1.0)
                 rank += int(np.count_nonzero(_ahead(s, index._id_rank[band], c, index._id_rank[row])))
             ranks.append(rank)
         per_query.append(sorted(ranks))

@@ -330,12 +330,28 @@ def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6, item_rows=False):
 
 
 def full_ranking_outcome(bundle, index, points, encoded=None):
-    """A stand-in for ``evaluate._evaluate_bundle`` built on complete rankings.
+    """One bundle's outcomes at ``points``, built on complete rankings.
 
     The public per-bundle functions encode their own texts, so the
     pre-encoded vectors are ignored.
     """
     return [_full_ranking_outcome(bundle, index, config) for config in points]
+
+
+def full_ranking_blocks(monkeypatch):
+    """Replace ``evaluate._evaluate_block`` with ``full_ranking_outcome`` mapped over its bundles.
+
+    Returns the list of bundles the stand-in ran, in order, so a test can
+    check that every outcome it compares came from the stand-in.
+    """
+    ran = []
+
+    def block(bundles, index, points, encoded):
+        ran.extend(bundles)
+        return [full_ranking_outcome(b, index, points) for b in bundles]
+
+    monkeypatch.setattr(evaluate, "_evaluate_block", block)
+    return ran
 
 
 def _full_ranking_outcome(bundle, index, config):
@@ -384,8 +400,9 @@ class TestCountedOutcome:
         spec, index, bundles = tie_corpus(seed, kind)
         config = EvalConfig(encoder=spec, **COUNTED_MODES[mode])
         counted = evaluate_corpus(bundles, index, config)
-        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        ran = full_ranking_blocks(monkeypatch)
         ranked = evaluate_corpus(bundles, index, config)
+        assert ran == bundles
         assert counted.per_query == ranked.per_query
         for o in counted.per_query:
             assert type(o.gt_rank) is int
@@ -398,8 +415,9 @@ class TestCountedOutcome:
         spec, index, bundles = tie_corpus(0, "sparse")
         config = EvalConfig(encoder=spec, rerank=True, text_source="sparse", pool_size=20)
         counted = evaluate_corpus(bundles, index, config)
-        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        ran = full_ranking_blocks(monkeypatch)
         assert render_report(counted) == render_report(evaluate_corpus(bundles, index, config))
+        assert ran == bundles
 
     def test_rerank_pool_at_the_cut_matches_full_ranking(self, monkeypatch):
         # Every bundle here has at most 5 gt ids, so its cut is 5 entries.
@@ -407,8 +425,9 @@ class TestCountedOutcome:
         assert max(len(b.gt_caption_ids) for b in bundles) <= 5
         config = EvalConfig(encoder=spec, rerank=True, text_source="sparse", pool_size=5)
         counted = evaluate_corpus(bundles, index, config)
-        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        ran = full_ranking_blocks(monkeypatch)
         assert render_report(counted) == render_report(evaluate_corpus(bundles, index, config))
+        assert ran == bundles
 
     def test_corpus_has_clamped_ties(self):
         # Guard the fixture: some gt row must score above 1.0 before clamping
@@ -452,11 +471,12 @@ class TestRerankSweep:
             encoder=spec, rerank=True, text_source="sparse", pool_size=pool_of(pool, index)
         )
         swept = {m: sweep_fusion_weight(bundles, index, GRID, config, m).values for m in METRICS}
-        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        ran = full_ranking_blocks(monkeypatch)
         reports = [
             evaluate_corpus(bundles, index, replace(config, weights=FusionWeights(1.0 - g, g)))
             for g in GRID
         ]
+        assert ran == bundles * len(GRID)
         for m in METRICS:
             assert swept[m] == tuple(float(getattr(r, m)) for r in reports)
 
@@ -543,27 +563,55 @@ class TestSweep:
         config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
         metrics = METRICS if kind == "sparse" else METRICS[:2]
         swept = {m: sweep_fusion_weight(bundles, index, GRID, config, m).values for m in metrics}
-        monkeypatch.setattr(evaluate, "_evaluate_bundle", full_ranking_outcome)
+        ran = full_ranking_blocks(monkeypatch)
         reports = [
             evaluate_corpus(bundles, index, replace(config, weights=FusionWeights(1.0 - g, g)))
             for g in GRID
         ]
+        assert ran == bundles * len(GRID)
         for m in metrics:
             assert swept[m] == tuple(float(getattr(r, m)) for r in reports)
 
     @pytest.mark.parametrize("mode", ["fused", "bidir-0.3", "rerank"])
-    def test_screens_each_bundle_once(self, mode, monkeypatch):
+    def test_screens_each_block_once(self, mode, monkeypatch):
+        # A plain or bi-directional evaluation screens each block of bundles
+        # once, for every bundle at every point; a re-rank one screens each
+        # bundle once, for its whole grid.
         spec, index, bundles = tie_corpus(0, "sparse")
         config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
         assert (config.pool_size or 0) < len(index)  # a pool of every row needs no screen
         screen, calls = search._screen, []
         monkeypatch.setattr(search, "_screen", lambda *a: calls.append(a) or screen(*a))
-        sweep_fusion_weight(bundles, index, GRID, config)
-        assert len(calls) == len(bundles)
-        assert [len(directions) for directions, *_ in calls] == [len(GRID)] * len(bundles)
-        calls.clear()
-        evaluate_corpus(bundles, index, config)
-        assert len(calls) == len(bundles)
+        n, grid = len(bundles), len(GRID)
+        rerank = mode == "rerank"
+        # By default every bundle fits one block; then blocks of 3 queries hold
+        # 3 bundles at one point, or one bundle at every grid point.
+        for queries, sweep_blocks, eval_blocks in ((None, [grid * n], [n]), (3, [grid] * n, [3, 3])):
+            if queries:
+                monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", 8 * len(index) * queries)
+            calls.clear()
+            sweep_fusion_weight(bundles, index, GRID, config)
+            assert [len(a[0]) for a in calls] == ([grid] * n if rerank else sweep_blocks)
+            if not rerank:
+                images = [id(p) for a in calls for p in a[1]]
+                assert images == [id(b.e_img.values) for b in bundles for _ in GRID]
+            calls.clear()
+            evaluate_corpus(bundles, index, config)
+            assert [len(a[0]) for a in calls] == ([1] * n if rerank else eval_blocks)
+
+    @pytest.mark.parametrize("queries", [1, 3])
+    def test_block_size_never_changes_a_report(self, queries, monkeypatch):
+        spec, index, bundles = tie_corpus(2, "sparse", item_rows=True)
+        configs = [EvalConfig(encoder=spec, **COUNTED_MODES[m]) for m in sorted(COUNTED_MODES)]
+        configs += [EvalConfig(encoder=spec, **SWEEP_MODES[m]) for m in sorted(SWEEP_MODES)]
+
+        def outputs():
+            reports = [render_report(evaluate_corpus(bundles, index, c)) for c in configs]
+            return reports + [sweep_fusion_weight(bundles, index, GRID, c, "mean_ap") for c in configs]
+
+        default = outputs()
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", 8 * len(index) * queries)
+        assert outputs() == default
 
     def test_grid_zero_equals_baseline(self):
         spec, index, bundles = small_corpus()

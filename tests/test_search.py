@@ -671,6 +671,84 @@ class TestScreenedRanks:
         with pytest.raises(ZeroVectorError, match="collapsed"):
             search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=k)
 
+    @pytest.mark.parametrize("mode", sorted(DIFF_MODES))
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_block_of_bundles_matches_single_bundles(self, dim, mode):
+        # One screen of three bundles with distinct images, the middle one's
+        # also queried by its image alone, counts each query's ranks as a
+        # screen of its bundle alone and as the full exact scan do.
+        w_index = DIFF_MODES[mode]
+        distinct_bounds = 0
+        for seed in range(0, 10, 3):
+            cases = [diff_case(dim, seed + j, w_index) for j in range(3)]
+            index = cases[1][0]  # every case has the same row count, so its gt rows fit here
+            queries = [case[4].values for case in cases] + [cases[1][1].e_img.values]
+            images = [case[1].e_img.values for case in cases] + [cases[1][1].e_img.values]
+            rows = [case[5] for case in cases] + [cases[1][5]]
+            got = search._gt_ranks(queries, images, index, w_index, rows)
+            directions = [search._query_direction(q, index) for q in queries]
+            cheap, delta = search._screen(directions, images, index, w_index)
+            deltas = np.broadcast_to(delta, len(queries))
+            for j, (q, p, gt_rows) in enumerate(zip(queries, images, rows)):
+                assert search._gt_ranks([q], p, index, w_index, gt_rows) == [got[j]]
+                raw = exact_scores(q, p, index, w_index)
+                full = unscreened(index, raw, len(index)).ids
+                assert got[j] == sorted(full.index(index.captions[g].id) + 1 for g in gt_rows)
+                assert np.all(np.abs(cheap[:, j] - raw) < deltas[j])
+            assert deltas[1] == deltas[3]  # one bound per image
+            distinct_bounds += len(set(deltas.tolist())) > 1
+        # Fixture guard: bi-directionally, the images' bounds differ.
+        assert distinct_bounds > 0 or w_index == search._UNIDIRECTIONAL
+
+    @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
+    def test_one_collapsing_image_leaves_the_other_columns_exact(self, collapsing_row, monkeypatch):
+        # The index of test_one_collapsing_row_makes_the_bound_infinite, screened
+        # for three images, of which only the middle one collapses.
+        e_img = np.zeros(8)
+        e_img[0] = 1.0
+        index = block_index(3 * TestBidirectionalBlocks.BLOCK, 8, seed=1, rows={collapsing_row: -e_img})
+        rng = np.random.default_rng(collapsing_row)
+        images = [unit(rng.standard_normal(8)).values, e_img, unit(rng.standard_normal(8)).values]
+        w_index = FusionWeights(0.5, 0.5)
+        directions = [search._query_direction(p, index) for p in images]
+        cheap, delta = search._screen(directions, images, index, w_index)
+        assert delta[1] == np.inf and np.all(np.isfinite(delta[[0, 2]]))
+        for j in (0, 2):
+            raw = exact_scores(images[j], images[j], index, w_index)
+            assert np.all(np.abs(cheap[:, j] - raw) < delta[j])
+            full = unscreened(index, raw, len(index)).ids
+            # Counted from the block's own column and bound, every rank is exact.
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_screen", lambda *a: (cheap[:, [j]], delta[j]))
+                for gt in range(len(index)):
+                    got = search._gt_ranks([images[j]], images[j], index, w_index, [gt])
+                    assert got == [[full.index(index.captions[gt].id) + 1]]
+        with pytest.raises(ZeroVectorError, match="collapsed"):
+            search._gt_ranks(images, images, index, w_index, [0])
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_collapse_raises_alike_anywhere_in_a_block(self, position):
+        dim = 8
+        e_img = np.zeros(dim)
+        e_img[0] = 1.0
+        index = block_index(3 * TestBidirectionalBlocks.BLOCK, dim, seed=1, rows={5: -e_img})
+        rng = np.random.default_rng(position)
+        bundles = [
+            QueryBundle(f"q{j}", unit(rng.standard_normal(dim)), gt_caption_ids=(index.captions[j].id,))
+            for j in range(5)
+        ]
+        collapsing = QueryBundle("collapsing", unit(e_img), gt_caption_ids=(index.captions[0].id,))
+        config = EvalConfig(weights=FusionWeights(1.0, 0.0), bidirectional=True,
+                            index_weights=FusionWeights(0.5, 0.5))
+        assert search._block_len(len(index)) >= len(bundles)  # one block
+        evaluate_corpus(bundles, index, config)
+        with pytest.raises(ZeroVectorError, match="collapsed") as alone:
+            evaluate_corpus([collapsing], index, config)
+        bundles[position] = collapsing
+        with pytest.raises(ZeroVectorError) as in_block:
+            evaluate_corpus(bundles, index, config)
+        assert str(in_block.value) == str(alone.value)
+
     @pytest.mark.parametrize("eta", [1e-5, 1e-3, 3e-2])
     def test_near_collapse_ranks_as_unscreened(self, eta):
         # Rows close to -e_img fuse to short but valid vectors: their screen
