@@ -36,6 +36,8 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .embfile import _write_atomic, load_embedding_file
 from .encoders import EncoderSpec, parse_items
 from .errors import (
@@ -195,22 +197,23 @@ def _evaluate_block(
     """Each bundle's outcome at each of ``points``, configs that differ only in their weights."""
     config, n = points[0], len(points)
     gt_rows = [[index.row_of(cid) for cid in set(b.gt_caption_ids)] for b in bundles]
+    images = np.array([b.e_img.values for b in bundles])  # one row per bundle, shared by its points
     queries = [
-        b.e_img.values if e_text is None else _fused(b.e_img.values, e_text, p.weights)
-        for b, (e_text, _) in zip(bundles, encoded) for p in points
+        img if e_text is None else _fused(img, e_text, p.weights)
+        for img, (e_text, _) in zip(images, encoded) for p in points
     ]
     if config.rerank:
         # One pool per bundle: a band union across bundles would score more rows.
         per_query = []
-        for j, ((_, items), rows) in enumerate(zip(encoded, gt_rows)):
+        for j, (img, (_, items), rows) in enumerate(zip(images, encoded, gt_rows)):
             k_out = max(5, len(rows))
             pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-            per_query += _rerank_ranks(queries[j * n : (j + 1) * n], index, items, pool, k_out, rows)
+            per_query += _rerank_ranks(queries[j * n : (j + 1) * n], img, index, items, pool, k_out, rows)
     else:
         # The metrics read only where the ground truth lands: count its ranks, rank no rows.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
-        images = [b.e_img.values for b in bundles for _ in points]
-        per_query = _gt_ranks(queries, images, index, w_index, [r for r in gt_rows for _ in points])
+        owner = np.arange(len(queries)) // n  # query j is bundle j // n at point j % n
+        per_query = _gt_ranks(queries, images, owner, index, w_index, [gt_rows[o] for o in owner])
 
     outcomes = [[] for _ in bundles]
     for j, ranks in enumerate(per_query):

@@ -59,16 +59,17 @@ def _rerank(index: "CaptionIndex", rows, items: np.ndarray, k: int):
     return _rank(index, _max_sim(index, rows, items), k, rows)
 
 
-def _rerank_ranks(queries, index: "CaptionIndex", items, pool: int, k_out: int, gt_rows) -> list[list[int]]:
+def _rerank_ranks(queries, e_img, index: "CaptionIndex", items, pool: int, k_out: int, gt_rows) -> list[list[int]]:
     """Per query, the ascending ranks of ``gt_rows`` in ``_rerank`` of its top ``pool`` rows.
 
-    Ranks above ``k_out`` are dropped, and no ranking is built. A pool is
-    the query's top ``pool`` of ``_candidates``, a tie at the cut filled in
-    id order as in ``_rank``; a pool row's rank is 1 plus the pool rows
+    The queries are one bundle's, and ``e_img`` is its image row. Ranks
+    above ``k_out`` are dropped, and no ranking is built. A pool is the
+    query's top ``pool`` of ``_candidates``, a tie at the cut filled in id
+    order as in ``_rank``; a pool row's rank is 1 plus the pool rows
     ``_ahead`` of it by clamped ``_max_sim``. ``_max_sim`` runs once, over
     the rows in any pool, since a row's bits do not depend on the others.
     """
-    rows, scores = _candidates(queries, None, index, _UNIDIRECTIONAL, pool)
+    rows, scores = _candidates(queries, e_img[None], np.zeros(len(queries), np.intp), index, _UNIDIRECTIONAL, pool)
     order = np.argsort(index._id_rank[rows])  # caption-id order, for the tie fill
     rows, scores = rows[order], scores[order].clip(-1.0, 1.0)
     # At pool >= len(rows) the pool-th score is the least one, and every row fits.
@@ -134,5 +135,5 @@ def retrieve_and_rerank(
         raise ValueError(f"initial pool N={N} must be >= k={k}")
     ((e_text, items),) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
     query = bundle.e_img.values if e_text is None else _fused(bundle.e_img.values, e_text, w)
-    ranked = _rerank(index, _topk(query, None, index, _UNIDIRECTIONAL, N)[0], items, k)
+    ranked = _rerank(index, _topk(query, bundle.e_img.values, index, _UNIDIRECTIONAL, N)[0], items, k)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

@@ -21,19 +21,19 @@ only the band that ``_band`` keeps around the k-th bound of G queries;
 ``_topk`` ranks it for one query, and re-ranked evaluation cuts it to each
 query's top-N set. Only the public functions build a ``RankedList``
 (``_ranked_list``). Other evaluation counts the ground-truth rows' ranks
-from the same bounds (``_gt_ranks``). Both take G queries and one
-``_screen``: a re-ranked evaluation screens each bundle once for all its
-points, other evaluation each block of bundles once for all theirs.
+from the same bounds (``_gt_ranks``). Both take G queries, each owning a
+row of one image matrix, and one ``_screen``: a re-ranked evaluation
+screens each bundle once, other evaluation each block of bundles once.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
 texts in ``_encode_bundles``, with one encoder call per search. Fusing
 index rows happens at scoring time, one block of rows at a time; the
 stored index is never mutated. The bi-directional screen takes its scores
-from one float32 GEMM of the rows with the G queries and their distinct
-images, with one bound per image for every row; it is infinite when any
-row's fusion with that image could collapse to zero, so that image's
-queries run the full exact scan, which raises ``ZeroVectorError``.
+from one float32 GEMM of the rows with the G queries and the image rows,
+with one bound per image row for every row; it is infinite when any row's
+fusion with that image could collapse to zero, so that image's queries
+run the full exact scan, which raises ``ZeroVectorError``.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     bi-directional delta spares more than 2^-42 (1 + delta).
 
     ``cheap`` and ``delta`` are ``_screen``'s (n, G) screen of G queries
-    and its bound, one float or one per column: the result is the union of
+    and its bounds, one per column: the result is the union of
     the columns' bands, or None when any column's lam is at most -1. A
     row outside column j's band clamps strictly below column j's k-th clamped
     exact score, so scoring the other columns' rows as well never changes
@@ -267,23 +267,23 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     return np.flatnonzero((cheap >= np.minimum(lam, 1.0) - delta).any(axis=1))
 
 
-def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
+def _screen(directions, images, owner, index: "CaptionIndex", w_index: FusionWeights):
     """An (n, G) screen of every row for G queries, and the bound delta on each column's distance from ``_scores``.
 
     ``directions`` are the queries' ``_query_direction`` pairs, and column j
-    belongs to query j. ``e_img`` is one image for every query, or a list of
-    one image per query. One float32 GEMM, whose operand is C-ordered (an
-    F-ordered one is several times slower), serves every column. delta is
-    one float that bounds every row of every column, except for a list of
-    images at ``w_img > 0``: then it is an array of one float per column.
+    belongs to query j. ``images`` is an (M, d) float64 matrix with one row
+    per image, and query j's image is row ``owner[j]``; both are read only at
+    ``w_img > 0``. One float32 GEMM, whose operand is C-ordered (an
+    F-ordered one is several times slower), serves every column. delta is a
+    float64 array of one bound per column.
 
     At ``w_img == 0`` the GEMM scores every row against the unit directions
     q / qnorm, within ``_screen_delta`` of the exact ``_cosines`` (the proof
-    is there).
+    is there), in every column.
 
     Otherwise, with a, b the index weights, p a query's image, c = qnorm
     and q' = q / c, the GEMM of the rows with [b q'_1 ... b q'_G, 2ab p_1
-    ... 2ab p_M], one image column per distinct image object, gives
+    ... 2ab p_M], one column per row of ``images``, gives
     x_i ~ b r_i.q' per query and y_i ~ 2ab r_i.p per image, and the query's
     screen score is
 
@@ -345,17 +345,14 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     # even where q itself would overflow float32.
     units = np.array([q / qnorm for q, qnorm in directions])
     if w_index.w_img == 0.0:
-        return index.embeddings @ np.ascontiguousarray(units.T, np.float32), _screen_delta(index.dim)
+        cheap = index.embeddings @ np.ascontiguousarray(units.T, np.float32)
+        return cheap, np.full(len(units), _screen_delta(index.dim))
     a, b, n_q = w_index.w_img, w_index.w_text, len(units)
-    images = e_img if isinstance(e_img, list) else [e_img] * n_q
-    seen = {}  # id -> (column, image), one entry per distinct image object
-    owner = [seen.setdefault(id(img), (len(seen), img))[0] for img in images]
-    p = np.array([img for _, img in seen.values()])  # (M, d), one row per distinct image
-    columns = np.concatenate([b * units, 2 * a * b * p]).astype(np.float32)
+    columns = np.concatenate([b * units, 2 * a * b * images]).astype(np.float32)
     xy = (index.embeddings @ np.ascontiguousarray(columns.T)).T.astype(np.float64, order="C")
     num = xy[:n_q]  # one contiguous float64 row per query
-    num += a * np.einsum("ij,ij->i", units, p[owner])[:, None]
-    hi2 = (a * a * np.einsum("ij,ij->i", p, p) + b * b)[:, None] + xy[n_q:]
+    num += a * np.einsum("ij,ij->i", units, images[owner])[:, None]
+    hi2 = (a * a * np.einsum("ij,ij->i", images, images) + b * b)[:, None] + xy[n_q:]
 
     v, tol, e = 2.0**-53, UNIT_NORM_TOL, _screen_delta(index.dim)
     g = (index.dim + 1) * v / (1 - (index.dim + 1) * v)
@@ -375,26 +372,27 @@ def _screen(directions, e_img, index: "CaptionIndex", w_index: FusionWeights):
     inv_hi = 1.0 / np.sqrt(np.maximum(h2, 2 * e_den))
     delta = np.where(h2 >= 2 * e_den, inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0, np.inf)
     num *= (1.0 / np.sqrt(np.maximum(hi2, e_den)))[owner]
-    return num.T, (delta[owner] if isinstance(e_img, list) else float(delta[0]))
+    return num.T, delta[owner]
 
 
-def _candidates(queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
+def _candidates(queries: Sequence[np.ndarray], images, owner, index: "CaptionIndex", w_index: FusionWeights, k: int):
     """The rows that can reach any query's top k by ``_scores``, and their raw scores.
 
-    Returns ascending index rows and a (len(rows), G) array, column j for
-    query j. Below a full ranking one ``_screen`` serves every query, and the
-    union of the columns' bands (``_band``) is sliced once and scored.
+    ``images`` and ``owner`` are as in ``_screen``. Returns ascending index
+    rows and a (len(rows), G) array, column j for query j. Below a full
+    ranking one ``_screen`` serves every query, and the union of the
+    columns' bands (``_band``) is sliced once and scored.
     """
     directions = [_query_direction(q, index) for q in queries]
-    rows = _band(*_screen(directions, e_img, index, w_index), k) if k < len(index) else None
+    rows = _band(*_screen(directions, images, owner, index, w_index), k) if k < len(index) else None
     block = index.embeddings if rows is None else index.embeddings[rows]
-    scores = np.stack([_scores(q, qnorm, e_img, block, w_index) for q, qnorm in directions], axis=1)
+    scores = np.stack([_scores(*d, images[o], block, w_index) for d, o in zip(directions, owner)], axis=1)
     return (np.arange(len(index)) if rows is None else rows), scores
 
 
-def _topk(query: np.ndarray, e_img, index: "CaptionIndex", w_index: FusionWeights, k: int):
-    """``_rank`` of the top k rows by ``_scores``, scoring only ``_candidates``' rows."""
-    rows, scores = _candidates([query], e_img, index, w_index, k)
+def _topk(query: np.ndarray, e_img: np.ndarray, index: "CaptionIndex", w_index: FusionWeights, k: int):
+    """``_rank`` of the top k rows by ``_scores`` with the image ``e_img``, scoring only ``_candidates``' rows."""
+    rows, scores = _candidates([query], e_img[None], np.zeros(1, np.intp), index, w_index, k)
     return _rank(index, scores[:, 0], k, rows)
 
 
@@ -404,32 +402,28 @@ def _ahead(scores, ids, score, id_rank):
 
 
 def _gt_ranks(
-    queries: Sequence[np.ndarray], e_img, index: "CaptionIndex", w_index: FusionWeights,
-    rows: list,
+    queries: Sequence[np.ndarray], images, owner, index: "CaptionIndex", w_index: FusionWeights, rows: list,
 ) -> list[list[int]]:
     """Per query, the ascending 1-based ranks that ``_rank`` would give its ground-truth ``rows`` by ``_scores``.
 
-    ``e_img`` is as in ``_screen``; ``rows`` is one list of index rows for
-    every query, or a list of one such list per query. A row's rank is one
-    plus the rows with a higher clamped exact score plus the rows tied with
-    it whose caption id sorts first, so no ranking is built. One
-    ``_screen`` serves every query, and each column's scores and delta give
-    every row's bounds L and U (``_screen_delta``) once. With c a
-    ground-truth row's clamped exact score, a row with L > c scores above c
-    and, when c < 1, clamps above it; a row with U < c clamps below c when
-    c > -1. Only the other rows, which include the ground-truth row itself,
-    are scored exactly and compared with the id tie-break; where delta is
-    infinite that is the full exact scan. A query's ground-truth rows are
-    scored together; the counting runs per row, since a query has few of
-    them and broadcasting costs more calls than it saves at small indexes.
+    ``images`` and ``owner`` are as in ``_screen``; ``rows`` holds one list
+    of ground-truth index rows per query. A row's rank is one plus the rows
+    with a higher clamped exact score plus the rows tied with it whose
+    caption id sorts first, so no ranking is built. One ``_screen`` serves
+    every query, and each column's scores and delta give every row's bounds
+    L and U (``_screen_delta``) once. With c a ground-truth row's clamped
+    exact score, a row with L > c scores above c and, when c < 1, clamps
+    above it; a row with U < c clamps below c when c > -1. Only the other
+    rows, which include the ground-truth row itself, are scored exactly and
+    compared with the id tie-break; where delta is infinite that is the full
+    exact scan. A query's ground-truth rows are scored together; the
+    counting runs per row, since a query has few of them and broadcasting
+    costs more calls than it saves at small indexes.
     """
     directions = [_query_direction(q, index) for q in queries]
-    cheap, delta = _screen(directions, e_img, index, w_index)
-    n_q = len(queries)
-    images = e_img if isinstance(e_img, list) else [e_img] * n_q
-    per_rows = rows if isinstance(rows[0], list) else [rows] * n_q
+    cheap, delta = _screen(directions, images, owner, index, w_index)
     per_query = []
-    for (q, qnorm), p, gt_rows, d, column in zip(directions, images, per_rows, np.broadcast_to(delta, n_q), cheap.T):
+    for (q, qnorm), p, gt_rows, d, column in zip(directions, images[owner], rows, delta, cheap.T):
         scores = _scores(q, qnorm, p, index.embeddings[gt_rows], w_index)
         column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
         low, up = column - d, column + d
@@ -452,7 +446,8 @@ def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> Ranked
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, len(index))
-    ranked = _topk(query.values, None, index, _UNIDIRECTIONAL, k)
+    # At _UNIDIRECTIONAL the image is never read, so the query stands in for one.
+    ranked = _topk(query.values, query.values, index, _UNIDIRECTIONAL, k)
     return _ranked_list(index, *ranked, k, STAGE_INITIAL)
 
 

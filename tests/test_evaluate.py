@@ -554,6 +554,55 @@ SWEEP_MODES = {
 }
 
 
+# The counted modes (bi-directional at the default index weights 0.3/0.7), plus 0.5/0.5.
+SHARED_IMAGE_MODES = {**COUNTED_MODES, "bidir-0.5": {**COUNTED_MODES["bidirectional"], **SWEEP_MODES["bidir-0.5"]}}
+
+
+def shared_image_bundles(bundles, tmp_path):
+    """``bundles`` written to F4E and JSONL and loaded back, with two extra lines.
+
+    One extra line names bundle 1's image id with bundle 3's texts and
+    ground truth, so ``load_bundles`` gives two bundles one
+    ``EmbeddingVector``. The other names a second record that holds a
+    byte-equal copy of bundle 2's image, with bundle 4's texts and ground
+    truth.
+    """
+    records = [(f"img{j}", b.e_img) for j, b in enumerate(bundles)] + [("img2-copy", bundles[2].e_img)]
+    write_embedding_file(records, tmp_path / "images.f4e")
+    lines = [
+        {"image_id": f"img{j}", "dense_pred_text": b.dense_pred_text,
+         "sparse_pred_text": b.sparse_pred_text, "gt_caption_ids": list(b.gt_caption_ids)}
+        for j, b in enumerate(bundles)
+    ]
+    lines[2:2] = [{**lines[3], "image_id": "img1"}]
+    lines[4:4] = [{**lines[5], "image_id": "img2-copy"}]
+    (tmp_path / "bundles.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return load_bundles(tmp_path / "bundles.jsonl", tmp_path / "images.f4e")
+
+
+class TestSharedImages:
+    """Bundles that share one image object, or hold byte-equal copies, report as if each ran alone."""
+
+    @pytest.mark.parametrize("mode", sorted(SHARED_IMAGE_MODES))
+    def test_reports_equal_each_bundle_alone(self, mode, tmp_path, monkeypatch):
+        spec, index, bundles = tie_corpus(3, "sparse")
+        loaded = shared_image_bundles(bundles, tmp_path)
+        # Fixture guards: one image object serves two bundles, and two bundles
+        # hold equal bytes in distinct objects.
+        assert loaded[1].e_img is loaded[2].e_img
+        assert loaded[3].e_img is not loaded[4].e_img
+        assert loaded[3].e_img.values.tobytes() == loaded[4].e_img.values.tobytes()
+        assert search._block_len(len(index)) // len(GRID) >= len(loaded)  # one block, sweeps too
+        config = EvalConfig(encoder=spec, **SHARED_IMAGE_MODES[mode])
+        report = evaluate_corpus(loaded, index, config)
+        sweep = sweep_fusion_weight(loaded, index, GRID, config, "mean_ap")
+        assert report.per_query == tuple(evaluate_corpus([b], index, config).per_query[0] for b in loaded)
+        # Blocks of one query: every bundle is screened on its own, for all its points.
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", 8 * len(index))
+        assert render_report(evaluate_corpus(loaded, index, config)) == render_report(report)
+        assert sweep_fusion_weight(loaded, index, GRID, config, "mean_ap") == sweep
+
+
 class TestSweep:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("mode", ["fused", "bidir-0.3", "bidir-0.5"])
@@ -576,7 +625,8 @@ class TestSweep:
     def test_screens_each_block_once(self, mode, monkeypatch):
         # A plain or bi-directional evaluation screens each block of bundles
         # once, for every bundle at every point; a re-rank one screens each
-        # bundle once, for its whole grid.
+        # bundle once, for its whole grid. Each screen gets one image row per
+        # bundle, and each query is owned by its bundle's row.
         spec, index, bundles = tie_corpus(0, "sparse")
         config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
         assert (config.pool_size or 0) < len(index)  # a pool of every row needs no screen
@@ -584,6 +634,16 @@ class TestSweep:
         monkeypatch.setattr(search, "_screen", lambda *a: calls.append(a) or screen(*a))
         n, grid = len(bundles), len(GRID)
         rerank = mode == "rerank"
+
+        def check_owners(points):
+            start = 0
+            for _, images, owner, *_ in calls:
+                block = bundles[start : start + len(images)]
+                assert images.tolist() == [b.e_img.values.tolist() for b in block]
+                assert owner.tolist() == [j for j in range(len(block)) for _ in range(points)]
+                start += len(block)
+            assert start == n
+
         # By default every bundle fits one block; then blocks of 3 queries hold
         # 3 bundles at one point, or one bundle at every grid point.
         for queries, sweep_blocks, eval_blocks in ((None, [grid * n], [n]), (3, [grid] * n, [3, 3])):
@@ -592,12 +652,11 @@ class TestSweep:
             calls.clear()
             sweep_fusion_weight(bundles, index, GRID, config)
             assert [len(a[0]) for a in calls] == ([grid] * n if rerank else sweep_blocks)
-            if not rerank:
-                images = [id(p) for a in calls for p in a[1]]
-                assert images == [id(b.e_img.values) for b in bundles for _ in GRID]
+            check_owners(grid)
             calls.clear()
             evaluate_corpus(bundles, index, config)
             assert [len(a[0]) for a in calls] == ([1] * n if rerank else eval_blocks)
+            check_owners(1)
 
     @pytest.mark.parametrize("queries", [1, 3])
     def test_block_size_never_changes_a_report(self, queries, monkeypatch):

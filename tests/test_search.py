@@ -51,7 +51,7 @@ def cosine_band(index, query, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_scores", recording)
-        search._topk(query.values, None, index, search._UNIDIRECTIONAL, k)
+        search._topk(query.values, query.values, index, search._UNIDIRECTIONAL, k)
     return scored[0]
 
 
@@ -507,7 +507,8 @@ class TestScreen:
         rows = np.tile(-e_img.values, (12, 1)).astype(np.float32)
         index = CaptionIndex(captions, rows, "dense", "test")
         direction = search._query_direction(e_img.values, index)
-        assert search._band(*search._screen([direction], e_img.values, index, w_index), 3) is None
+        screen = search._screen([direction], e_img.values[None], [0], index, w_index)
+        assert search._band(*screen, 3) is None
         bundle = QueryBundle("q", e_img)
         got = search_bidirectional(bundle, index, FusionWeights(1.0, 0.0), w_index, k=3)
         want = unscreened(index, exact_scores(e_img.values, e_img.values, index, w_index), 3)
@@ -572,7 +573,7 @@ def diff_case(dim, seed, w_index):
                          "dense", "test")
     # The screen's bound: a scalar for cosines, else the probe row's.
     direction = search._query_direction(query.values, probe)
-    delta = float(np.max(search._screen([direction], bundle.e_img.values, probe, w_index)[1]))
+    delta = float(np.max(search._screen([direction], bundle.e_img.values[None], [0], probe, w_index)[1]))
     step = score_step(base, q, p, w_index)
     first = len(rows)
     for t in np.linspace(-4.0, 4.0, 40):
@@ -613,7 +614,7 @@ class TestScreenedRanks:
             with monkeypatch.context() as mp:
                 mp.setattr(search, "_scores",
                            lambda *a: rescored.append(len(a[3])) or score(*a))
-                (got,) = search._gt_ranks([query.values], *args[1:], gt_rows)
+                (got,) = search._gt_ranks([query.values], args[1][None], [0], index, w_index, [gt_rows])
             full = unscreened(index, raw, len(index))
             rank_of = {cid: r for r, cid in enumerate(full.ids, start=1)}
             assert got == sorted(rank_of[index.captions[g].id] for g in gt_rows)
@@ -638,10 +639,10 @@ class TestScreenedRanks:
         for seed in range(10):
             index, bundle, _, _, query, _ = diff_case(dim, seed, w_index)
             direction = search._query_direction(query.values, index)
-            cheap, delta = search._screen([direction], bundle.e_img.values, index, w_index)
-            assert type(delta) is float
+            cheap, delta = search._screen([direction], bundle.e_img.values[None], [0], index, w_index)
+            assert delta.shape == (1,) and delta.dtype == np.float64
             exact = exact_scores(query.values, bundle.e_img.values, index, w_index)
-            assert np.all(np.abs(cheap[:, 0] - exact) < delta)
+            assert np.all(np.abs(cheap[:, 0] - exact) < delta[0])
 
     @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
     def test_one_collapsing_row_makes_the_bound_infinite(self, collapsing_row):
@@ -650,8 +651,8 @@ class TestScreenedRanks:
         e_img[0] = 1.0
         index = block_index(3 * TestBidirectionalBlocks.BLOCK, 8, seed=1, rows={collapsing_row: -e_img})
         direction = search._query_direction(e_img, index)
-        _, delta = search._screen([direction], e_img, index, FusionWeights(0.5, 0.5))
-        assert delta == np.inf
+        _, delta = search._screen([direction], e_img[None], [0], index, FusionWeights(0.5, 0.5))
+        assert delta.tolist() == [np.inf]
 
     @pytest.mark.parametrize("k", [None, 1])
     @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
@@ -683,22 +684,48 @@ class TestScreenedRanks:
             cases = [diff_case(dim, seed + j, w_index) for j in range(3)]
             index = cases[1][0]  # every case has the same row count, so its gt rows fit here
             queries = [case[4].values for case in cases] + [cases[1][1].e_img.values]
-            images = [case[1].e_img.values for case in cases] + [cases[1][1].e_img.values]
+            images = np.array([case[1].e_img.values for case in cases])
+            owner = np.array([0, 1, 2, 1])
             rows = [case[5] for case in cases] + [cases[1][5]]
-            got = search._gt_ranks(queries, images, index, w_index, rows)
+            got = search._gt_ranks(queries, images, owner, index, w_index, rows)
             directions = [search._query_direction(q, index) for q in queries]
-            cheap, delta = search._screen(directions, images, index, w_index)
-            deltas = np.broadcast_to(delta, len(queries))
-            for j, (q, p, gt_rows) in enumerate(zip(queries, images, rows)):
-                assert search._gt_ranks([q], p, index, w_index, gt_rows) == [got[j]]
+            cheap, delta = search._screen(directions, images, owner, index, w_index)
+            assert delta.shape == (len(queries),)
+            for j, (q, p, gt_rows) in enumerate(zip(queries, images[owner], rows)):
+                assert search._gt_ranks([q], p[None], [0], index, w_index, [gt_rows]) == [got[j]]
                 raw = exact_scores(q, p, index, w_index)
                 full = unscreened(index, raw, len(index)).ids
                 assert got[j] == sorted(full.index(index.captions[g].id) + 1 for g in gt_rows)
-                assert np.all(np.abs(cheap[:, j] - raw) < deltas[j])
-            assert deltas[1] == deltas[3]  # one bound per image
-            distinct_bounds += len(set(deltas.tolist())) > 1
+                assert np.all(np.abs(cheap[:, j] - raw) < delta[j])
+            assert delta[1] == delta[3]  # one bound per image
+            distinct_bounds += len(set(delta.tolist())) > 1
         # Fixture guard: bi-directionally, the images' bounds differ.
         assert distinct_bounds > 0 or w_index == search._UNIDIRECTIONAL
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_images_are_not_read_unidirectionally(self, dim):
+        # search_topk passes its own query as the image. That is sound only if,
+        # at _UNIDIRECTIONAL, an all-NaN image matrix gives the same screen
+        # bits, bounds, candidates and ranks as the real images.
+        w_index = search._UNIDIRECTIONAL
+        for seed in range(3):
+            cases = [diff_case(dim, seed + j, w_index) for j in range(3)]
+            index = cases[1][0]  # every case has the same row count, so its gt rows fit here
+            queries = [case[4].values for case in cases]
+            images = np.array([case[1].e_img.values for case in cases])
+            nan = np.full_like(images, np.nan)
+            owner = np.arange(len(queries))
+            rows = [case[5] for case in cases]
+            directions = [search._query_direction(q, index) for q in queries]
+            cheap, delta = search._screen(directions, images, owner, index, w_index)
+            cheap_nan, delta_nan = search._screen(directions, nan, owner, index, w_index)
+            assert cheap_nan.tobytes() == cheap.tobytes()
+            assert delta_nan.tobytes() == delta.tobytes()
+            for got, want in zip(search._candidates(queries, nan, owner, index, w_index, 5),
+                                 search._candidates(queries, images, owner, index, w_index, 5)):
+                assert got.tobytes() == want.tobytes()
+            want = search._gt_ranks(queries, images, owner, index, w_index, rows)
+            assert search._gt_ranks(queries, nan, owner, index, w_index, rows) == want
 
     @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
     def test_one_collapsing_image_leaves_the_other_columns_exact(self, collapsing_row, monkeypatch):
@@ -708,10 +735,12 @@ class TestScreenedRanks:
         e_img[0] = 1.0
         index = block_index(3 * TestBidirectionalBlocks.BLOCK, 8, seed=1, rows={collapsing_row: -e_img})
         rng = np.random.default_rng(collapsing_row)
-        images = [unit(rng.standard_normal(8)).values, e_img, unit(rng.standard_normal(8)).values]
+        first, last = (unit(rng.standard_normal(8)).values for _ in range(2))
+        images = np.stack([first, e_img, last])
+        owner = np.arange(3)
         w_index = FusionWeights(0.5, 0.5)
         directions = [search._query_direction(p, index) for p in images]
-        cheap, delta = search._screen(directions, images, index, w_index)
+        cheap, delta = search._screen(directions, images, owner, index, w_index)
         assert delta[1] == np.inf and np.all(np.isfinite(delta[[0, 2]]))
         for j in (0, 2):
             raw = exact_scores(images[j], images[j], index, w_index)
@@ -719,12 +748,12 @@ class TestScreenedRanks:
             full = unscreened(index, raw, len(index)).ids
             # Counted from the block's own column and bound, every rank is exact.
             with monkeypatch.context() as mp:
-                mp.setattr(search, "_screen", lambda *a: (cheap[:, [j]], delta[j]))
+                mp.setattr(search, "_screen", lambda *a: (cheap[:, [j]], delta[[j]]))
                 for gt in range(len(index)):
-                    got = search._gt_ranks([images[j]], images[j], index, w_index, [gt])
+                    got = search._gt_ranks([images[j]], images[[j]], [0], index, w_index, [[gt]])
                     assert got == [[full.index(index.captions[gt].id) + 1]]
         with pytest.raises(ZeroVectorError, match="collapsed"):
-            search._gt_ranks(images, images, index, w_index, [0])
+            search._gt_ranks(list(images), images, owner, index, w_index, [[0]] * 3)
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_collapse_raises_alike_anywhere_in_a_block(self, position):
@@ -770,7 +799,8 @@ class TestScreenedRanks:
             full = unscreened(index, exact_scores(*args), len(index)).ids
             for gt in (7, 40):
                 want = full.index(index.captions[gt].id) + 1
-                assert search._gt_ranks([query.values], *args[1:], [gt]) == [[want]]
+                got = search._gt_ranks([query.values], e_img.values[None], [0], index, w_index, [[gt]])
+                assert got == [[want]]
                 if query is e_img:
                     bundle = QueryBundle("q", e_img, gt_caption_ids=(index.captions[gt].id,))
                     assert evaluate_corpus([bundle], index, config).per_query[0].gt_rank == want
