@@ -5,8 +5,8 @@ Layout, all integers little-endian, no padding:
     magic "F4EM" | version u16 = 1 | dim u32 | count u64
     per record: id_len u16 | id UTF-8 bytes | dim * f32
 
-Vectors are stored in 32-bit floats and re-normalized (in double
-precision) on load, so every loaded vector carries the unit-norm flag.
+Vectors are stored in 32-bit floats and normalized on load, as one block
+in double precision, so every loaded vector carries the unit-norm flag.
 ``_Reader`` and ``_pack_text`` are shared with the F4I format (``index.py``);
 every file the package writes goes through ``_write_atomic``.
 """
@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagicError,
@@ -27,8 +28,9 @@ from .errors import (
     MixedDimsError,
     TruncatedFileError,
     VersionUnsupportedError,
+    ZeroVectorError,
 )
-from .vectors import EmbeddingVector, _unit
+from .vectors import ZERO_NORM_EPS, EmbeddingVector, _Adopted
 
 F4E_MAGIC = b"F4EM"
 F4E_VERSION = 1
@@ -170,23 +172,48 @@ def write_embedding_file(records: Sequence[Record], path) -> None:
 def load_embedding_file(path) -> list[Record]:
     """Load all records from an F4E file, in file order.
 
-    Every vector is L2-normalized on load. Raises BadMagicError,
-    VersionUnsupportedError, TruncatedFileError, CorruptFileError or
-    DuplicateIdError on malformed input.
+    The float rows are checked finite and L2-normalized as one block; each
+    vector is a read-only row of it. A bad file fails at its first bad record,
+    checked for its id, float count, finiteness, unique id and norm in turn; a
+    non-finite one is named by the byte offset of its end. Raises BadMagicError,
+    VersionUnsupportedError, TruncatedFileError, CorruptFileError,
+    DuplicateIdError or ZeroVectorError on malformed input.
     """
-    records: list[Record] = []
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # an ordered set
+    starts: list[int] = []
+    fault = None
     with _Reader(path, _HEADER, F4E_MAGIC, F4E_VERSION) as reader:
         dim, count = reader.fields
         if count and not dim:
             raise ValueError("embedding must be a non-empty 1-D vector")
-        for _ in range(count):
-            rid = reader.text(_ID_LEN)
-            raw = reader.floats(dim)
-            if rid in seen:
-                raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
-            seen.add(rid)
-            # ``floats`` checked it finite, and a float32 vector's float64 norm cannot overflow.
-            records.append((rid, EmbeddingVector(_unit(raw.astype(np.float64)), normalized=True)))
-        reader.end()
-    return records
+        try:
+            for _ in range(count):
+                rid = reader.text(_ID_LEN)
+                starts.append(reader._take(4 * dim))
+                if rid in ids:
+                    raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
+                ids[rid] = None
+            reader.end()
+        except (TruncatedFileError, DuplicateIdError, ValueError) as exc:
+            fault = exc  # raised below, unless a record before it is bad
+        n = len(starts)
+        # With no rows, a window wider than the file would raise.
+        windows = sliding_window_view(np.frombuffer(reader.data, np.uint8), 4 * dim if n else 0)
+        block = windows[starts].view("<f4")  # a copy of the rows alone
+        # Checked in float32, before the cast: casting a signalling NaN to float64 warns.
+        bad = int(np.append(np.isfinite(block).all(axis=1), False).argmin())  # n if none
+        unit = block[:bad].astype(np.float64)
+        # The bits of each row's np.linalg.norm, as _unit takes it (pinned in test_vectors).
+        norms = np.sqrt(np.vecdot(unit, unit))
+        dup = n - 1 if isinstance(fault, DuplicateIdError) else n
+        if (norms[:dup] <= ZERO_NORM_EPS).any():  # a zero row ahead of every other fault
+            raise ZeroVectorError("cannot normalize a zero vector")
+        if bad < n:
+            reader.pos = starts[bad] + 4 * dim
+            raise ValueError("non-finite float")
+        if fault is not None:
+            raise fault
+    del reader, windows, block  # the file's bytes and the rows' copy, freed before the records
+    unit /= norms[:, None]
+    unit.flags.writeable = False
+    return [(rid, EmbeddingVector(_Adopted(row), normalized=True)) for rid, row in zip(ids, unit)]

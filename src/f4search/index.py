@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     UnknownKindError,
 )
 from .search import _row_blocks
-from .vectors import UNIT_NORM_TOL
+from .vectors import UNIT_NORM_TOL, _Adopted
 
 F4I_MAGIC = b"F4IX"
 F4I_VERSION = 1
@@ -64,12 +64,6 @@ class Caption:
             parse_items(self.text)  # raises NoItemsError if nothing survives
 
 
-class _Adopted(NamedTuple):
-    """A float32 matrix that only this module holds: ``CaptionIndex`` keeps it, uncopied."""
-
-    matrix: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class CaptionIndex:
     """Immutable searchable corpus: captions plus unit-norm embedding rows."""
@@ -83,7 +77,7 @@ class CaptionIndex:
         if not self.captions:
             raise EmptyCorpusError("cannot build an index from zero captions")
         mat = self.embeddings
-        mat = mat.matrix if isinstance(mat, _Adopted) else np.array(mat, dtype=np.float32)
+        mat = mat.array if isinstance(mat, _Adopted) else np.array(mat, dtype=np.float32)
         if mat.ndim != 2 or mat.shape[0] != len(self.captions):
             raise ValueError("embedding matrix must have one row per caption")
         for _, rows in _row_blocks(mat):

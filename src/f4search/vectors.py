@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,26 +30,33 @@ def _checked(values) -> np.ndarray:
     return arr
 
 
+class _Adopted(NamedTuple):
+    """An array only the package holds, kept uncopied by ``EmbeddingVector`` and ``CaptionIndex``."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
     """A fixed-dimension real vector, optionally flagged as unit-norm.
 
     Values are coerced to an immutable float64 array. The ``normalized``
     flag is validated at construction: setting it requires the L2 norm to
-    be within 1e-6 of one.
+    be within 1e-6 of one. ``_Adopted`` values, the trusted path, skip both.
     """
 
     values: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        arr = _checked(self.values)
-        if self.normalized:
-            norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > UNIT_NORM_TOL:
-                raise ValueError(
-                    f"normalized flag set but L2 norm is {norm!r}"
-                )
+        if isinstance(self.values, _Adopted):
+            arr = self.values.array
+        else:
+            arr = _checked(self.values)
+            if self.normalized:
+                norm = float(np.linalg.norm(arr))
+                if abs(norm - 1.0) > UNIT_NORM_TOL:
+                    raise ValueError(f"normalized flag set but L2 norm is {norm!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

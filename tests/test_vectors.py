@@ -82,6 +82,29 @@ class TestL2Normalize:
         assert str(got.value) == str(expected.value)
 
 
+# The dims and scales at which the batched norm below is pinned: around the
+# dot kernel's unroll and block sizes, and from near underflow to near overflow.
+NORM_DIMS = [*range(1, 70), 127, 128, 129, 255, 256, 257, 512, 768, 1024, 1025]
+NORM_SCALES = [1e-150, 1e-50, 1.0, 1e50, 1e150]
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_batched_norms_have_the_bits_of_per_row_norms(strided):
+    # The F4E loader normalizes a whole block with these norms; a record must
+    # get the bits that per-row np.linalg.norm (and so _unit) would give it.
+    # Strided means rows spaced apart, each still contiguous: with strided
+    # elements vecdot leaves the dot kernel and most bits differ.
+    rng = np.random.default_rng(11)
+    for dim in NORM_DIMS:
+        for scale in NORM_SCALES:
+            wide = rng.standard_normal((12, dim + 3)) * scale
+            rows = wide[::2, 1 : dim + 1] if strided else np.ascontiguousarray(wide[:6, :dim])
+            assert all(row.flags.c_contiguous for row in rows)
+            batched = np.sqrt(np.vecdot(rows, rows))
+            per_row = np.array([np.linalg.norm(row) for row in rows])
+            assert batched.tobytes() == per_row.tobytes(), (dim, scale)
+
+
 class TestCosineSimilarity:
     def test_identical_unit_vectors(self):
         a = EmbeddingVector([1.0, 0.0], normalized=True)
