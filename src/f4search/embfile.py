@@ -175,7 +175,8 @@ def load_embedding_file(path) -> list[Record]:
     The float rows are checked finite and L2-normalized as one block; each
     vector is a read-only row of it. A bad file fails at its first bad record,
     checked for its id, float count, finiteness, unique id and norm in turn; a
-    non-finite one is named by the byte offset of its end. Raises BadMagicError,
+    non-finite one is named by the byte offset of its end, and a zero one by
+    its id and that offset too. Raises BadMagicError,
     VersionUnsupportedError, TruncatedFileError, CorruptFileError,
     DuplicateIdError or ZeroVectorError on malformed input.
     """
@@ -206,8 +207,11 @@ def load_embedding_file(path) -> list[Record]:
         # The bits of each row's np.linalg.norm, as _unit takes it (pinned in test_vectors).
         norms = np.sqrt(np.vecdot(unit, unit))
         dup = n - 1 if isinstance(fault, DuplicateIdError) else n
-        if (norms[:dup] <= ZERO_NORM_EPS).any():  # a zero row ahead of every other fault
-            raise ZeroVectorError("cannot normalize a zero vector")
+        zero = norms[:dup] <= ZERO_NORM_EPS
+        if zero.any():  # a zero row ahead of every other fault
+            z = int(zero.argmax())
+            at = f"record {list(ids)[z]!r} before byte {starts[z] + 4 * dim}"
+            raise ZeroVectorError(f"{path}: {at}: cannot normalize a zero vector")
         if bad < n:
             reader.pos = starts[bad] + 4 * dim
             raise ValueError("non-finite float")

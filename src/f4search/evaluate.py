@@ -18,9 +18,11 @@ re-ranking the sparse text's item phrases) with one encoder call, so a
 remote encoder sends them in batches over one connection, and a sweep
 encodes once for its whole grid. Scoring then runs the private cores of the
 per-bundle search functions on float64 arrays and index rows, so it builds
-no ``RankedList`` and no ``EmbeddingVector``. One float32 screen
-(``search._screen``) serves a block of bundles at every point of a sweep's
-grid, and each query's ground-truth ranks are counted from it on its own;
+no ``RankedList`` and no ``EmbeddingVector``. A block of bundles at every
+point of a sweep's grid is fused (``vectors._fused``) and normed
+(``search._query_norms``) at once, with the bits of one query at a time,
+and one float32 screen (``search._screen``) serves it; each query's
+ground-truth ranks are counted from it on its own;
 a re-ranking screen serves one bundle's points, and ranks are counted in
 each point's pool. An encoder returns each text's vector independently of
 the rest of its batch, and a query's ranks do not depend on its block, so
@@ -42,13 +44,14 @@ from .embfile import _write_atomic, load_embedding_file
 from .encoders import EncoderSpec, parse_items
 from .errors import (
     ConfigConflictError,
+    DimensionMismatchError,
     EmptyGroundTruthError,
     MalformedLineError,
     UnknownCandidateIdError,
 )
 from .index import CaptionIndex, read_jsonl
 from .rerank import _rerank_ranks, default_pool_size
-from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _block_len, _encode_bundles, _gt_ranks
+from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _block_len, _encode_bundles, _gt_ranks, _query_norms
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
 
@@ -168,6 +171,8 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
         raise ValueError("no query bundles to evaluate")
     _check_mode(index, config)
     for bundle in bundles:
+        if bundle.e_img.dim != index.dim:
+            raise DimensionMismatchError(f"bundle {bundle.image_id!r}: image dim {bundle.e_img.dim} vs {index.dim} of the index")
         if not bundle.gt_caption_ids:
             raise EmptyGroundTruthError(f"bundle {bundle.image_id!r} has no gt ids")
         k_out = max(5, len(set(bundle.gt_caption_ids)))
@@ -198,22 +203,23 @@ def _evaluate_block(
     config, n = points[0], len(points)
     gt_rows = [[index.row_of(cid) for cid in set(b.gt_caption_ids)] for b in bundles]
     images = np.array([b.e_img.values for b in bundles])  # one row per bundle, shared by its points
-    queries = [
-        img if e_text is None else _fused(img, e_text, p.weights)
-        for img, (e_text, _) in zip(images, encoded) for p in points
-    ]
+    # Query j is bundle j // n at point j % n. With no text rows no point weights text.
+    texts, weights = [e_text for e_text, _ in encoded], [p.weights for p in points]
+    queries = np.repeat(images, n, axis=0) if texts[0] is None else _fused(images, np.array(texts), weights)
+    qnorms = _query_norms(queries, index)
     if config.rerank:
         # One pool per bundle: a band union across bundles would score more rows.
         per_query = []
-        for j, (img, (_, items), rows) in enumerate(zip(images, encoded, gt_rows)):
+        for j, ((_, items), rows) in enumerate(zip(encoded, gt_rows)):
             k_out = max(5, len(rows))
             pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-            per_query += _rerank_ranks(queries[j * n : (j + 1) * n], img, index, items, pool, k_out, rows)
+            own = slice(j * n, (j + 1) * n)
+            per_query += _rerank_ranks(queries[own], qnorms[own], index, items, pool, k_out, rows)
     else:
         # The metrics read only where the ground truth lands: count its ranks, rank no rows.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
-        owner = np.arange(len(queries)) // n  # query j is bundle j // n at point j % n
-        per_query = _gt_ranks(queries, images, owner, index, w_index, [gt_rows[o] for o in owner])
+        owner = np.arange(len(queries)) // n
+        per_query = _gt_ranks(queries, qnorms, images, owner, index, w_index, [gt_rows[o] for o in owner])
 
     outcomes = [[] for _ in bundles]
     for j, ranks in enumerate(per_query):

@@ -21,9 +21,10 @@ only the band that ``_band`` keeps around the k-th bound of G queries;
 ``_topk`` ranks it for one query, and re-ranked evaluation cuts it to each
 query's top-N set. Only the public functions build a ``RankedList``
 (``_ranked_list``). Other evaluation counts the ground-truth rows' ranks
-from the same bounds (``_gt_ranks``). Both take G queries, each owning a
-row of one image matrix, and one ``_screen``: a re-ranked evaluation
-screens each bundle once, other evaluation each block of bundles once.
+from the same bounds (``_gt_ranks``). Both take G queries as one (G, d)
+matrix with its ``_query_norms``, each query owning a row of one image
+matrix, and one ``_screen``: a re-ranked evaluation screens each bundle
+once, other evaluation each block of bundles once.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
@@ -39,6 +40,7 @@ run the full exact scan, which raises ``ZeroVectorError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -125,13 +127,14 @@ class QueryBundle:
         object.__setattr__(self, "gt_caption_ids", tuple(self.gt_caption_ids))
 
 
-def _query_direction(query: np.ndarray, index: "CaptionIndex") -> tuple[np.ndarray, float]:
-    if len(query) != index.dim:
-        raise DimensionMismatchError(f"query dim {len(query)} != index dim {index.dim}")
-    norm = float(np.linalg.norm(query))
-    if norm <= ZERO_NORM_EPS:
+def _query_norms(queries: np.ndarray, index: "CaptionIndex") -> np.ndarray:
+    """The L2 norm of each row of a C-ordered (G, d) query matrix, checked against ``index``."""
+    if queries.shape[1] != index.dim:
+        raise DimensionMismatchError(f"query dim {queries.shape[1]} != index dim {index.dim}")
+    norms = np.sqrt(np.vecdot(queries, queries))  # the bits of per-row np.linalg.norm
+    if (norms <= ZERO_NORM_EPS).any():
         raise ZeroVectorError("query is the zero vector")
-    return query, norm
+    return norms
 
 
 def _rank(index: "CaptionIndex", scores: np.ndarray, k: int, rows):
@@ -181,7 +184,7 @@ def _cosines(embeddings: np.ndarray, q: np.ndarray, qnorm: float) -> np.ndarray:
 def _scores(q: np.ndarray, qnorm: float, e_img, embeddings: np.ndarray, w_index: FusionWeights) -> np.ndarray:
     """Raw score of each row of ``embeddings``, fused with ``e_img`` at ``w_index``, against ``q``.
 
-    ``q`` and ``qnorm`` come from ``_query_direction``; ``embeddings`` is the
+    ``q`` is a query row and ``qnorm`` its ``_query_norms``; ``embeddings`` is the
     index matrix or a block of its rows, sliced once by the caller. At
     ``w_img == 0`` a row is scored as stored, by ``_cosines``, and ``e_img``
     is not read. Otherwise rows are fused with the image embedding ``e_img``
@@ -267,15 +270,16 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     return np.flatnonzero((cheap >= np.minimum(lam, 1.0) - delta).any(axis=1))
 
 
-def _screen(directions, images, owner, index: "CaptionIndex", w_index: FusionWeights):
+def _screen(queries, qnorms, images, owner, index: "CaptionIndex", w_index: FusionWeights):
     """An (n, G) screen of every row for G queries, and the bound delta on each column's distance from ``_scores``.
 
-    ``directions`` are the queries' ``_query_direction`` pairs, and column j
-    belongs to query j. ``images`` is an (M, d) float64 matrix with one row
-    per image, and query j's image is row ``owner[j]``; both are read only at
-    ``w_img > 0``. One float32 GEMM, whose operand is C-ordered (an
+    ``queries`` is a (G, d) matrix and ``qnorms`` its ``_query_norms``, and
+    column j belongs to query j. ``images`` is an (M, d) float64 matrix with
+    one row per image, and query j's image is row ``owner[j]``; both are read
+    only at ``w_img > 0``. One float32 GEMM, whose operand is C-ordered (an
     F-ordered one is several times slower), serves every column. delta is a
-    float64 array of one bound per column.
+    float64 array of one bound per column, or at ``w_img == 0`` one float
+    that bounds every column.
 
     At ``w_img == 0`` the GEMM scores every row against the unit directions
     q / qnorm, within ``_screen_delta`` of the exact ``_cosines`` (the proof
@@ -343,10 +347,9 @@ def _screen(directions, images, owner, index: "CaptionIndex", w_index: FusionWei
     """
     # Screening the unit directions keeps this valid at any query scale,
     # even where q itself would overflow float32.
-    units = np.array([q / qnorm for q, qnorm in directions])
+    units = queries / qnorms[:, None]
     if w_index.w_img == 0.0:
-        cheap = index.embeddings @ np.ascontiguousarray(units.T, np.float32)
-        return cheap, np.full(len(units), _screen_delta(index.dim))
+        return index.embeddings @ np.ascontiguousarray(units.T, np.float32), _screen_delta(index.dim)
     a, b, n_q = w_index.w_img, w_index.w_text, len(units)
     columns = np.concatenate([b * units, 2 * a * b * images]).astype(np.float32)
     xy = (index.embeddings @ np.ascontiguousarray(columns.T)).T.astype(np.float64, order="C")
@@ -375,24 +378,24 @@ def _screen(directions, images, owner, index: "CaptionIndex", w_index: FusionWei
     return num.T, delta[owner]
 
 
-def _candidates(queries: Sequence[np.ndarray], images, owner, index: "CaptionIndex", w_index: FusionWeights, k: int):
+def _candidates(queries, qnorms, images, owner, index: "CaptionIndex", w_index: FusionWeights, k: int):
     """The rows that can reach any query's top k by ``_scores``, and their raw scores.
 
-    ``images`` and ``owner`` are as in ``_screen``. Returns ascending index
-    rows and a (len(rows), G) array, column j for query j. Below a full
-    ranking one ``_screen`` serves every query, and the union of the
-    columns' bands (``_band``) is sliced once and scored.
+    The arguments are as in ``_screen``. Returns ascending index rows and a
+    (len(rows), G) array, column j for query j. Below a full ranking one
+    ``_screen`` serves every query, and the union of the columns' bands
+    (``_band``) is sliced once and scored.
     """
-    directions = [_query_direction(q, index) for q in queries]
-    rows = _band(*_screen(directions, images, owner, index, w_index), k) if k < len(index) else None
+    rows = _band(*_screen(queries, qnorms, images, owner, index, w_index), k) if k < len(index) else None
     block = index.embeddings if rows is None else index.embeddings[rows]
-    scores = np.stack([_scores(*d, images[o], block, w_index) for d, o in zip(directions, owner)], axis=1)
-    return (np.arange(len(index)) if rows is None else rows), scores
+    images = repeat(None) if w_index.w_img == 0.0 else images[owner]  # one per query; none is read at w_img == 0
+    scores = [_scores(q, c, p, block, w_index) for q, c, p in zip(queries, qnorms.tolist(), images)]
+    return (np.arange(len(index)) if rows is None else rows), np.stack(scores, axis=1)
 
 
-def _topk(query: np.ndarray, e_img: np.ndarray, index: "CaptionIndex", w_index: FusionWeights, k: int):
-    """``_rank`` of the top k rows by ``_scores`` with the image ``e_img``, scoring only ``_candidates``' rows."""
-    rows, scores = _candidates([query], e_img[None], np.zeros(1, np.intp), index, w_index, k)
+def _topk(query: np.ndarray, image, index: "CaptionIndex", w_index: FusionWeights, k: int):
+    """``_rank`` of the top k rows by ``_scores`` for a (1, d) query and image, scoring only ``_candidates``' rows."""
+    rows, scores = _candidates(query, _query_norms(query, index), image, np.zeros(1, np.intp), index, w_index, k)
     return _rank(index, scores[:, 0], k, rows)
 
 
@@ -401,12 +404,10 @@ def _ahead(scores, ids, score, id_rank):
     return (scores > score) | ((scores == score) & (ids < id_rank))
 
 
-def _gt_ranks(
-    queries: Sequence[np.ndarray], images, owner, index: "CaptionIndex", w_index: FusionWeights, rows: list,
-) -> list[list[int]]:
+def _gt_ranks(queries, qnorms, images, owner, index: "CaptionIndex", w_index: FusionWeights, rows) -> list[list[int]]:
     """Per query, the ascending 1-based ranks that ``_rank`` would give its ground-truth ``rows`` by ``_scores``.
 
-    ``images`` and ``owner`` are as in ``_screen``; ``rows`` holds one list
+    The other arguments are as in ``_screen``; ``rows`` holds one list
     of ground-truth index rows per query. A row's rank is one plus the rows
     with a higher clamped exact score plus the rows tied with it whose
     caption id sorts first, so no ranking is built. One ``_screen`` serves
@@ -420,10 +421,11 @@ def _gt_ranks(
     counting runs per row, since a query has few of them and broadcasting
     costs more calls than it saves at small indexes.
     """
-    directions = [_query_direction(q, index) for q in queries]
-    cheap, delta = _screen(directions, images, owner, index, w_index)
+    cheap, delta = _screen(queries, qnorms, images, owner, index, w_index)
+    images = repeat(None) if w_index.w_img == 0.0 else images[owner]  # one per query; none is read at w_img == 0
+    columns = zip(queries, qnorms.tolist(), images, rows, np.broadcast_to(delta, len(queries)), cheap.T)
     per_query = []
-    for (q, qnorm), p, gt_rows, d, column in zip(directions, images[owner], rows, delta, cheap.T):
+    for q, qnorm, p, gt_rows, d, column in columns:
         scores = _scores(q, qnorm, p, index.embeddings[gt_rows], w_index)
         column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
         low, up = column - d, column + d
@@ -446,8 +448,7 @@ def search_topk(query: EmbeddingVector, index: "CaptionIndex", k: int) -> Ranked
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, len(index))
-    # At _UNIDIRECTIONAL the image is never read, so the query stands in for one.
-    ranked = _topk(query.values, query.values, index, _UNIDIRECTIONAL, k)
+    ranked = _topk(query.values[None], None, index, _UNIDIRECTIONAL, k)
     return _ranked_list(index, *ranked, k, STAGE_INITIAL)
 
 
@@ -455,7 +456,7 @@ def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> 
     """Reference oracle: a plain float64 product sum per row, full sort, cut at k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    q, qnorm = _query_direction(query.values, index)
+    q, qnorm = query.values, _query_norms(query.values[None], index)[0]
     sums = np.concatenate([(block * q).sum(axis=1) for _, block in _row_blocks(index.embeddings)])
     scores = np.clip(sums / qnorm, -1.0, 1.0)
     order = np.lexsort((index._id_rank, -scores))[: min(k, len(index))]
@@ -513,7 +514,7 @@ def fused_query(
     if w.w_text == 0.0:
         return bundle.e_img
     ((e_text, _),) = _encode_bundles([bundle], encoder, text_source, True, False)
-    return EmbeddingVector(_fused(bundle.e_img.values, e_text, w), normalized=True)
+    return EmbeddingVector(_fused(bundle.e_img.values[None], e_text[None], [w])[0], normalized=True)
 
 
 def search_fused_topk(
@@ -562,5 +563,5 @@ def search_bidirectional(
         raise ValueError("k must be >= 1")
     query = fused_query(bundle, w_query, text_source, encoder)
     k = min(k if k is not None else len(index), len(index))
-    ranked = _topk(query.values, bundle.e_img.values, index, w_index, k)
+    ranked = _topk(query.values[None], bundle.e_img.values[None], index, w_index, k)
     return _ranked_list(index, *ranked, k, STAGE_INITIAL)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,15 +152,27 @@ def fuse(
         return e_img
     if w.w_img == 0.0:
         return e_text
-    return EmbeddingVector(_fused(e_img.values, e_text.values, w), normalized=True)
+    return EmbeddingVector(_fused(e_img.values[None], e_text.values[None], [w])[0], normalized=True)
 
 
-def _fused(e_img: np.ndarray, e_text: np.ndarray, w: FusionWeights) -> np.ndarray:
-    """``fuse`` of two unit float64 arrays; a zero weight returns the other array itself."""
-    if len(e_img) != len(e_text):
-        raise DimensionMismatchError(f"dim {len(e_img)} vs {len(e_text)}")
-    if w.w_text == 0.0:
-        return e_img
-    if w.w_img == 0.0:
-        return e_text
-    return _unit(w.w_img * e_img + w.w_text * e_text)
+def _fused(images: np.ndarray, texts: np.ndarray, weights: Sequence[FusionWeights]) -> np.ndarray:
+    """``fuse`` of each row pair of two unit float64 matrices at each of ``weights``.
+
+    Row ``j * len(weights) + i`` of the C-ordered (G, d) result fuses row j
+    of ``images`` and ``texts`` at ``weights[i]``; a zero weight gives the
+    other row's bits. The first row that ``_unit`` rejects raises its error.
+    """
+    if images.shape[1] != texts.shape[1]:
+        raise DimensionMismatchError(f"dim {images.shape[1]} vs {texts.shape[1]}")
+    a, b = np.array([(w.w_img, w.w_text) for w in weights]).T
+    fused = (a[:, None] * images[:, None] + b[:, None] * texts[:, None]).reshape(-1, images.shape[1])
+    norms = np.sqrt(np.vecdot(fused, fused))  # the bits of _unit's np.linalg.norm (pinned in test_vectors)
+    if any(w.w_img == 0.0 or w.w_text == 0.0 for w in weights):
+        by_point = fused.reshape(len(images), len(weights), -1)
+        by_point[:, b == 0.0] = images[:, None]
+        by_point[:, a == 0.0] = texts[:, None]
+        norms.reshape(len(images), -1)[:, (a == 0.0) | (b == 0.0)] = 1.0  # x / 1.0 keeps the bits of x
+    if not ZERO_NORM_EPS < norms.min() <= norms.max() < np.inf:
+        _unit(fused[np.argmin((norms > ZERO_NORM_EPS) & np.isfinite(norms))])  # raises as one row's fusion does
+    fused /= norms[:, None]
+    return fused

@@ -432,6 +432,24 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert "phantom-id" in result.output
 
+    def test_zero_image_record_exits_one_with_file(self, runner, corpus_dir, dense_index_path, tmp_path):
+        zeroed = tmp_path / "zeroed.f4e"
+        data = (corpus_dir / "images.f4e").read_bytes()
+        zeroed.write_bytes(data[: -4 * 32] + bytes(4 * 32))  # the last record's 32 floats
+        result = runner.invoke(
+            main,
+            [
+                "evaluate",
+                "--index", str(dense_index_path),
+                "--bundles", str(corpus_dir / "bundles.jsonl"),
+                "--image-embeddings", str(zeroed),
+                "--w-text", "0",
+            ],
+        )
+        assert result.exit_code == 1
+        assert f"{zeroed}: record " in result.output
+        assert f" before byte {len(data)}: cannot normalize a zero vector" in result.output
+
     def test_csv_report(self, runner, corpus_dir, dense_index_path, tmp_path):
         out = tmp_path / "report.csv"
         result = runner.invoke(

@@ -23,7 +23,7 @@ from f4search.errors import (
     VersionUnsupportedError,
     ZeroVectorError,
 )
-from f4search.vectors import EmbeddingVector, _unit
+from f4search.vectors import ZERO_NORM_EPS, EmbeddingVector, _unit
 
 from conftest import SIGNALLING_NAN_ROW, unit
 
@@ -199,7 +199,11 @@ def reference_load(path):
             if rid in seen:
                 raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
             seen.add(rid)
-            records.append((rid, EmbeddingVector(_unit(raw.astype(np.float64)), normalized=True)))
+            values = raw.astype(np.float64)
+            if np.linalg.norm(values) <= ZERO_NORM_EPS:
+                at = f"record {rid!r} before byte {reader.pos}"
+                raise ZeroVectorError(f"{path}: {at}: cannot normalize a zero vector")
+            records.append((rid, EmbeddingVector(_unit(values), normalized=True)))
         reader.end()
     return records
 
@@ -288,9 +292,12 @@ def test_one_bad_record_fails_like_the_reference(tmp_path, kind, where):
     path.write_bytes(f4e_bytes(ids, rows))
     error, message = assert_loads_like_reference(path)
     assert error is EXPECTED_ERROR[kind]
+    end = len(f4e_bytes(ids[: i + 1], rows[: i + 1]))
     if error is CorruptFileError and kind != "invalid-utf8":
-        end = len(f4e_bytes(ids[: i + 1], rows[: i + 1]))
         assert message.endswith(f"bad content before byte {end}: non-finite float")
+    if error is ZeroVectorError:
+        rid = ids[i].decode()
+        assert message == f"{path}: record {rid!r} before byte {end}: cannot normalize a zero vector"
 
 
 @pytest.mark.parametrize("first, second", [

@@ -194,6 +194,29 @@ class TestEvaluateCorpus:
         with pytest.raises(DimensionMismatchError, match="dim 16 vs 32"):
             evaluate_corpus([bundle], index, EvalConfig(encoder=spec))
 
+    @pytest.mark.parametrize("weights", [FusionWeights(0.7, 0.3), FusionWeights(1.0, 0.0)], ids=["fused", "image"])
+    @pytest.mark.parametrize("entry", ["evaluate", "sweep"])
+    def test_mixed_image_dims_name_the_bundle(self, entry, weights):
+        # One image of another dim made numpy's stack of the block's images fail.
+        spec, index, bundles = small_corpus(dim=8)
+        odd = unit(np.random.default_rng(0).standard_normal(9))
+        bundles[2] = replace(bundles[2], e_img=odd)
+        config = EvalConfig(encoder=spec, weights=weights, text_source="sparse")
+        with pytest.raises(DimensionMismatchError, match=r"^bundle 'q2': image dim 9 vs 8 of the index$"):
+            if entry == "evaluate":
+                evaluate_corpus(bundles, index, config)
+            else:
+                sweep_fusion_weight(bundles, index, [weights.w_text], config)
+
+    def test_fused_text_dim_must_match_image(self):
+        # Images at the index dim, texts from an encoder of another dim: the
+        # block fusion raises the one-pair fusion's message.
+        spec, index, bundles = small_corpus(dim=32)
+        config = EvalConfig(encoder=EncoderSpec("synthetic", 16, seed=spec.seed), text_source="sparse")
+        with pytest.warns(UserWarning, match="differs"):
+            with pytest.raises(DimensionMismatchError, match=r"^dim 32 vs 16$"):
+                evaluate_corpus(bundles, index, config)
+
     def test_empty_gt_rejected(self):
         spec, index, bundles = small_corpus()
         bad = QueryBundle("qq", bundles[0].e_img, sparse_pred_text="x")
@@ -436,8 +459,8 @@ class TestCountedOutcome:
         for seed in range(5):
             _, index, bundles = tie_corpus(seed, "dense")
             for b in bundles:
-                direction = search._query_direction(b.e_img.values, index)
-                scores = search._scores(*direction, None, index.embeddings, search._UNIDIRECTIONAL)
+                qnorm = search._query_norms(b.e_img.values[None], index)[0]
+                scores = search._scores(b.e_img.values, qnorm, None, index.embeddings, search._UNIDIRECTIONAL)
                 for cid in b.gt_caption_ids:
                     row = index.row_of(cid)
                     clamped |= bool(scores[row] > 1.0)
@@ -513,10 +536,10 @@ class TestRerankSweep:
             spec, index, bundles = tie_corpus(seed, "sparse")
             for b in bundles:
                 e_text = encode_text_synthetic(b.sparse_pred_text, spec).values
-                for g in GRID:
-                    query = evaluate._fused(b.e_img.values, e_text, FusionWeights(1.0 - g, g))
-                    direction = search._query_direction(query, index)
-                    scores = np.clip(search._cosines(index.embeddings, *direction), -1.0, 1.0)
+                weights = [FusionWeights(1.0 - g, g) for g in GRID]
+                queries = evaluate._fused(b.e_img.values[None], e_text[None], weights)
+                for query, qnorm in zip(queries, search._query_norms(queries, index)):
+                    scores = np.clip(search._cosines(index.embeddings, query, qnorm), -1.0, 1.0)
                     for pool in (5, 7, 20):
                         nth = np.sort(scores)[-pool]
                         overflows += int(np.count_nonzero(scores >= nth) > pool)
@@ -626,7 +649,8 @@ class TestSweep:
         # A plain or bi-directional evaluation screens each block of bundles
         # once, for every bundle at every point; a re-rank one screens each
         # bundle once, for its whole grid. Each screen gets one image row per
-        # bundle, and each query is owned by its bundle's row.
+        # bundle, and each query is owned by its bundle's row, except that the
+        # uni-directional re-rank screen reads no image and gets none.
         spec, index, bundles = tie_corpus(0, "sparse")
         config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
         assert (config.pool_size or 0) < len(index)  # a pool of every row needs no screen
@@ -636,8 +660,11 @@ class TestSweep:
         rerank = mode == "rerank"
 
         def check_owners(points):
+            if rerank:
+                assert all(images is None and owner is None for _, _, images, owner, *_ in calls)
+                return
             start = 0
-            for _, images, owner, *_ in calls:
+            for _, _, images, owner, *_ in calls:
                 block = bundles[start : start + len(images)]
                 assert images.tolist() == [b.e_img.values.tolist() for b in block]
                 assert owner.tolist() == [j for j in range(len(block)) for _ in range(points)]

@@ -1,13 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from f4search.errors import DimensionMismatchError, ZeroVectorError
+from f4search.search import _query_norms
 from f4search.vectors import (
     DEFAULT_INDEX_WEIGHTS,
     DEFAULT_QUERY_WEIGHTS,
+    UNIT_NORM_TOL,
     EmbeddingVector,
     FusionWeights,
     _fused,
+    _unit,
     cosine_similarity,
     fuse,
     l2_normalize,
@@ -197,8 +202,9 @@ class TestFuse:
     def test_array_core_returns_the_input_at_a_zero_weight(self):
         rng = np.random.default_rng(4)
         e_img, e_text = unit(rng.standard_normal(8)).values, unit(rng.standard_normal(8)).values
-        assert _fused(e_img, e_text, FusionWeights(1.0, 0.0)) is e_img
-        assert _fused(e_img, e_text, FusionWeights(0.0, 1.0)) is e_text
+        got = _fused(e_img[None], e_text[None], [FusionWeights(1.0, 0.0), FusionWeights(0.0, 1.0)])
+        assert got[0].tobytes() == e_img.tobytes()
+        assert got[1].tobytes() == e_text.tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -250,3 +256,77 @@ class TestFuse:
             order_raw = np.argsort(-(rows @ raw))
             order_renorm = np.argsort(-(rows @ renorm.values))
             np.testing.assert_array_equal(order_raw, order_renorm)
+
+
+def fused_reference(e_img, e_text, w):
+    """One pair's fusion as a per-point loop makes it: the spec of the block fusion's bits and errors."""
+    if len(e_img) != len(e_text):
+        raise DimensionMismatchError(f"dim {len(e_img)} vs {len(e_text)}")
+    if w.w_text == 0.0:
+        return e_img
+    if w.w_img == 0.0:
+        return e_text
+    return _unit(w.w_img * e_img + w.w_text * e_text)
+
+
+SWEEP_WEIGHTS = [FusionWeights(1.0 - g, g) for g in (i / 10 for i in range(11))]
+
+
+def near_unit_rows(rng, n, dim):
+    """``n`` random rows at ``dim``, each scaled within the unit-norm tolerance."""
+    rows = rng.standard_normal((n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows * (1.0 + rng.uniform(-0.9, 0.9, (n, 1)) * UNIT_NORM_TOL)
+
+
+def fusable_pairs(rng, n, dim):
+    """Image and text rows whose equal-weight fusion cannot collapse."""
+    images, texts = near_unit_rows(rng, n, dim), near_unit_rows(rng, n, dim)
+    return images, texts * np.sign(np.vecdot(images, texts))[:, None]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 255, 256, 257, 1025])
+def test_block_fusion_has_the_bits_of_per_point_fusion(dim):
+    # A sweep grid with both zero weights: the fused rows, the query norms
+    # the screen takes and the unit directions it divides out.
+    images, texts = fusable_pairs(np.random.default_rng(dim), 6, dim)
+    got = _fused(images, texts, SWEEP_WEIGHTS)
+    want = [fused_reference(p, t, w) for p, t in zip(images, texts) for w in SWEEP_WEIGHTS]
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.array(want).tobytes()
+    norms = _query_norms(got, SimpleNamespace(dim=dim))
+    want_norms = [float(np.linalg.norm(q)) for q in want]
+    assert norms.tobytes() == np.array(want_norms).tobytes()
+    units = got / norms[:, None]
+    assert units.tobytes() == np.array([q / n for q, n in zip(want, want_norms)]).tobytes()
+
+
+def test_block_fusion_raises_the_first_per_point_error():
+    images, texts = fusable_pairs(np.random.default_rng(8), 3, 8)
+    texts[1] = -images[1]  # collapses at equal weights
+    with pytest.raises(ZeroVectorError) as want:
+        fused_reference(images[1], texts[1], FusionWeights(0.5, 0.5))
+    with pytest.raises(ZeroVectorError) as got:
+        _fused(images, texts, SWEEP_WEIGHTS)
+    assert str(got.value) == str(want.value)
+    # Its zero-weight points fuse nothing, so they raise nothing.
+    ends = _fused(images, texts, [FusionWeights(1.0, 0.0), FusionWeights(0.0, 1.0)])
+    assert ends[2:4].tobytes() == np.array([images[1], texts[1]]).tobytes()
+    # A norm that overflows in an earlier bundle raises first.
+    images[0] = 1e308
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as want:
+            fused_reference(images[0], texts[0], SWEEP_WEIGHTS[1])
+        with pytest.raises(ValueError) as got:
+            _fused(images, texts, SWEEP_WEIGHTS)
+    assert str(got.value) == str(want.value)
+
+
+def test_block_fusion_dim_mismatch_raises_the_per_point_message():
+    rng = np.random.default_rng(9)
+    images, texts = near_unit_rows(rng, 2, 8), near_unit_rows(rng, 2, 9)
+    with pytest.raises(DimensionMismatchError) as want:
+        fused_reference(images[0], texts[0], SWEEP_WEIGHTS[0])
+    with pytest.raises(DimensionMismatchError) as got:
+        _fused(images, texts, SWEEP_WEIGHTS)
+    assert str(got.value) == str(want.value) == "dim 8 vs 9"
