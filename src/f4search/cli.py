@@ -97,9 +97,10 @@ def _weights(w_text: float, default: FusionWeights) -> FusionWeights:
 
 
 def _parse_image_embedding(value: str) -> EmbeddingVector:
-    """Accept either "FILE.f4e:RECORD_ID" or inline comma-separated floats."""
-    path_part, sep, record_id = value.rpartition(":")
-    if sep and Path(path_part).exists():
+    """Accept "FILE.f4e:RECORD_ID", FILE the longest prefix before a ':' that exists, or inline comma-separated floats."""
+    cuts = [i for i, c in enumerate(value) if c == ":" and Path(value[:i]).exists()]
+    if cuts:
+        path_part, record_id = value[: cuts[-1]], value[cuts[-1] + 1 :]
         for rid, vec in load_embedding_file(path_part):
             if rid == record_id:
                 return vec

@@ -30,7 +30,7 @@ from .errors import (
     VersionUnsupportedError,
     ZeroVectorError,
 )
-from .vectors import ZERO_NORM_EPS, EmbeddingVector, _Adopted
+from .vectors import ZERO_NORM_EPS, EmbeddingVector, _Adopted, _norms
 
 F4E_MAGIC = b"F4EM"
 F4E_VERSION = 1
@@ -204,8 +204,7 @@ def load_embedding_file(path) -> list[Record]:
         # Checked in float32, before the cast: casting a signalling NaN to float64 warns.
         bad = int(np.append(np.isfinite(block).all(axis=1), False).argmin())  # n if none
         unit = block[:bad].astype(np.float64)
-        # The bits of each row's np.linalg.norm, as _unit takes it (pinned in test_vectors).
-        norms = np.sqrt(np.vecdot(unit, unit))
+        norms = _norms(unit)
         dup = n - 1 if isinstance(fault, DuplicateIdError) else n
         zero = norms[:dup] <= ZERO_NORM_EPS
         if zero.any():  # a zero row ahead of every other fault

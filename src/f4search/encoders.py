@@ -143,16 +143,14 @@ def _encode(texts: list[str], spec: EncoderSpec | None) -> np.ndarray:
         return _encode_remote(texts, spec, None)
     if spec.kind != "synthetic":
         raise ValueError("file-backed encoder specs cannot encode new text")
-    rows = np.empty((len(texts), spec.dim))
-    for i, text in enumerate(texts):
+    totals = np.zeros((len(texts), spec.dim))
+    for total, text in zip(totals, texts):
         tokens = tokenize(text)
         if not tokens:
             raise EmptyTextError(f"no tokens survive in {text!r}")
-        total = np.zeros(spec.dim, dtype=np.float64)
         for tok in sorted(tokens):
             total += _token_vector(tok, spec.dim, spec.seed)
-        rows[i] = _unit(total)
-    return rows
+    return _unit(totals)
 
 
 def encode_text_synthetic(text: str, spec: EncoderSpec) -> EmbeddingVector:

@@ -210,6 +210,6 @@ def _parse_batch(payload, expected_count: int, expected_dim: int) -> np.ndarray:
         raise MalformedResponseError("vector entries must be finite")
     try:
         with np.errstate(over="ignore"):
-            return np.array([_unit(row) for row in matrix])
+            return _unit(matrix)
     except ValueError as exc:
         raise MalformedResponseError(str(exc)) from exc

@@ -59,6 +59,7 @@ from .vectors import (
     EmbeddingVector,
     FusionWeights,
     _fused,
+    _norms,
 )
 
 if TYPE_CHECKING:
@@ -131,7 +132,7 @@ def _query_norms(queries: np.ndarray, index: "CaptionIndex") -> np.ndarray:
     """The L2 norm of each row of a C-ordered (G, d) query matrix, checked against ``index``."""
     if queries.shape[1] != index.dim:
         raise DimensionMismatchError(f"query dim {queries.shape[1]} != index dim {index.dim}")
-    norms = np.sqrt(np.vecdot(queries, queries))  # the bits of per-row np.linalg.norm
+    norms = _norms(queries)
     if (norms <= ZERO_NORM_EPS).any():
         raise ZeroVectorError("query is the zero vector")
     return norms

@@ -4,6 +4,7 @@ All similarity math runs in double precision regardless of how vectors are
 stored. Fused vectors are always scaled back to unit norm so that queries
 and index rows stay on the unit sphere and scores remain plain dot products;
 cosine is scale-invariant, so renormalization never changes a ranking.
+``_unit`` makes every unit vector, one row or a block; ``_norms`` takes every batched norm.
 """
 
 from __future__ import annotations
@@ -65,19 +66,25 @@ class EmbeddingVector:
         return int(self.values.shape[0])
 
 
-def _unit(values: np.ndarray) -> np.ndarray:
-    """``values`` over its L2 norm: the one place a unit vector is made.
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row, which must be C-contiguous: the bits of that row's np.linalg.norm (pinned in test_vectors)."""
+    return np.sqrt(np.vecdot(rows, rows))
 
-    An overflowing norm raises ValueError. Callers that pass outside float64
-    values run this under ``np.errstate(over="ignore")``, so the overflow is
-    not also a RuntimeWarning.
+
+def _unit(values: np.ndarray) -> np.ndarray:
+    """A 1-D vector, or each row of a C-ordered (n, d) block, over its L2 norm: the one place a unit vector is made.
+
+    The first row whose norm is at most ``ZERO_NORM_EPS`` or overflows raises
+    ZeroVectorError or ValueError. Callers that pass outside float64 values run
+    this under ``np.errstate(over="ignore")``, so an overflow is not also a RuntimeWarning.
     """
-    norm = float(np.linalg.norm(values))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("cannot normalize a zero vector")
-    if not math.isfinite(norm):
+    norms = _norms(values)
+    ok = (ZERO_NORM_EPS < norms) & (norms < math.inf)
+    if np.count_nonzero(ok) < ok.size:  # on one row, ~0.6 µs cheaper than ok.all()
+        if np.ravel(norms)[np.argmin(ok)] <= ZERO_NORM_EPS:
+            raise ZeroVectorError("cannot normalize a zero vector")
         raise ValueError("cannot normalize a vector whose L2 norm overflows float64")
-    return values / norm
+    return values / norms[..., None]
 
 
 @dataclass(frozen=True)
@@ -165,14 +172,10 @@ def _fused(images: np.ndarray, texts: np.ndarray, weights: Sequence[FusionWeight
     if images.shape[1] != texts.shape[1]:
         raise DimensionMismatchError(f"dim {images.shape[1]} vs {texts.shape[1]}")
     a, b = np.array([(w.w_img, w.w_text) for w in weights]).T
-    fused = (a[:, None] * images[:, None] + b[:, None] * texts[:, None]).reshape(-1, images.shape[1])
-    norms = np.sqrt(np.vecdot(fused, fused))  # the bits of _unit's np.linalg.norm (pinned in test_vectors)
+    # At unit inputs a zero-weight point (1.0 * img + 0.0 * text) never fails _unit.
+    fused = _unit((a[:, None] * images[:, None] + b[:, None] * texts[:, None]).reshape(-1, images.shape[1]))
     if any(w.w_img == 0.0 or w.w_text == 0.0 for w in weights):
         by_point = fused.reshape(len(images), len(weights), -1)
         by_point[:, b == 0.0] = images[:, None]
         by_point[:, a == 0.0] = texts[:, None]
-        norms.reshape(len(images), -1)[:, (a == 0.0) | (b == 0.0)] = 1.0  # x / 1.0 keeps the bits of x
-    if not ZERO_NORM_EPS < norms.min() <= norms.max() < np.inf:
-        _unit(fused[np.argmin((norms > ZERO_NORM_EPS) & np.isfinite(norms))])  # raises as one row's fusion does
-    fused /= norms[:, None]
     return fused

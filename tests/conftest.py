@@ -4,6 +4,7 @@ counting embedding service."""
 
 import http.server
 import json
+import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from f4search import (
     l2_normalize,
     load_bundles,
 )
+from f4search.errors import ZeroVectorError
 from f4search.synthetic import SyntheticCorpusConfig
 
 
@@ -34,6 +36,16 @@ SIGNALLING_NAN_ROW = np.array([0x7F800001, 0x3F800000], "<u4").view("<f4")
 
 def unit(values) -> EmbeddingVector:
     return l2_normalize(EmbeddingVector(np.asarray(values, dtype=np.float64)))
+
+
+def unit_reference(values):
+    """One row over its norm, as the one-row ``_unit`` made it: the spec of the block ``_unit``'s bits and errors."""
+    norm = float(np.linalg.norm(values))
+    if norm <= 1e-12:
+        raise ZeroVectorError("cannot normalize a zero vector")
+    if not math.isfinite(norm):
+        raise ValueError("cannot normalize a vector whose L2 norm overflows float64")
+    return values / norm
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from f4search import remote
 from f4search.cli import main
-from f4search.embfile import load_embedding_file
+from f4search.embfile import load_embedding_file, write_embedding_file
 from f4search.encoders import EncoderSpec, encode_texts
 from f4search.evaluate import EvalConfig, evaluate_corpus, load_bundles, render_report
 from f4search.index import Caption, build_index_from_records, load_index, save_index
@@ -335,6 +335,26 @@ class TestSearch:
         )
         assert result.exit_code == 1
         assert "nope" in result.output
+
+    def test_record_ids_and_paths_may_hold_colons(self, runner, corpus_dir, dense_index_path, tmp_path):
+        # FILE is the longest prefix before a ':' that exists, so a ':' in the
+        # directory stays in the path and those in the record id stay in the id.
+        records = load_embedding_file(corpus_dir / "images.f4e")
+        path = tmp_path / "run:1" / "e.f4e"
+        path.parent.mkdir()
+        write_embedding_file([("img", records[0][1]), ("img:1", records[1][1]), ("img:1:x", records[2][1])], path)
+        index = load_index(dense_index_path)
+        for rid, (_, e_img) in zip(["img", "img:1", "img:1:x"], records):
+            result = runner.invoke(
+                main,
+                ["search", "--index", str(dense_index_path), "--image-embedding", f"{path}:{rid}", "--k", "3", "--w-text", "0"],
+            )
+            assert result.exit_code == 0, result.output
+            got = [line.split("\t")[1] for line in result.output.splitlines()[1:]]
+            assert got == list(search_topk(e_img, index, 3).ids)
+        result = runner.invoke(main, ["search", "--index", str(dense_index_path), "--image-embedding", f"{path}:img:2", "--w-text", "0"])
+        assert result.exit_code == 1
+        assert "'img:2' not found" in result.output
 
 
 class TestEvaluate:

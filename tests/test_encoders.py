@@ -114,13 +114,17 @@ class TestSyntheticText:
 
     def test_bits_equal_sum_divided_by_norm(self):
         spec = EncoderSpec("synthetic", 48, seed=11)
-        for text in ("rice", "beans, rice and lime", "lime lime rice"):
+        texts, want = ["rice", "beans, rice and lime", "lime lime rice"], []
+        for text in texts:
             total = np.zeros(spec.dim)
             for tok in sorted(tokenize(text)):
                 raw = np.random.default_rng(_token_seed(tok, spec.seed)).standard_normal(spec.dim)
                 total += raw / float(np.linalg.norm(raw))
             expected = total / float(np.linalg.norm(total))
             assert encode_text_synthetic(text, spec).values.tobytes() == expected.tobytes()
+            want.append(expected)
+        # A batch is normalized as one block, with the bits of one row at a time.
+        assert np.array([v.values for v in encode_texts(texts, spec)]).tobytes() == np.array(want).tobytes()
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):

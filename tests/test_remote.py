@@ -22,8 +22,11 @@ from f4search.errors import (
     MalformedResponseError,
     RemoteError,
     ServiceUnreachableError,
+    ZeroVectorError,
 )
 from f4search.remote import _parse_batch, encode_remote
+
+from conftest import unit_reference
 
 
 @pytest.fixture(autouse=True)
@@ -419,6 +422,28 @@ def test_parse_batch_rejects_non_numbers(entry, reason):
     payload = {"dim": 8, "vectors": [[1.0] * 8, [entry, 1.0] + [0] * 6]}
     with pytest.raises(MalformedResponseError, match=reason):
         _parse_batch(payload, 2, 8)
+
+
+@pytest.mark.parametrize("first", ["zero", "overflow"])
+def test_parse_batch_raises_for_the_first_row_it_cannot_normalize(first):
+    # The reply is normalized as one block: a zero row raises ZeroVectorError
+    # and an overflowing one MalformedResponseError, whichever comes first.
+    bad = {"zero": [0] * 8, "overflow": [1e200] * 8}
+    later = "overflow" if first == "zero" else "zero"
+    payload = {"dim": 8, "vectors": [[1.0] * 8, bad[first], [0.5] * 8, bad[later]]}
+    error, message = {"zero": (ZeroVectorError, "cannot normalize a zero vector"),
+                      "overflow": (MalformedResponseError, "L2 norm overflows float64")}[first]
+    with pytest.raises(error, match=message):
+        _parse_batch(payload, 4, 8)
+    payload["vectors"][3] = [2.0] * 8
+    with pytest.raises(error, match=message):
+        _parse_batch(payload, 4, 8)
+
+
+def test_parse_batch_rows_have_the_bits_of_per_row_units():
+    rows = np.random.default_rng(3).standard_normal((20, 64)) * 10.0 ** np.arange(-5, 15)[:, None]
+    got = _parse_batch({"dim": 64, "vectors": rows.tolist()}, 20, 64)
+    assert got.tobytes() == np.array([unit_reference(row) for row in rows]).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -12,13 +12,14 @@ from f4search.vectors import (
     EmbeddingVector,
     FusionWeights,
     _fused,
+    _norms,
     _unit,
     cosine_similarity,
     fuse,
     l2_normalize,
 )
 
-from conftest import unit
+from conftest import unit, unit_reference
 
 
 class TestEmbeddingVector:
@@ -95,19 +96,60 @@ NORM_SCALES = [1e-150, 1e-50, 1.0, 1e50, 1e150]
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
 def test_batched_norms_have_the_bits_of_per_row_norms(strided):
-    # The F4E loader normalizes a whole block with these norms; a record must
-    # get the bits that per-row np.linalg.norm (and so _unit) would give it.
-    # Strided means rows spaced apart, each still contiguous: with strided
-    # elements vecdot leaves the dot kernel and most bits differ.
+    # Every unit vector, the F4E loader's rows and the query norms take their
+    # norms from _norms; a row, in a block or alone as a 1-D vector, must get
+    # the bits np.linalg.norm gives it. Strided means rows spaced apart, each
+    # still contiguous: with strided elements vecdot leaves the dot kernel and
+    # most bits differ.
     rng = np.random.default_rng(11)
     for dim in NORM_DIMS:
         for scale in NORM_SCALES:
             wide = rng.standard_normal((12, dim + 3)) * scale
             rows = wide[::2, 1 : dim + 1] if strided else np.ascontiguousarray(wide[:6, :dim])
             assert all(row.flags.c_contiguous for row in rows)
-            batched = np.sqrt(np.vecdot(rows, rows))
             per_row = np.array([np.linalg.norm(row) for row in rows])
-            assert batched.tobytes() == per_row.tobytes(), (dim, scale)
+            assert _norms(rows).tobytes() == per_row.tobytes(), (dim, scale)
+            assert np.array([_norms(row) for row in rows]).tobytes() == per_row.tobytes(), (dim, scale)
+
+
+# Scales from above the zero-norm threshold to near overflow, and the two errors _unit raises.
+UNIT_SCALES = [1e-6, 1.0, 1e50, 1e150]
+FAILURES = (ZeroVectorError, ValueError)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 65, 256, 257, 1025])
+def test_block_unit_has_the_bits_of_per_row_units(dim):
+    rng = np.random.default_rng(dim)
+    for scale in UNIT_SCALES:
+        block = rng.standard_normal((9, dim)) * scale
+        want = np.array([unit_reference(row) for row in block])
+        assert _unit(block).tobytes() == want.tobytes(), scale
+        assert _unit(block[:0]).shape == (0, dim)
+        for row, unit_row in zip(block, want):
+            assert _unit(row).tobytes() == unit_row.tobytes(), scale
+
+
+@pytest.mark.parametrize("order", [("zero", "over"), ("over", "zero")], ids=["zero-first", "overflow-first"])
+@pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+def test_block_unit_raises_the_first_failing_rows_error(order, at):
+    # Two failing rows, the earlier at ``at``: the block raises what a
+    # per-row loop raises at the first of them, and a 1-D row its own error.
+    block = np.random.default_rng(at).standard_normal((8, 16))
+    bad = {"zero": np.zeros(16), "over": np.full(16, 1e200)}
+    block[at], block[at + 1] = bad[order[0]], bad[order[1]]
+    with np.errstate(over="ignore"):
+        with pytest.raises(FAILURES) as want:
+            [unit_reference(row) for row in block]
+        with pytest.raises(FAILURES) as got:
+            _unit(block)
+        for row in bad.values():
+            with pytest.raises(FAILURES) as want_row:
+                unit_reference(row)
+            with pytest.raises(FAILURES) as got_row:
+                _unit(row)
+            assert (type(got_row.value), str(got_row.value)) == (type(want_row.value), str(want_row.value))
+    assert type(got.value) is type(want.value) is (ZeroVectorError if order[0] == "zero" else ValueError)
+    assert str(got.value) == str(want.value)
 
 
 class TestCosineSimilarity:
@@ -266,7 +308,7 @@ def fused_reference(e_img, e_text, w):
         return e_img
     if w.w_img == 0.0:
         return e_text
-    return _unit(w.w_img * e_img + w.w_text * e_text)
+    return unit_reference(w.w_img * e_img + w.w_text * e_text)
 
 
 SWEEP_WEIGHTS = [FusionWeights(1.0 - g, g) for g in (i / 10 for i in range(11))]
