@@ -176,14 +176,22 @@ def encode_image_synthetic(
     larger sigmas push the vector toward an independent random direction,
     which controls how hard pure-image retrieval is.
     """
+    return EmbeddingVector(_synthetic_images([gt_caption], noise_sigma, spec, [noise_seed])[0], normalized=True)
+
+
+def _synthetic_images(
+    gt_captions: list[str], noise_sigma: float, spec: EncoderSpec, noise_seeds: list[int]
+) -> np.ndarray:
+    """``encode_image_synthetic`` of each caption with its noise seed, as one float64 matrix of unit rows."""
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    clean = encode_text_synthetic(gt_caption, spec)
+    if spec.kind != "synthetic":
+        raise ValueError("encode_image_synthetic needs a synthetic encoder spec")
+    clean = _encode(gt_captions, spec)
     if noise_sigma == 0:
         return clean
-    rng = np.random.default_rng(noise_seed)
-    noisy = clean.values + noise_sigma * rng.standard_normal(spec.dim)
-    return EmbeddingVector(_unit(noisy), normalized=True)
+    noise = np.array([np.random.default_rng(seed).standard_normal(spec.dim) for seed in noise_seeds])
+    return _unit(clean + noise_sigma * noise)
 
 
 def encode_texts(texts: list[str], spec: EncoderSpec | None) -> list[EmbeddingVector]:

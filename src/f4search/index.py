@@ -1,7 +1,10 @@
 """Caption corpora and the self-contained F4I on-disk index format.
 
 An index bundles caption metadata and the embedding matrix in one file so
-there is no id-alignment gap between text and vectors.
+there is no id-alignment gap between text and vectors. In memory it holds
+two columns, ``ids`` and ``texts``, next to the float32 matrix, and builds
+its ``captions`` on first access: building, saving, loading, searching
+and evaluating make no ``Caption``.
 
 F4I layout, all integers little-endian, no padding:
 
@@ -18,6 +21,7 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -45,6 +49,18 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 
+def _check_caption(caption_id: str, text: str, kind: str) -> None:
+    """The rules every caption meets, whether a ``Caption`` or a record read from F4I."""
+    if not caption_id:
+        raise ValueError("caption id must be non-empty")
+    if not text or not text.strip():
+        raise ValueError(f"caption {caption_id!r} has empty text")
+    if kind not in CAPTION_KINDS:
+        raise UnknownKindError(f"caption {caption_id!r} has kind {kind!r}")
+    if kind == "sparse":
+        parse_items(text)  # raises NoItemsError if nothing survives
+
+
 @dataclass(frozen=True)
 class Caption:
     """One corpus entry: unique id, text and density kind."""
@@ -54,50 +70,72 @@ class Caption:
     kind: str
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("caption id must be non-empty")
-        if not self.text or not self.text.strip():
-            raise ValueError(f"caption {self.id!r} has empty text")
-        if self.kind not in CAPTION_KINDS:
-            raise UnknownKindError(f"caption {self.id!r} has kind {self.kind!r}")
-        if self.kind == "sparse":
-            parse_items(self.text)  # raises NoItemsError if nothing survives
+        _check_caption(self.id, self.text, self.kind)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CaptionIndex:
-    """Immutable searchable corpus: captions plus unit-norm embedding rows."""
+    """Immutable searchable corpus: id and text columns plus unit-norm embedding rows.
 
-    captions: tuple[Caption, ...]
+    ``CaptionIndex(captions, embeddings, kind, encoder_fingerprint)`` keeps the
+    captions it is given; an index built or loaded by this module makes its
+    ``captions`` from the columns on first access.
+    """
+
+    ids: tuple[str, ...]
+    texts: tuple[str, ...]
     embeddings: np.ndarray
     kind: str
     encoder_fingerprint: str
 
-    def __post_init__(self):
-        if not self.captions:
+    def __init__(self, captions: Sequence[Caption], embeddings, kind: str, encoder_fingerprint: str):
+        captions = tuple(captions)
+        self._fill(*_columns(captions), embeddings, kind, encoder_fingerprint)
+        self.__dict__["captions"] = captions  # what the cached property would hold
+
+    @classmethod
+    def _from_columns(cls, ids, texts, kinds, embeddings, kind, encoder_fingerprint) -> CaptionIndex:
+        """An index over checked captions given as columns; ``kinds`` is None when all are ``kind``."""
+        index = cls.__new__(cls)
+        index._fill(ids, texts, kinds, embeddings, kind, encoder_fingerprint)
+        return index
+
+    def _fill(self, ids, texts, kinds, embeddings, kind, encoder_fingerprint) -> None:
+        """Check the rows in the order that decides which error a bad index raises, then keep them.
+
+        No rows, then the row count, then unit rows, then the first caption
+        that repeats an id or (when ``kinds`` is given) has another kind.
+        """
+        if not ids:
             raise EmptyCorpusError("cannot build an index from zero captions")
-        mat = self.embeddings
-        mat = mat.array if isinstance(mat, _Adopted) else np.array(mat, dtype=np.float32)
-        if mat.ndim != 2 or mat.shape[0] != len(self.captions):
+        mat = embeddings.array if isinstance(embeddings, _Adopted) else np.array(embeddings, dtype=np.float32)
+        if mat.ndim != 2 or mat.shape[0] != len(ids):
             raise ValueError("embedding matrix must have one row per caption")
         for _, rows in _row_blocks(mat):
             if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_NORM_TOL):
                 raise ValueError("index rows must be unit-norm")
-        seen = set()
-        for cap in self.captions:
-            if cap.id in seen:
-                raise DuplicateIdError(f"duplicate caption id {cap.id!r}")
-            seen.add(cap.id)
-            if cap.kind != self.kind:
-                raise ValueError(
-                    "captions must all share one kind within an index: "
-                    f"caption {cap.id!r} is {cap.kind!r}, not {self.kind!r}"
-                )
+        if len(set(ids)) < len(ids) or (kinds is not None and kinds.count(kind) < len(kinds)):
+            seen = set()
+            for i, cid in enumerate(ids):
+                if cid in seen:
+                    raise DuplicateIdError(f"duplicate caption id {cid!r}")
+                seen.add(cid)
+                if kinds is not None and kinds[i] != kind:
+                    raise ValueError(
+                        "captions must all share one kind within an index: "
+                        f"caption {cid!r} is {kinds[i]!r}, not {kind!r}"
+                    )
         mat.flags.writeable = False
-        object.__setattr__(self, "embeddings", mat)
+        for name, value in (("ids", tuple(ids)), ("texts", tuple(texts)), ("embeddings", mat),
+                            ("kind", kind), ("encoder_fingerprint", encoder_fingerprint)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def captions(self) -> tuple[Caption, ...]:
+        return tuple(Caption(cid, text, self.kind) for cid, text in zip(self.ids, self.texts))
 
     def __len__(self) -> int:
-        return len(self.captions)
+        return len(self.ids)
 
     @property
     def dim(self) -> int:
@@ -105,7 +143,7 @@ class CaptionIndex:
 
     @cached_property
     def _row_by_id(self) -> dict[str, int]:
-        return {cap.id: i for i, cap in enumerate(self.captions)}
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @cached_property
     def _id_rank(self) -> np.ndarray:
@@ -114,7 +152,7 @@ class CaptionIndex:
         Python string order, not a numpy ``<U`` array, which drops trailing
         NULs and would make distinct ids compare equal.
         """
-        by_id = [i for _, i in sorted((cap.id, i) for i, cap in enumerate(self.captions))]
+        by_id = sorted(range(len(self.ids)), key=self.ids.__getitem__)
         rank = np.empty(len(by_id), dtype=np.intp)
         rank[by_id] = np.arange(len(by_id))
         return rank
@@ -126,15 +164,21 @@ class CaptionIndex:
         return caption_id in self._row_by_id
 
     def text_of(self, caption_id: str) -> str:
-        return self.captions[self._row_by_id[caption_id]].text
+        return self.texts[self._row_by_id[caption_id]]
+
+
+def _columns(captions: Sequence[Caption]) -> list[tuple[str, ...]]:
+    """The ids, texts and kinds of ``captions``, as three tuples."""
+    return [tuple(map(attrgetter(field), captions)) for field in ("id", "text", "kind")]
 
 
 def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionIndex:
     """Encode every caption text and assemble an immutable index."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    matrix = _encode([c.text for c in captions], encoder)
-    return CaptionIndex(tuple(captions), matrix, captions[0].kind, encoder.fingerprint())
+    ids, texts, kinds = _columns(captions)
+    matrix = _encode(list(texts), encoder)
+    return CaptionIndex._from_columns(ids, texts, kinds, matrix, captions[0].kind, encoder.fingerprint())
 
 
 def build_index_from_records(
@@ -148,21 +192,22 @@ def build_index_from_records(
     by_id = dict(records)
     if len(by_id) != len(records):
         raise DuplicateIdError("embedding records contain duplicate ids")
-    rows = []
-    for cap in captions:
-        vec = by_id.get(cap.id)
-        if vec is None:
-            raise KeyError(f"no embedding record for caption id {cap.id!r}")
-        if rows and vec.dim != len(rows[0]):
-            raise MixedDimsError(
-                f"caption {cap.id!r} has a dim-{vec.dim} record, not dim {len(rows[0])}"
-            )
-        rows.append(vec.values)
+    ids, texts, kinds = _columns(captions)
+    vectors = list(map(by_id.get, ids))
+    rows = [] if None in vectors else list(map(attrgetter("values"), vectors))
+    if len(set(map(len, rows))) != 1:  # a missing record or mixed dims: name the first
+        for cid, vec in zip(ids, vectors):
+            if vec is None:
+                raise KeyError(f"no embedding record for caption id {cid!r}")
+            if vec.dim != vectors[0].dim:
+                raise MixedDimsError(
+                    f"caption {cid!r} has a dim-{vec.dim} record, not dim {vectors[0].dim}"
+                )
     # Each float64 value rounds to float32 as it is copied in: no float64 matrix.
     matrix = np.array(rows, dtype=np.float32)
     if fingerprint is None:
         fingerprint = f"file:dim={matrix.shape[1]}"
-    return CaptionIndex(tuple(captions), _Adopted(matrix), captions[0].kind, fingerprint)
+    return CaptionIndex._from_columns(ids, texts, kinds, _Adopted(matrix), captions[0].kind, fingerprint)
 
 
 def save_index(index: CaptionIndex, path) -> None:
@@ -176,32 +221,62 @@ def save_index(index: CaptionIndex, path) -> None:
             index.dim,
             len(index),
         ),
-        *(_pack_text(_U16, cap.id) + _pack_text(_U32, cap.text) for cap in index.captions),
+        *(_pack_text(_U16, cid) + _pack_text(_U32, text) for cid, text in zip(index.ids, index.texts)),
         # The matrix itself, not a copy, on a little-endian host.
         np.ascontiguousarray(index.embeddings, dtype="<f4"),
         _pack_text(_U32, index.encoder_fingerprint),
     )
 
 
+def _read_columns(reader: _Reader, count: int, kind: str) -> tuple[list[str], list[str]]:
+    """The ids and texts of ``count`` caption records, each checked as it is read.
+
+    A bad record fails as reading it field by field with ``reader.text``
+    would: invalid UTF-8 is reported at the end of its field, and a broken
+    caption rule at the end of the record.
+    """
+    data, size, pos = reader.data, reader.size, reader.pos
+    ids, texts = [], []
+    for _ in range(count):
+        # pos <= size here, and _Reader keeps spare bytes after the file's.
+        (n,) = _U16.unpack_from(data, pos)
+        id_end = pos + 2 + n
+        end = id_end + 4 + (_U32.unpack_from(data, id_end)[0] if id_end + 4 <= size else 0)
+        if end > size:
+            # The record runs past the end of the file: these reads raise
+            # _Reader's TruncatedFileError, or its error for a bad id first.
+            reader.pos = pos
+            reader.text(_U16)
+            reader.text(_U32)
+        reader.pos = id_end
+        cid = data[pos + 2 : id_end].tobytes().decode("utf-8")
+        reader.pos = end
+        text = data[id_end + 4 : end].tobytes().decode("utf-8")
+        pos = end
+        _check_caption(cid, text, kind)
+        ids.append(cid)
+        texts.append(text)
+    return ids, texts
+
+
 def load_index(path) -> CaptionIndex:
     """Load an F4I file written by save_index.
 
     Raises BadMagicError, VersionUnsupportedError, TruncatedFileError,
-    CorruptFileError, DuplicateIdError or EmptyCorpusError on malformed input.
+    CorruptFileError, DuplicateIdError, NoItemsError or EmptyCorpusError on
+    malformed input.
     """
     with _Reader(path, _HEADER, F4I_MAGIC, F4I_VERSION) as reader:
         kind_byte, dim, count = reader.fields
         if kind_byte >= len(CAPTION_KINDS):
             raise CorruptFileError(f"{path}: invalid kind byte {kind_byte}")
         kind = CAPTION_KINDS[kind_byte]
-        captions = tuple(
-            Caption(reader.text(_U16), reader.text(_U32), kind) for _ in range(count)
-        )
+        ids, texts = _read_columns(reader, count, kind)
         block = reader.floats(count * dim)
         fingerprint = reader.text(_U32)
         reader.end()
         matrix = reader.aligned(block).reshape(count, dim)
-        return CaptionIndex(captions, _Adopted(matrix), kind, fingerprint)
+        return CaptionIndex._from_columns(ids, texts, None, _Adopted(matrix), kind, fingerprint)
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:

@@ -170,8 +170,8 @@ def _row_blocks(matrix: np.ndarray):
 
 def _ranked_list(index: "CaptionIndex", rows, scores, k: int, stage: str) -> RankedList:
     """The public result for ``_rank``'s rows and scores."""
-    ids = [index.captions[i].id for i in rows.tolist()]
-    return RankedList(tuple(zip(ids, scores.tolist())), k=k, stage=stage)
+    ids = index.ids
+    return RankedList(tuple(zip([ids[i] for i in rows.tolist()], scores.tolist())), k=k, stage=stage)
 
 
 def _cosines(embeddings: np.ndarray, q: np.ndarray, qnorm: float) -> np.ndarray:

@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .embfile import _write_atomic, write_embedding_file
-from .encoders import EncoderSpec, _token_seed, encode_image_synthetic, tokenize
+from .encoders import EncoderSpec, _synthetic_images, _token_seed, tokenize
 from .evaluate import average_precision, recall_at_k
 from .index import Caption, build_index
 from .search import search_topk_naive
+from .vectors import EmbeddingVector, _Adopted
 
 DENSE_TEMPLATES = (
     "a plate of {items}",
@@ -147,18 +148,13 @@ def generate_corpus(config: SyntheticCorpusConfig, out_dir) -> dict:
     sparse_captions = [Caption(d["id"], d["sparse_text"], "sparse") for d in dishes]
     item_captions = [Caption(item_ids[w], w, "sparse") for w in vocab]
 
-    images = [
-        (
-            d["id"],
-            encode_image_synthetic(
-                d["dense_text"],
-                config.noise_sigma,
-                encoder,
-                _token_seed(f"image:{d['id']}", config.seed),
-            ),
-        )
-        for d in dishes
-    ]
+    rows = _synthetic_images(
+        [d["dense_text"] for d in dishes],
+        config.noise_sigma,
+        encoder,
+        [_token_seed(f"image:{d['id']}", config.seed) for d in dishes],
+    )
+    images = [(d["id"], EmbeddingVector(_Adopted(row), normalized=True)) for d, row in zip(dishes, rows)]
 
     for name, captions in (
         ("dense", dense_captions),

@@ -5,6 +5,7 @@ import pytest
 
 from f4search.encoders import (
     EncoderSpec,
+    _synthetic_images,
     _token_seed,
     encode_image_synthetic,
     encode_text_synthetic,
@@ -162,6 +163,20 @@ class TestSyntheticImage:
             expected = x / float(np.linalg.norm(x))
             got = encode_image_synthetic("a plate of rice", sigma, synthetic_spec, seed)
             assert got.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 3.0])
+    def test_block_rows_have_the_bits_of_one_row(self, synthetic_spec, sigma):
+        # generate_corpus encodes every image in one block; each row must be
+        # the one-row formula's vector, bit for bit.
+        texts = [f"a plate of rice and item{i}" for i in range(40)] + ["rice"]
+        seeds = [_token_seed(f"image:d{i:05d}", 42) for i in range(len(texts))]
+        block = _synthetic_images(texts, sigma, synthetic_spec, seeds)
+        for text, seed, row in zip(texts, seeds, block):
+            x = encode_text_synthetic(text, synthetic_spec).values
+            if sigma:
+                x = x + sigma * np.random.default_rng(seed).standard_normal(synthetic_spec.dim)
+                x = x / float(np.linalg.norm(x))
+            assert row.tobytes() == x.tobytes()
 
     def test_negative_sigma_rejected(self, synthetic_spec):
         with pytest.raises(ValueError):

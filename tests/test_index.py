@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from f4search import search
-from f4search.embfile import write_embedding_file
+from f4search.embfile import _Reader, write_embedding_file
 from f4search.encoders import encode_texts
 from f4search.errors import (
     BadMagicError,
@@ -24,8 +24,14 @@ from f4search.errors import (
     UnknownKindError,
     VersionUnsupportedError,
 )
+from f4search.evaluate import EvalConfig, evaluate_corpus
 from f4search.index import (
+    _HEADER,
+    _U16,
+    _U32,
+    CAPTION_KINDS,
     F4I_MAGIC,
+    F4I_VERSION,
     Caption,
     CaptionIndex,
     build_index,
@@ -34,7 +40,9 @@ from f4search.index import (
     load_index,
     save_index,
 )
-from f4search.vectors import EmbeddingVector
+from f4search.rerank import retrieve_and_rerank
+from f4search.search import search_fused_topk, search_topk
+from f4search.vectors import UNIT_NORM_TOL, EmbeddingVector, FusionWeights
 
 from conftest import SIGNALLING_NAN_ROW, unit
 
@@ -145,6 +153,31 @@ class TestBuildFromRecords:
         records = [("a", unit([1.0, 0.0])), ("a", unit([0.0, 1.0]))]
         with pytest.raises(DuplicateIdError, match="duplicate ids"):
             build_index_from_records(captions, records)
+
+    @pytest.mark.parametrize(
+        "dims, error, message",
+        [
+            ((2, 3, None), MixedDimsError, "caption 'b' has a dim-3 record, not dim 2"),
+            ((2, None, 3), KeyError, "no embedding record for caption id 'b'"),
+        ],
+        ids=["mixed-dims-first", "missing-first"],
+    )
+    def test_first_bad_caption_decides_the_error(self, dims, error, message):
+        captions = [Caption(cid, "rice", "dense") for cid in "abc"]
+        records = [(cid, unit(np.ones(dim))) for cid, dim in zip("abc", dims) if dim]
+        with pytest.raises(error, match=re.escape(message)):
+            build_index_from_records(captions, records)
+
+
+def test_index_names_its_first_bad_caption():
+    # A repeated id and another kind are checked caption by caption, in order.
+    rows = unit_rows(3, 4, seed=1)
+    other_kind_first = [Caption("a", "rice", "dense"), Caption("b", "rice", "sparse"), Caption("a", "rice", "dense")]
+    with pytest.raises(ValueError, match="caption 'b' is 'sparse', not 'dense'"):
+        CaptionIndex(other_kind_first, rows, "dense", "f")
+    repeat_first = [Caption("a", "rice", "dense"), Caption("a", "rice", "sparse"), Caption("b", "rice", "sparse")]
+    with pytest.raises(DuplicateIdError, match="duplicate caption id 'a'"):
+        CaptionIndex(repeat_first, rows, "dense", "f")
 
 
 class TestPersistence:
@@ -378,7 +411,7 @@ class TestStoredRows:
     def test_memory_peaks_stay_near_the_matrix(self, tmp_path):
         # 20,000 x 128 float32 rows are 10 MB. Building holds the matrix,
         # its stored copy and one float64 row block; loading also holds the
-        # file bytes and the caption objects.
+        # file bytes and the id and text columns.
         captions = tuple(sample_captions(20_000))
         rows = unit_rows(20_000, 128, seed=3)
         tracemalloc.start()
@@ -399,7 +432,7 @@ class TestStoredRows:
     def test_build_save_and_load_copy_no_matrix(self, tmp_path):
         # Building from records holds the float32 matrix and one float64 row
         # block, saving writes the matrix as it is, and loading holds the
-        # file bytes and the caption objects.
+        # file bytes and the id and text columns.
         captions = sample_captions(20_000)
         rows = unit_rows(20_000, 128, seed=4)
         records = [(c.id, EmbeddingVector(row, normalized=True)) for c, row in zip(captions, rows)]
@@ -512,3 +545,216 @@ def _jsonl(tmp_path, line):
 def test_guard_raises(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(tmp_path)
+
+
+def reference_load(path):
+    """The per-record loader that the column walk replaced: the spec of its errors.
+
+    Every record becomes a ``Caption`` as it is read; the index checks that
+    followed are those the ``CaptionIndex`` constructor then made.
+    """
+    with _Reader(path, _HEADER, F4I_MAGIC, F4I_VERSION) as reader:
+        kind_byte, dim, count = reader.fields
+        if kind_byte >= len(CAPTION_KINDS):
+            raise CorruptFileError(f"{path}: invalid kind byte {kind_byte}")
+        kind = CAPTION_KINDS[kind_byte]
+        captions = tuple(Caption(reader.text(_U16), reader.text(_U32), kind) for _ in range(count))
+        block = reader.floats(count * dim)
+        fingerprint = reader.text(_U32)
+        reader.end()
+        matrix = reader.aligned(block).reshape(count, dim)
+        if not captions:
+            raise EmptyCorpusError("cannot build an index from zero captions")
+        if not np.all(np.abs(np.linalg.norm(matrix.astype(np.float64), axis=1) - 1.0) <= UNIT_NORM_TOL):
+            raise ValueError("index rows must be unit-norm")
+        seen = set()
+        for cap in captions:
+            if cap.id in seen:
+                raise DuplicateIdError(f"duplicate caption id {cap.id!r}")
+            seen.add(cap.id)
+    return captions, kind, fingerprint, matrix
+
+
+def load_outcome(load, path):
+    """What ``load`` made of ``path``: the error's type and message, or every id, text and row bit."""
+    try:
+        loaded = load(path)
+    except F4SearchError as exc:
+        return type(exc), str(exc)
+    if isinstance(loaded, CaptionIndex):
+        return loaded.captions, loaded.kind, loaded.encoder_fingerprint, loaded.embeddings.tobytes()
+    captions, kind, fingerprint, matrix = loaded
+    return captions, kind, fingerprint, matrix.tobytes()
+
+
+def assert_loads_like_reference(path):
+    expected = load_outcome(reference_load, path)
+    assert load_outcome(load_index, path) == expected
+    return expected
+
+
+def f4i_bytes(ids, texts, rows, kind=1, fingerprint=b"file:dim=4"):
+    """A hand-built F4I file: ``ids`` and ``texts`` as raw bytes, ``rows`` as a float32 matrix."""
+    rows = np.asarray(rows, "<f4")
+    body = b"".join(
+        struct.pack("<H", len(cid)) + cid + struct.pack("<I", len(text)) + text for cid, text in zip(ids, texts)
+    )
+    header = struct.pack("<4sHBIQ", F4I_MAGIC, F4I_VERSION, kind, rows.shape[1], len(ids))
+    return header + body + rows.tobytes() + struct.pack("<I", len(fingerprint)) + fingerprint
+
+
+def record_starts(ids, texts):
+    """Where each record of ``f4i_bytes(ids, texts, ...)`` starts, then where the last one ends."""
+    lengths = (2 + len(cid) + 4 + len(text) for cid, text in zip(ids, texts))
+    return list(itertools.accumulate(lengths, initial=_HEADER.size))
+
+
+def clean_columns(n=6, dim=4):
+    ids = [f"c{i}".encode() if i % 3 else f"é{i}".encode() for i in range(n)]
+    texts = [f"rice, bean {i}, crème".encode() for i in range(n)]
+    return ids, texts, unit_rows(n, dim, seed=n)
+
+
+def spoil_record(fault, ids, texts, rows, i):
+    """Make record ``i`` bad in one way; a duplicate repeats the id of a neighbouring record."""
+    if fault == "empty-id":
+        ids[i] = b""
+    elif fault == "blank-text":
+        texts[i] = b" \t "
+    elif fault == "no-items":  # blank once split on commas: a sparse caption with no items
+        texts[i] = b",,,"
+    elif fault == "invalid-utf8-id":
+        ids[i] = b"\xc3\x28"
+    elif fault == "invalid-utf8-text":
+        texts[i] = b"ri\xffce"
+    elif fault == "duplicate":
+        ids[i] = ids[i - 1] if i else ids[1]
+    elif fault == "non-finite":
+        rows[i, 1] = np.nan
+    elif fault == "non-unit":
+        rows[i] *= 1.5
+
+
+RECORD_FAULTS = ["empty-id", "blank-text", "no-items", "invalid-utf8-id", "invalid-utf8-text",
+                 "duplicate", "non-finite", "non-unit"]
+
+
+class TestLoaderMatchesReference:
+    @pytest.mark.parametrize("kind", [0, 1], ids=CAPTION_KINDS)
+    @pytest.mark.parametrize("i", [0, 3, 5], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", RECORD_FAULTS)
+    def test_one_bad_record(self, tmp_path, fault, i, kind):
+        ids, texts, rows = clean_columns()
+        spoil_record(fault, ids, texts, rows, i)
+        path = tmp_path / "bad.f4i"
+        path.write_bytes(f4i_bytes(ids, texts, rows, kind))
+        expected = assert_loads_like_reference(path)
+        if kind == 1 or fault != "no-items":  # ",,," is a dense caption's valid text
+            assert issubclass(expected[0], F4SearchError)
+
+    def test_messages_carry_the_record_offset(self, tmp_path):
+        # A bad id is reported at the end of the id, a broken rule at the end of the record.
+        path = tmp_path / "bad.f4i"
+        for fault, at, message in [
+            ("invalid-utf8-id", lambda starts: starts[3] + 4, "'utf-8' codec can't decode byte 0xc3"),
+            ("empty-id", lambda starts: starts[4], "caption id must be non-empty"),
+        ]:
+            ids, texts, rows = clean_columns()
+            spoil_record(fault, ids, texts, rows, 3)
+            path.write_bytes(f4i_bytes(ids, texts, rows))
+            assert_loads_like_reference(path)
+            where = f"{path}: bad content before byte {at(record_starts(ids, texts))}: {message}"
+            with pytest.raises(CorruptFileError, match=re.escape(where)):
+                load_index(path)
+
+    @pytest.mark.parametrize("i", [0, 3, 5], ids=["first", "middle", "last"])
+    def test_truncated_inside_a_record(self, tmp_path, i):
+        ids, texts, rows = clean_columns()
+        data = f4i_bytes(ids, texts, rows)
+        starts = record_starts(ids, texts)
+        path = tmp_path / "cut.f4i"
+        for cut in range(starts[i] + 1, starts[i + 1]):
+            path.write_bytes(data[:cut])
+            assert assert_loads_like_reference(path)[0] is TruncatedFileError
+
+    def test_trailing_bytes(self, tmp_path):
+        ids, texts, rows = clean_columns()
+        path = tmp_path / "long.f4i"
+        path.write_bytes(f4i_bytes(ids, texts, rows) + b"\0")
+        assert assert_loads_like_reference(path)[0] is TruncatedFileError
+
+    @pytest.mark.parametrize("first, second", list(itertools.permutations(RECORD_FAULTS, 2)))
+    def test_two_bad_records(self, tmp_path, first, second):
+        ids, texts, rows = clean_columns()
+        spoil_record(first, ids, texts, rows, 1)
+        spoil_record(second, ids, texts, rows, 4)
+        path = tmp_path / "bad.f4i"
+        path.write_bytes(f4i_bytes(ids, texts, rows))
+        assert issubclass(assert_loads_like_reference(path)[0], F4SearchError)
+
+    def test_clean_file_loads_the_same_columns(self, tmp_path):
+        ids, texts, rows = clean_columns()
+        path = tmp_path / "ok.f4i"
+        path.write_bytes(f4i_bytes(ids, texts, rows))
+        captions = assert_loads_like_reference(path)[0]
+        assert [c.id for c in captions] == [cid.decode() for cid in ids]
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=CAPTION_KINDS)
+    def test_every_truncation_and_bit_flip_fails_like_the_reference(self, tmp_path, kind):
+        ids, texts, rows = clean_columns(n=3, dim=2)
+        data = f4i_bytes(ids, texts, rows, kind, fingerprint=b"f")
+        path = tmp_path / "flip.f4i"
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            assert assert_loads_like_reference(path)[0] is TruncatedFileError
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            assert_loads_like_reference(path)
+
+
+def test_index_paths_build_no_caption(tmp_path, monkeypatch, corpus42):
+    # The index keeps id and text columns: building, saving, loading,
+    # searching, evaluating and re-ranking make no Caption. Reading
+    # ``captions`` makes them, once.
+    spec = corpus42.encoder
+    dense = ingest_captions(corpus42.root / "captions_dense.jsonl")
+    items = ingest_captions(corpus42.root / "captions_items.jsonl")
+    records = {
+        name: list(zip([c.id for c in caps], encode_texts([c.text for c in caps], spec)))
+        for name, caps in (("dense", dense), ("items", items))
+    }
+    built = []
+
+    def counted(self):
+        built.append(self.id)
+
+    monkeypatch.setattr(Caption, "__post_init__", counted)
+    for name, caps in (("dense", dense), ("items", items)):
+        save_index(build_index_from_records(caps, records[name], spec.fingerprint()), tmp_path / f"{name}.f4i")
+    save_index(build_index(dense, spec), tmp_path / "dense-built.f4i")
+    index, items_index = load_index(tmp_path / "dense.f4i"), load_index(tmp_path / "items.f4i")
+    bundle = corpus42.bundles[0]
+    search_topk(bundle.e_img, index, 5)
+    search_fused_topk(bundle, index, encoder=spec, k=5)
+    for config in (
+        EvalConfig(encoder=spec, weights=FusionWeights(1.0, 0.0)),
+        EvalConfig(encoder=spec),
+        EvalConfig(encoder=spec, bidirectional=True),
+    ):
+        evaluate_corpus(corpus42.bundles[:20], index, config)
+    retrieve_and_rerank(corpus42.bundles_items[0], items_index, N=20, k=5, encoder=spec)
+    assert built == []
+    assert index.captions == tuple(dense)
+    assert items_index.captions == tuple(items)
+    assert index.captions is index.captions
+    assert len(built) == len(dense) + len(items)
+
+
+def test_constructor_keeps_the_captions_it_was_given():
+    captions = tuple(sample_captions(3))
+    index = CaptionIndex(captions, unit_rows(3, 4, seed=6), "dense", "f")
+    assert index.captions is captions
+    assert index.ids == ("c000", "c001", "c002")
+    assert index.texts == tuple(c.text for c in captions)
