@@ -90,7 +90,7 @@ class _Reader:
             self.data = memoryview(np.empty(size + _ALIGN - 1, np.uint8))
             self.size = f.readinto(self.data[:size])
         self.path, self.pos = path, 0
-        got_magic, got_version, *self.fields = self.unpack(header)
+        got_magic, got_version, *self.fields = header.unpack_from(self.data, self._take(header.size))
         if got_magic != magic:
             raise BadMagicError(f"{path}: expected magic {magic!r}, got {got_magic!r}")
         if got_version != version:
@@ -111,13 +111,17 @@ class _Reader:
             raise TruncatedFileError(f"{self.path}: {n} bytes needed at byte {start}, too few left")
         return start
 
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack_from(self.data, self._take(fmt.size))
-
     def text(self, length: struct.Struct) -> str:
-        (n,) = self.unpack(length)
-        start = self._take(n)
-        return str(self.data[start : start + n], "utf-8")
+        """A UTF-8 string behind its byte count packed with ``length``; a cut one raises through ``_take``."""
+        start = self.pos + length.size
+        if start > self.size:
+            self._take(length.size)
+        end = start + length.unpack_from(self.data, self.pos)[0]
+        if end > self.size:
+            self.pos = start
+            self._take(end - start)
+        self.pos = end
+        return self.data[start:end].tobytes().decode()
 
     def floats(self, count: int) -> np.ndarray:
         arr = np.frombuffer(self.data, dtype="<f4", count=count, offset=self._take(4 * count))

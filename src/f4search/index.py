@@ -228,37 +228,6 @@ def save_index(index: CaptionIndex, path) -> None:
     )
 
 
-def _read_columns(reader: _Reader, count: int, kind: str) -> tuple[list[str], list[str]]:
-    """The ids and texts of ``count`` caption records, each checked as it is read.
-
-    A bad record fails as reading it field by field with ``reader.text``
-    would: invalid UTF-8 is reported at the end of its field, and a broken
-    caption rule at the end of the record.
-    """
-    data, size, pos = reader.data, reader.size, reader.pos
-    ids, texts = [], []
-    for _ in range(count):
-        # pos <= size here, and _Reader keeps spare bytes after the file's.
-        (n,) = _U16.unpack_from(data, pos)
-        id_end = pos + 2 + n
-        end = id_end + 4 + (_U32.unpack_from(data, id_end)[0] if id_end + 4 <= size else 0)
-        if end > size:
-            # The record runs past the end of the file: these reads raise
-            # _Reader's TruncatedFileError, or its error for a bad id first.
-            reader.pos = pos
-            reader.text(_U16)
-            reader.text(_U32)
-        reader.pos = id_end
-        cid = data[pos + 2 : id_end].tobytes().decode("utf-8")
-        reader.pos = end
-        text = data[id_end + 4 : end].tobytes().decode("utf-8")
-        pos = end
-        _check_caption(cid, text, kind)
-        ids.append(cid)
-        texts.append(text)
-    return ids, texts
-
-
 def load_index(path) -> CaptionIndex:
     """Load an F4I file written by save_index.
 
@@ -271,7 +240,12 @@ def load_index(path) -> CaptionIndex:
         if kind_byte >= len(CAPTION_KINDS):
             raise CorruptFileError(f"{path}: invalid kind byte {kind_byte}")
         kind = CAPTION_KINDS[kind_byte]
-        ids, texts = _read_columns(reader, count, kind)
+        ids, texts = [], []
+        for _ in range(count):
+            cid, text = reader.text(_U16), reader.text(_U32)
+            _check_caption(cid, text, kind)
+            ids.append(cid)
+            texts.append(text)
         block = reader.floats(count * dim)
         fingerprint = reader.text(_U32)
         reader.end()

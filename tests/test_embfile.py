@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +329,26 @@ def test_two_faults_in_one_record_keep_the_check_order(tmp_path, row_fault, id_f
     for spoiled in [data[:end] for end in range(len(data) - 30, len(data))] + [data + b"x"]:
         path.write_bytes(spoiled)
         assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, rows, message",
+    [
+        # The one record is zero: it is named ahead of the missing next record.
+        (10, "<Q", 2**64 - 1, np.zeros((1, 4)), "record 'a' before byte 37: cannot normalize a zero vector"),
+        (6, "<I", 2**32 - 1, np.ones((1, 4)), "17179869180 bytes needed at byte 21, too few left"),
+    ],
+    ids=["count", "dim"],
+)
+def test_extreme_fields_fail_fast(tmp_path, offset, fmt, value, rows, message):
+    data = bytearray(f4e_bytes([b"a"], rows))
+    struct.pack_into(fmt, data, offset, value)
+    path = tmp_path / "extreme.f4e"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    _, got = assert_loads_like_reference(path)
+    assert time.perf_counter() - start < 1
+    assert got == f"{path}: {message}"
 
 
 def test_load_builds_no_checked_vectors(tmp_path, monkeypatch):

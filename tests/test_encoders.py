@@ -182,6 +182,16 @@ class TestSyntheticImage:
         with pytest.raises(ValueError):
             encode_image_synthetic("rice", -0.1, synthetic_spec, noise_seed=0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [EncoderSpec("remote", 32, endpoint="http://host:8080/v1"), EncoderSpec("file", 32)],
+        ids=["remote", "file"],
+    )
+    def test_wrong_kind_rejected(self, spec):
+        # Refused before any encoding: the remote endpoint is never contacted.
+        with pytest.raises(ValueError, match="^encode_image_synthetic needs a synthetic encoder spec$"):
+            encode_image_synthetic("rice", 0.25, spec, noise_seed=0)
+
 
 class TestEncodeTexts:
     def test_synthetic_batch(self, synthetic_spec):

@@ -3,6 +3,7 @@ import itertools
 import json
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -712,6 +713,28 @@ class TestLoaderMatchesReference:
             flipped[bit // 8] ^= 1 << (bit % 8)
             path.write_bytes(bytes(flipped))
             assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, end, message",
+    [
+        # A count past the one record held: the next record's id length is missing.
+        (11, "<Q", 2**64 - 1, 27, "2 bytes needed at byte 27"),
+        (7, "<I", 2**32 - 1, None, "17179869180 bytes needed at byte 27"),
+        (19, "<H", 65535, None, "65535 bytes needed at byte 21"),
+        (22, "<I", 2**32 - 1, None, "4294967295 bytes needed at byte 26"),
+    ],
+    ids=["count", "dim", "id-length", "text-length"],
+)
+def test_extreme_fields_fail_fast(tmp_path, offset, fmt, value, end, message):
+    data = bytearray(f4i_bytes([b"a"], [b"t"], unit_rows(1, 4, seed=0)))
+    struct.pack_into(fmt, data, offset, value)
+    path = tmp_path / "extreme.f4i"
+    path.write_bytes(data[:end])
+    start = time.perf_counter()
+    _, got = assert_loads_like_reference(path)
+    assert time.perf_counter() - start < 1
+    assert got == f"{path}: {message}, too few left"
 
 
 def test_index_paths_build_no_caption(tmp_path, monkeypatch, corpus42):
