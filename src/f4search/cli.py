@@ -210,7 +210,10 @@ def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, m
               text_source, bidirectional, index_w_text, do_rerank, pool_size, out_path):
     """Evaluate across a text-weight grid and write a plot-ready CSV."""
     if grid_text is not None:
-        grid = [float(x) for x in grid_text.split(",") if x.strip()]
+        try:
+            grid = [float(x) for x in grid_text.split(",") if x.strip()]
+        except ValueError as exc:
+            raise ValueError(f"cannot parse --grid {grid_text!r}") from exc
     elif grid_step is not None:
         if not 0.0 < grid_step <= 1.0:
             raise click.UsageError("--grid-step must lie in (0, 1]")

@@ -19,12 +19,13 @@ remote encoder sends them in batches over one connection, and a sweep
 encodes once for its whole grid. Scoring then runs the private cores of the
 per-bundle search functions on float64 arrays and index rows, so it builds
 no ``RankedList`` and no ``EmbeddingVector``. A block of bundles at every
-point of a sweep's grid is fused (``vectors._fused``) and normed
-(``search._query_norms``) at once, with the bits of one query at a time,
-and one float32 screen (``search._screen``) serves it; each query's
-ground-truth ranks are counted from it on its own;
-a re-ranking screen serves one bundle's points, and ranks are counted in
-each point's pool. An encoder returns each text's vector independently of
+point of a sweep's grid is fused by ``vectors._fused``, which makes the
+query rows of every bundle search (a text-free point's is its image row),
+and normed (``search._query_norms``) at once, with the bits of one query
+at a time, and one float32 screen (``search._screen``) serves it; each
+query's ground-truth ranks are counted from it on its own; a re-ranking
+screen serves one bundle's points, and ranks are counted in each point's
+pool. An encoder returns each text's vector independently of
 the rest of its batch, and a query's ranks do not depend on its block, so
 the reports are byte-identical to encoding and scoring one bundle at a time.
 """
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .index import CaptionIndex, read_jsonl
 from .rerank import _rerank_ranks, default_pool_size
-from .search import _UNIDIRECTIONAL, Encoded, QueryBundle, RankedList, _block_len, _encode_bundles, _gt_ranks, _query_norms
+from .search import _UNIDIRECTIONAL, QueryBundle, RankedList, _block_len, _encode_bundles, _gt_ranks, _query_norms
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, FusionWeights, _fused
 
 
@@ -196,25 +197,22 @@ def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: E
 
 
 def _evaluate_block(
-    bundles: Sequence[QueryBundle], index: CaptionIndex, points: Sequence[EvalConfig],
-    encoded: Sequence[Encoded],
+    bundles: Sequence[QueryBundle], index: CaptionIndex, points: Sequence[EvalConfig], texts, items
 ) -> list[list[QueryOutcome]]:
-    """Each bundle's outcome at each of ``points``, configs that differ only in their weights."""
+    """Each bundle's outcome at each of ``points`` (configs that differ only in weights), from its encoded texts."""
     config, n = points[0], len(points)
     gt_rows = [[index.row_of(cid) for cid in set(b.gt_caption_ids)] for b in bundles]
     images = np.array([b.e_img.values for b in bundles])  # one row per bundle, shared by its points
-    # Query j is bundle j // n at point j % n. With no text rows no point weights text.
-    texts, weights = [e_text for e_text, _ in encoded], [p.weights for p in points]
-    queries = np.repeat(images, n, axis=0) if texts[0] is None else _fused(images, np.array(texts), weights)
+    queries = _fused(images, texts, [p.weights for p in points])  # query j: bundle j // n at point j % n
     qnorms = _query_norms(queries, index)
     if config.rerank:
         # One pool per bundle: a band union across bundles would score more rows.
         per_query = []
-        for j, ((_, items), rows) in enumerate(zip(encoded, gt_rows)):
+        for j, (bundle_items, rows) in enumerate(zip(items, gt_rows)):
             k_out = max(5, len(rows))
             pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
             own = slice(j * n, (j + 1) * n)
-            per_query += _rerank_ranks(queries[own], qnorms[own], index, items, pool, k_out, rows)
+            per_query += _rerank_ranks(queries[own], qnorms[own], index, bundle_items, pool, k_out, rows)
     else:
         # The metrics read only where the ground truth lands: count its ranks, rank no rows.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL
@@ -241,12 +239,13 @@ def _evaluate(
     """
     config = points[0]
     fuse_text = any(p.weights.w_text > 0.0 for p in points)
-    encoded = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
+    texts, items = _encode_bundles(bundles, config.encoder, config.text_source, fuse_text, config.rerank)
     step = max(1, _block_len(len(index)) // len(points))
     per_bundle = []
     for start in range(0, len(bundles), step):
         block = slice(start, start + step)
-        per_bundle += _evaluate_block(bundles[block], index, points, encoded[block])
+        encoded = (x if x is None else x[block] for x in (texts, items))
+        per_bundle += _evaluate_block(bundles[block], index, points, *encoded)
     reports = []
     for point, outcomes in zip(points, zip(*per_bundle)):
         n = len(outcomes)

@@ -54,13 +54,8 @@ def _max_sim(index: "CaptionIndex", rows, items: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kj->ik", cand_matrix, items).max(axis=1)
 
 
-def _rerank(index: "CaptionIndex", rows, items: np.ndarray, k: int):
-    """``_rank`` of the index ``rows`` by ``_max_sim``, cut to k."""
-    return _rank(index, _max_sim(index, rows, items), k, rows)
-
-
 def _rerank_ranks(queries, qnorms, index: "CaptionIndex", items, pool: int, k_out: int, gt_rows) -> list[list[int]]:
-    """Per query, the ascending ranks of ``gt_rows`` in ``_rerank`` of its top ``pool`` rows.
+    """Per query, the ascending ranks of ``gt_rows`` in ``_rank`` by ``_max_sim`` of its top ``pool`` rows.
 
     ``queries`` are one bundle's (G, d) query rows and ``qnorms`` their
     ``search._query_norms``; they are screened uni-directionally. Ranks
@@ -111,7 +106,7 @@ def rerank(
             raise UnknownCandidateIdError(f"candidate id {cid!r} not in index")
         rows.append(index.row_of(cid))
     # parse_items already deduplicated, so each phrase is encoded once.
-    ranked = _rerank(index, rows, _encode(list(items.phrases), encoder), candidates.k)
+    ranked = _rank(index, _max_sim(index, rows, _encode(list(items.phrases), encoder)), candidates.k, rows)
     return _ranked_list(index, *ranked, candidates.k, STAGE_RERANKED)
 
 
@@ -134,7 +129,7 @@ def retrieve_and_rerank(
         N = default_pool_size(k)
     if N < k:
         raise ValueError(f"initial pool N={N} must be >= k={k}")
-    ((e_text, items),) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
-    query = bundle.e_img.values[None] if e_text is None else _fused(bundle.e_img.values[None], e_text[None], [w])
-    ranked = _rerank(index, _topk(query, None, index, _UNIDIRECTIONAL, N)[0], items, k)
+    texts, (items,) = _encode_bundles([bundle], encoder, "sparse", w.w_text > 0.0, True)
+    rows = _topk(_fused(bundle.e_img.values[None], texts, [w]), None, index, _UNIDIRECTIONAL, N)[0]
+    ranked = _rank(index, _max_sim(index, rows, items), k, rows)
     return _ranked_list(index, *ranked, min(k, len(index)), STAGE_RERANKED)

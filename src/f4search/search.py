@@ -28,13 +28,15 @@ once, other evaluation each block of bundles once.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
-texts in ``_encode_bundles``, with one encoder call per search. Fusing
-index rows happens at scoring time, one block of rows at a time; the
-stored index is never mutated. The bi-directional screen takes its scores
-from one float32 GEMM of the rows with the G queries and the image rows,
-with one bound per image row for every row; it is infinite when any row's
-fusion with that image could collapse to zero, so that image's queries
-run the full exact scan, which raises ``ZeroVectorError``.
+texts in ``_encode_bundles``, with one encoder call per search, and makes
+its query rows with ``vectors._fused``; ``search_fused_topk`` is
+``search_bidirectional`` at ``_UNIDIRECTIONAL``. Fusing index rows happens
+at scoring time, one block of rows at a time; the stored index is never
+mutated. The bi-directional screen takes its scores from one float32 GEMM
+of the rows with the G queries and the image rows, with one bound per
+image row for every row; it is infinite when any row's fusion with that
+image could collapse to zero, so that image's queries run the full exact
+scan, which raises ``ZeroVectorError``.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ _ROW_BLOCK_BYTES = 1 << 20
 
 # Bi-directional scoring at these index weights scores every row as stored.
 _UNIDIRECTIONAL = FusionWeights(0.0, 1.0)
-
-# One bundle's encoded texts: the prediction-text row (None when no weight
-# fuses text) and, for re-ranking, the item matrix (else None).
-Encoded = tuple[np.ndarray | None, np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -476,15 +474,15 @@ def _pred_text(bundle: QueryBundle, text_source: str) -> str:
     return text
 
 
-def _encode_bundles(
-    bundles: Sequence[QueryBundle], encoder: EncoderSpec | None, source: str, fuse_text, rerank
-) -> list[Encoded]:
+def _encode_bundles(bundles: Sequence[QueryBundle], encoder: EncoderSpec | None, source: str, fuse_text, rerank):
     """Every bundle's encoded texts, from one ``_encode`` call of the distinct ones.
 
     A bundle needs its ``source`` prediction text when ``fuse_text``; re-ranking
     reads the sparse text, whatever ``source`` is, and needs its item phrases.
     The texts are collected in bundle order first, so a missing prediction
-    text or an empty item list raises before anything is encoded.
+    text or an empty item list raises before anything is encoded. Returns
+    ``(texts, items)``: a C-ordered (B, d) matrix of the prediction-text rows,
+    else None, and with ``rerank`` one item matrix per bundle, else None.
     """
     needed = []
     for bundle in bundles:
@@ -494,28 +492,9 @@ def _encode_bundles(
     distinct = list(dict.fromkeys(t for text, phrases in needed for t in (text, *phrases) if t))
     matrix = _encode(distinct, encoder) if distinct else None
     pos = {t: i for i, t in enumerate(distinct)}
-    return [
-        (matrix[pos[text]] if text else None, matrix[[pos[p] for p in phrases]] if phrases else None)
-        for text, phrases in needed
-    ]
-
-
-def fused_query(
-    bundle: QueryBundle,
-    w: FusionWeights,
-    text_source: str,
-    encoder: EncoderSpec | None,
-) -> EmbeddingVector:
-    """Build the query vector: the image embedding fused with a prediction text.
-
-    With a zero text weight the image embedding is returned untouched and no
-    prediction text is required, so the degenerate configuration reproduces
-    pure-image retrieval exactly.
-    """
-    if w.w_text == 0.0:
-        return bundle.e_img
-    ((e_text, _),) = _encode_bundles([bundle], encoder, text_source, True, False)
-    return EmbeddingVector(_fused(bundle.e_img.values[None], e_text[None], [w])[0], normalized=True)
+    texts = matrix[[pos[text] for text, _ in needed]] if fuse_text else None
+    items = [matrix[[pos[p] for p in phrases]] for _, phrases in needed] if rerank else None
+    return texts, items
 
 
 def search_fused_topk(
@@ -526,8 +505,8 @@ def search_fused_topk(
     encoder: EncoderSpec | None = None,
     k: int = 1,
 ) -> RankedList:
-    """Uni-directional fused retrieval: fused query against stored rows."""
-    return search_topk(fused_query(bundle, w, text_source, encoder), index, k)
+    """Uni-directional fused retrieval: ``search_bidirectional`` at index weights ``_UNIDIRECTIONAL``."""
+    return search_bidirectional(bundle, index, w, _UNIDIRECTIONAL, text_source, encoder, k)
 
 
 def search_top1_fused(
@@ -557,12 +536,15 @@ def search_bidirectional(
     of rows at a time, so memory per query is bounded by the block, not by
     the index; the stored index is never written to. Below the full
     ranking, ``_screen`` and ``_band`` pick the rows to fuse exactly.
-    ``w_index = (0, 1)`` is the uni-directional search: the same scorer and
-    screen at ``_UNIDIRECTIONAL``.
+    ``w_index = (0, 1)`` is the uni-directional search, ``search_fused_topk``:
+    the same scorer and screen at ``_UNIDIRECTIONAL``. The query row is
+    ``_fused``'s; at a zero text weight it is the image row, and no
+    prediction text is read.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    query = fused_query(bundle, w_query, text_source, encoder)
+    texts, _ = _encode_bundles([bundle], encoder, text_source, w_query.w_text > 0.0, False)
+    image = bundle.e_img.values[None]
     k = min(k if k is not None else len(index), len(index))
-    ranked = _topk(query.values[None], bundle.e_img.values[None], index, w_index, k)
+    ranked = _topk(_fused(image, texts, [w_query]), image, index, w_index, k)
     return _ranked_list(index, *ranked, k, STAGE_INITIAL)

@@ -4,7 +4,10 @@ All similarity math runs in double precision regardless of how vectors are
 stored. Fused vectors are always scaled back to unit norm so that queries
 and index rows stay on the unit sphere and scores remain plain dot products;
 cosine is scale-invariant, so renormalization never changes a ranking.
-``_unit`` makes every unit vector, one row or a block; ``_norms`` takes every batched norm.
+``_unit`` makes every unit vector, one row or a block, and ``_fused`` every
+bundle search's query rows. ``_norms`` takes the batched norms of query rows
+and of vectors being made unit; the index check and the bi-directional
+scorer keep an axis-1 ``np.linalg.norm``, on purpose, for its bits.
 """
 
 from __future__ import annotations
@@ -162,13 +165,17 @@ def fuse(
     return EmbeddingVector(_fused(e_img.values[None], e_text.values[None], [w])[0], normalized=True)
 
 
-def _fused(images: np.ndarray, texts: np.ndarray, weights: Sequence[FusionWeights]) -> np.ndarray:
+def _fused(images: np.ndarray, texts: np.ndarray | None, weights: Sequence[FusionWeights]) -> np.ndarray:
     """``fuse`` of each row pair of two unit float64 matrices at each of ``weights``.
 
-    Row ``j * len(weights) + i`` of the C-ordered (G, d) result fuses row j
-    of ``images`` and ``texts`` at ``weights[i]``; a zero weight gives the
-    other row's bits. The first row that ``_unit`` rejects raises its error.
+    These are the query rows of every bundle search. Row
+    ``j * len(weights) + i`` of the C-ordered (G, d) result fuses row j of
+    ``images`` and ``texts`` at ``weights[i]``; a zero weight gives the
+    other row's bits, and with no ``texts`` every row has its image row's
+    bits. The first row that ``_unit`` rejects raises its error.
     """
+    if texts is None:
+        return np.repeat(images, len(weights), axis=0)
     if images.shape[1] != texts.shape[1]:
         raise DimensionMismatchError(f"dim {images.shape[1]} vs {texts.shape[1]}")
     a, b = np.array([(w.w_img, w.w_text) for w in weights]).T

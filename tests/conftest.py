@@ -5,6 +5,7 @@ counting embedding service."""
 import http.server
 import json
 import math
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ from f4search import (
     l2_normalize,
     load_bundles,
 )
-from f4search.errors import ZeroVectorError
+from f4search.errors import CorruptFileError, TruncatedFileError, ZeroVectorError
 from f4search.synthetic import SyntheticCorpusConfig
 
 
@@ -46,6 +47,47 @@ def unit_reference(values):
     if not math.isfinite(norm):
         raise ValueError("cannot normalize a vector whose L2 norm overflows float64")
     return values / norm
+
+
+class ByteReader:
+    """A file's bytes read field by field with ``struct.unpack_from``: the differential loader tests' reader.
+
+    It shares no code with the package's reader, so each error message and
+    byte offset the loaders must give is written out here.
+    """
+
+    def __init__(self, path):
+        self.path, self.data, self.pos = path, Path(path).read_bytes(), 0
+
+    def take(self, n: int) -> int:
+        start, self.pos = self.pos, self.pos + n
+        if self.pos > len(self.data):
+            raise TruncatedFileError(f"{self.path}: {n} bytes needed at byte {start}, too few left")
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt)))
+
+    def corrupt(self, reason) -> CorruptFileError:
+        return CorruptFileError(f"{self.path}: bad content before byte {self.pos}: {reason}")
+
+    def text(self, fmt: str) -> str:
+        (n,) = self.unpack(fmt)
+        start = self.take(n)
+        try:
+            return self.data[start : self.pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.corrupt(exc) from exc
+
+    def floats(self, n: int) -> np.ndarray:
+        arr = np.frombuffer(self.data, "<f4", n, self.take(4 * n))
+        if not np.isfinite(arr).all():
+            raise self.corrupt("non-finite float")
+        return arr
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise TruncatedFileError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
 
 
 @pytest.fixture

@@ -71,7 +71,14 @@ test "$status" -eq 1
 f4search search --index dense.f4i --image-embedding corpus/images.f4e:d00000 \
   --dense-text "rice with chicken" --bidirectional --k 3 > bidir.txt
 test "$(wc -l < bidir.txt)" -eq 4
-# Image-only search has no bundle image of its own: search_topk screens with the query row.
+# Uni-directional fused search is bi-directional search at index weights (0, 1).
+f4search search --index dense.f4i --image-embedding corpus/images.f4e:d00000 \
+  --dense-text "rice with chicken" --k 5 > fused.txt
+f4search search --index dense.f4i --image-embedding corpus/images.f4e:d00000 \
+  --dense-text "rice with chicken" --bidirectional --index-w-text 1 --k 5 > fused-bidir.txt
+test "$(wc -l < fused.txt)" -eq 6
+cmp fused.txt fused-bidir.txt
+# Image-only search: at --w-text 0 the query row is the image row, and no text is needed.
 f4search search --index dense.f4i --image-embedding corpus/images.f4e:d00000 \
   --w-text 0 --k 3 > image.txt
 test "$(wc -l < image.txt)" -eq 4

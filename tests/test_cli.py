@@ -692,6 +692,11 @@ class TestSweep:
             "--out", str(tmp / "s.csv"),
         ], 2, "--grid-step must lie in (0, 1]"),
         (lambda corpus, index, tmp: [
+            "sweep", "--index", str(index), "--bundles", str(corpus / "bundles.jsonl"),
+            "--image-embeddings", str(corpus / "images.f4e"), "--grid", "0,abc",
+            "--out", str(tmp / "s.csv"),
+        ], 1, "error: cannot parse --grid '0,abc'"),
+        (lambda corpus, index, tmp: [
             "gen-synthetic", "--items-per-caption", "x", "--out-dir", str(tmp / "x"),
         ], 1, "error: cannot parse --items-per-caption 'x'"),
         *[
@@ -705,8 +710,9 @@ class TestSweep:
             "--sparse-text", "rice, chicken", "--rerank",
         ], 1, "error: re-ranking requires a sparse caption index"),
     ],
-    ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-items-per-caption",
-         "search-without-text", "bidirectional-search-without-text", "rerank-search-on-dense-index"],
+    ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-grid",
+         "unparseable-items-per-caption", "search-without-text", "bidirectional-search-without-text",
+         "rerank-search-on-dense-index"],
 )
 def test_guard_exits(runner, corpus_dir, dense_index_path, tmp_path, args, exit_code, message):
     result = runner.invoke(main, args(corpus_dir, dense_index_path, tmp_path))

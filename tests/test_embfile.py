@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from f4search import vectors
-from f4search.embfile import (
-    _HEADER,
-    _ID_LEN,
-    F4E_MAGIC,
-    F4E_VERSION,
-    _Reader,
-    load_embedding_file,
-    write_embedding_file,
-)
+from f4search.embfile import F4E_MAGIC, load_embedding_file, write_embedding_file
 from f4search.errors import (
     BadMagicError,
     CorruptFileError,
@@ -26,7 +18,7 @@ from f4search.errors import (
 )
 from f4search.vectors import ZERO_NORM_EPS, EmbeddingVector, _unit
 
-from conftest import SIGNALLING_NAN_ROW, unit
+from conftest import SIGNALLING_NAN_ROW, ByteReader, unit
 
 
 def random_records(n, dim, seed=0):
@@ -187,25 +179,29 @@ def test_corrupt_content_raises_corrupt_file_error(tmp_path, dim, record):
 
 
 def reference_load(path):
-    """The per-record loader that the block loader replaced: the spec of its errors."""
+    """The per-record loader that the block loader replaced, over the file's bytes: the spec of its errors."""
+    reader = ByteReader(path)
+    magic, version, dim, count = reader.unpack("<4sHIQ")
+    if magic != b"F4EM":
+        raise BadMagicError(f"{path}: expected magic {b'F4EM'!r}, got {magic!r}")
+    if version != 1:
+        raise VersionUnsupportedError(f"{path}: version {version}, expected 1")
+    if count and not dim:
+        raise reader.corrupt("embedding must be a non-empty 1-D vector")
     records = []
     seen = set()
-    with _Reader(path, _HEADER, F4E_MAGIC, F4E_VERSION) as reader:
-        dim, count = reader.fields
-        if count and not dim:
-            raise ValueError("embedding must be a non-empty 1-D vector")
-        for _ in range(count):
-            rid = reader.text(_ID_LEN)
-            raw = reader.floats(dim)
-            if rid in seen:
-                raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
-            seen.add(rid)
-            values = raw.astype(np.float64)
-            if np.linalg.norm(values) <= ZERO_NORM_EPS:
-                at = f"record {rid!r} before byte {reader.pos}"
-                raise ZeroVectorError(f"{path}: {at}: cannot normalize a zero vector")
-            records.append((rid, EmbeddingVector(_unit(values), normalized=True)))
-        reader.end()
+    for _ in range(count):
+        rid = reader.text("<H")
+        raw = reader.floats(dim)
+        if rid in seen:
+            raise DuplicateIdError(f"{path}: duplicate record id {rid!r}")
+        seen.add(rid)
+        values = raw.astype(np.float64)
+        if np.linalg.norm(values) <= ZERO_NORM_EPS:
+            at = f"record {rid!r} before byte {reader.pos}"
+            raise ZeroVectorError(f"{path}: {at}: cannot normalize a zero vector")
+        records.append((rid, EmbeddingVector(_unit(values), normalized=True)))
+    reader.end()
     return records
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from f4search import evaluate, search
-from f4search.encoders import EncoderSpec, encode_text_synthetic, parse_items
+from f4search.encoders import EncoderSpec, encode_text_synthetic, encode_texts, parse_items
 from f4search.errors import (
     ConfigConflictError,
     DimensionMismatchError,
@@ -36,12 +36,11 @@ from f4search.rerank import rerank, retrieve_and_rerank
 from f4search.search import (
     QueryBundle,
     RankedList,
-    fused_query,
     search_bidirectional,
     search_fused_topk,
     search_topk_naive,
 )
-from f4search.vectors import EmbeddingVector, FusionWeights
+from f4search.vectors import EmbeddingVector, FusionWeights, fuse
 
 from conftest import unit
 
@@ -326,7 +325,7 @@ def tie_corpus(seed, kind, dim=16, n_random=40, n_bundles=6, item_rows=False):
     for j in range(n_bundles):
         e_img = unit(rng.standard_normal(dim))
         bundle = QueryBundle(f"q{j}", e_img, dense_pred_text=f"dish{j} sauce", sparse_pred_text=f"dish{j}")
-        fused = fused_query(bundle, weights, "dense", spec).values
+        fused = fuse(bundle.e_img, encode_texts([bundle.dense_pred_text], spec)[0], weights).values
         first = len(rows)
         rows += [e_img.values + 1e-8 * rng.standard_normal(dim) for _ in range(2)]
         rows += [fused + 1e-8 * rng.standard_normal(dim) for _ in range(2)]
@@ -369,7 +368,7 @@ def full_ranking_blocks(monkeypatch):
     """
     ran = []
 
-    def block(bundles, index, points, encoded):
+    def block(bundles, index, points, texts, items):
         ran.extend(bundles)
         return [full_ranking_outcome(b, index, points) for b in bundles]
 
@@ -517,7 +516,7 @@ class TestRerankSweep:
                 items = parse_items(b.sparse_pred_text)
                 for g in GRID:
                     w = FusionWeights(1.0 - g, g)
-                    query = fused_query(b, w, "sparse", spec)
+                    query = fuse(b.e_img, encode_texts([b.sparse_pred_text], spec)[0], w)
                     full = search_topk_naive(query, index, len(index))
                     cut_ties += int(N < len(index) and full.scores[N - 1] == full.scores[N])
                     want = rerank(search_topk_naive(query, index, N), items, index, spec)
@@ -560,7 +559,7 @@ class TestRerankSweep:
             raise AssertionError("ranked rows")
 
         # ``f4search.rerank`` is also the name of the public function.
-        monkeypatch.setattr(sys.modules["f4search.rerank"], "_rerank", refuse)
+        monkeypatch.setattr(sys.modules["f4search.rerank"], "_rank", refuse)
         monkeypatch.setattr(search, "_rank", refuse)
         sweep_fusion_weight(bundles, index, GRID, config, "mean_ap")
         evaluate_corpus(bundles, index, config)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from f4search import search
-from f4search.embfile import _Reader, write_embedding_file
+from f4search.embfile import write_embedding_file
 from f4search.encoders import encode_texts
 from f4search.errors import (
     BadMagicError,
@@ -28,8 +28,6 @@ from f4search.errors import (
 from f4search.evaluate import EvalConfig, evaluate_corpus
 from f4search.index import (
     _HEADER,
-    _U16,
-    _U32,
     CAPTION_KINDS,
     F4I_MAGIC,
     F4I_VERSION,
@@ -45,7 +43,7 @@ from f4search.rerank import retrieve_and_rerank
 from f4search.search import search_fused_topk, search_topk
 from f4search.vectors import UNIT_NORM_TOL, EmbeddingVector, FusionWeights
 
-from conftest import SIGNALLING_NAN_ROW, unit
+from conftest import SIGNALLING_NAN_ROW, ByteReader, unit
 
 
 def sample_captions(n, kind="dense"):
@@ -552,28 +550,39 @@ def reference_load(path):
     """The per-record loader that the column walk replaced: the spec of its errors.
 
     Every record becomes a ``Caption`` as it is read; the index checks that
-    followed are those the ``CaptionIndex`` constructor then made.
+    followed are those the ``CaptionIndex`` constructor then made. It reads
+    the file's bytes, and a ``ValueError`` from a record or a check names
+    the byte the read had reached.
     """
-    with _Reader(path, _HEADER, F4I_MAGIC, F4I_VERSION) as reader:
-        kind_byte, dim, count = reader.fields
-        if kind_byte >= len(CAPTION_KINDS):
-            raise CorruptFileError(f"{path}: invalid kind byte {kind_byte}")
-        kind = CAPTION_KINDS[kind_byte]
-        captions = tuple(Caption(reader.text(_U16), reader.text(_U32), kind) for _ in range(count))
-        block = reader.floats(count * dim)
-        fingerprint = reader.text(_U32)
-        reader.end()
-        matrix = reader.aligned(block).reshape(count, dim)
-        if not captions:
-            raise EmptyCorpusError("cannot build an index from zero captions")
-        if not np.all(np.abs(np.linalg.norm(matrix.astype(np.float64), axis=1) - 1.0) <= UNIT_NORM_TOL):
-            raise ValueError("index rows must be unit-norm")
-        seen = set()
-        for cap in captions:
-            if cap.id in seen:
-                raise DuplicateIdError(f"duplicate caption id {cap.id!r}")
-            seen.add(cap.id)
-    return captions, kind, fingerprint, matrix
+    reader = ByteReader(path)
+    magic, version, kind_byte, dim, count = reader.unpack("<4sHBIQ")
+    if magic != b"F4IX":
+        raise BadMagicError(f"{path}: expected magic {b'F4IX'!r}, got {magic!r}")
+    if version != 1:
+        raise VersionUnsupportedError(f"{path}: version {version}, expected 1")
+    if kind_byte >= 2:
+        raise CorruptFileError(f"{path}: invalid kind byte {kind_byte}")
+    kind = ("dense", "sparse")[kind_byte]
+    captions = []
+    for _ in range(count):
+        cid, text = reader.text("<H"), reader.text("<I")
+        try:
+            captions.append(Caption(cid, text, kind))
+        except ValueError as exc:
+            raise reader.corrupt(exc) from exc
+    matrix = reader.floats(count * dim).reshape(count, dim)
+    fingerprint = reader.text("<I")
+    reader.end()
+    if not captions:
+        raise EmptyCorpusError("cannot build an index from zero captions")
+    if not np.all(np.abs(np.linalg.norm(matrix.astype(np.float64), axis=1) - 1.0) <= UNIT_NORM_TOL):
+        raise reader.corrupt("index rows must be unit-norm")
+    seen = set()
+    for cap in captions:
+        if cap.id in seen:
+            raise DuplicateIdError(f"duplicate caption id {cap.id!r}")
+        seen.add(cap.id)
+    return tuple(captions), kind, fingerprint, matrix
 
 
 def load_outcome(load, path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from f4search import search, vectors
-from f4search.encoders import EncoderSpec, encode_image_synthetic, encode_text_synthetic
+from f4search.encoders import EncoderSpec, encode_image_synthetic, encode_text_synthetic, encode_texts
 from f4search.errors import (
     DimensionMismatchError,
     MissingPredictionTextError,
@@ -561,7 +561,7 @@ def diff_case(dim, seed, w_index):
     spec = EncoderSpec("synthetic", dim, seed=seed)
     bundle = QueryBundle("q", unit(rng.standard_normal(dim)), dense_pred_text=f"dish{seed} sauce")
     w_query = FusionWeights(1.0, 0.0) if seed % 2 else FusionWeights(0.7, 0.3)
-    query = search.fused_query(bundle, w_query, "dense", spec)
+    query = vectors.fuse(bundle.e_img, encode_texts([bundle.dense_pred_text], spec)[0], w_query)
     q, p = query.values / np.linalg.norm(query.values), bundle.e_img.values
     cosine = w_index == search._UNIDIRECTIONAL
     top = best_row(q, p, w_index)
@@ -887,11 +887,12 @@ class TestResultShape:
         lambda index, bundle: search_topk(bundle.e_img, index, 0),
         lambda index, bundle: search_topk_naive(bundle.e_img, index, 0),
         lambda index, bundle: search_bidirectional(bundle, index, k=0),
+        lambda index, bundle: search_fused_topk(bundle, index, k=0),
         lambda index, bundle: retrieve_and_rerank(bundle, index, k=0),
         lambda index, bundle: RankedList((), k=0),
     ],
-    ids=["search_topk", "search_topk_naive", "search_bidirectional", "retrieve_and_rerank",
-         "RankedList"],
+    ids=["search_topk", "search_topk_naive", "search_bidirectional", "search_fused_topk",
+         "retrieve_and_rerank", "RankedList"],
 )
 def test_k_below_one_raises_first(make_index, call):
     # The query has the wrong dimension and no prediction text, so a k check
