@@ -1,10 +1,10 @@
 """Caption corpora and the self-contained F4I on-disk index format.
 
 An index bundles caption metadata and the embedding matrix in one file so
-there is no id-alignment gap between text and vectors. In memory it holds
-two columns, ``ids`` and ``texts``, next to the float32 matrix, and builds
-its ``captions`` on first access: building, saving, loading, searching
-and evaluating make no ``Caption``.
+there is no id-alignment gap between text and vectors. In memory every
+index keeps only two columns, ``ids`` and ``texts``, next to the float32
+matrix, and builds its ``captions`` on first access: building, saving,
+loading, searching and evaluating make no ``Caption``.
 
 F4I layout, all integers little-endian, no padding:
 
@@ -77,9 +77,9 @@ class Caption:
 class CaptionIndex:
     """Immutable searchable corpus: id and text columns plus unit-norm embedding rows.
 
-    ``CaptionIndex(captions, embeddings, kind, encoder_fingerprint)`` keeps the
-    captions it is given; an index built or loaded by this module makes its
-    ``captions`` from the columns on first access.
+    ``CaptionIndex(captions, embeddings, kind, encoder_fingerprint)``, which
+    both builders call, is the one place captions become columns; the F4I
+    loader gives its checked columns to ``_from_columns``.
     """
 
     ids: tuple[str, ...]
@@ -89,15 +89,15 @@ class CaptionIndex:
     encoder_fingerprint: str
 
     def __init__(self, captions: Sequence[Caption], embeddings, kind: str, encoder_fingerprint: str):
-        captions = tuple(captions)
-        self._fill(*_columns(captions), embeddings, kind, encoder_fingerprint)
-        self.__dict__["captions"] = captions  # what the cached property would hold
+        captions = tuple(captions)  # a one-shot iterable is read once, for all three columns
+        columns = (tuple(map(attrgetter(field), captions)) for field in ("id", "text", "kind"))
+        self._fill(*columns, embeddings, kind, encoder_fingerprint)
 
     @classmethod
-    def _from_columns(cls, ids, texts, kinds, embeddings, kind, encoder_fingerprint) -> CaptionIndex:
-        """An index over checked captions given as columns; ``kinds`` is None when all are ``kind``."""
+    def _from_columns(cls, ids, texts, embeddings, kind, encoder_fingerprint) -> CaptionIndex:
+        """An index over checked captions of one ``kind``, given as columns: the F4I loader's."""
         index = cls.__new__(cls)
-        index._fill(ids, texts, kinds, embeddings, kind, encoder_fingerprint)
+        index._fill(ids, texts, None, embeddings, kind, encoder_fingerprint)
         return index
 
     def _fill(self, ids, texts, kinds, embeddings, kind, encoder_fingerprint) -> None:
@@ -167,18 +167,12 @@ class CaptionIndex:
         return self.texts[self._row_by_id[caption_id]]
 
 
-def _columns(captions: Sequence[Caption]) -> list[tuple[str, ...]]:
-    """The ids, texts and kinds of ``captions``, as three tuples."""
-    return [tuple(map(attrgetter(field), captions)) for field in ("id", "text", "kind")]
-
-
 def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionIndex:
     """Encode every caption text and assemble an immutable index."""
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
-    ids, texts, kinds = _columns(captions)
-    matrix = _encode(list(texts), encoder)
-    return CaptionIndex._from_columns(ids, texts, kinds, matrix, captions[0].kind, encoder.fingerprint())
+    matrix = _encode([c.text for c in captions], encoder)
+    return CaptionIndex(captions, matrix, captions[0].kind, encoder.fingerprint())
 
 
 def build_index_from_records(
@@ -192,22 +186,21 @@ def build_index_from_records(
     by_id = dict(records)
     if len(by_id) != len(records):
         raise DuplicateIdError("embedding records contain duplicate ids")
-    ids, texts, kinds = _columns(captions)
-    vectors = list(map(by_id.get, ids))
+    vectors = [by_id.get(c.id) for c in captions]
     rows = [] if None in vectors else list(map(attrgetter("values"), vectors))
     if len(set(map(len, rows))) != 1:  # a missing record or mixed dims: name the first
-        for cid, vec in zip(ids, vectors):
+        for c, vec in zip(captions, vectors):
             if vec is None:
-                raise KeyError(f"no embedding record for caption id {cid!r}")
+                raise KeyError(f"no embedding record for caption id {c.id!r}")
             if vec.dim != vectors[0].dim:
                 raise MixedDimsError(
-                    f"caption {cid!r} has a dim-{vec.dim} record, not dim {vectors[0].dim}"
+                    f"caption {c.id!r} has a dim-{vec.dim} record, not dim {vectors[0].dim}"
                 )
     # Each float64 value rounds to float32 as it is copied in: no float64 matrix.
     matrix = np.array(rows, dtype=np.float32)
     if fingerprint is None:
         fingerprint = f"file:dim={matrix.shape[1]}"
-    return CaptionIndex._from_columns(ids, texts, kinds, _Adopted(matrix), captions[0].kind, fingerprint)
+    return CaptionIndex(captions, _Adopted(matrix), captions[0].kind, fingerprint)
 
 
 def save_index(index: CaptionIndex, path) -> None:
@@ -250,7 +243,7 @@ def load_index(path) -> CaptionIndex:
         fingerprint = reader.text(_U32)
         reader.end()
         matrix = reader.aligned(block).reshape(count, dim)
-        return CaptionIndex._from_columns(ids, texts, None, _Adopted(matrix), kind, fingerprint)
+        return CaptionIndex._from_columns(ids, texts, _Adopted(matrix), kind, fingerprint)
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:

@@ -462,31 +462,27 @@ def search_topk_naive(query: EmbeddingVector, index: "CaptionIndex", k: int) -> 
     return _ranked_list(index, order, scores[order], len(order), STAGE_INITIAL)
 
 
-def _pred_text(bundle: QueryBundle, text_source: str) -> str:
-    """The bundle's prediction text from ``text_source``, which must be present."""
-    if text_source not in ("dense", "sparse"):
-        raise ValueError(f"unknown text source {text_source!r}")
-    text = bundle.dense_pred_text if text_source == "dense" else bundle.sparse_pred_text
-    if not text:
-        raise MissingPredictionTextError(
-            f"bundle {bundle.image_id!r} has no {text_source} prediction text"
-        )
-    return text
-
-
 def _encode_bundles(bundles: Sequence[QueryBundle], encoder: EncoderSpec | None, source: str, fuse_text, rerank):
     """Every bundle's encoded texts, from one ``_encode`` call of the distinct ones.
 
-    A bundle needs its ``source`` prediction text when ``fuse_text``; re-ranking
-    reads the sparse text, whatever ``source`` is, and needs its item phrases.
-    The texts are collected in bundle order first, so a missing prediction
-    text or an empty item list raises before anything is encoded. Returns
-    ``(texts, items)``: a C-ordered (B, d) matrix of the prediction-text rows,
-    else None, and with ``rerank`` one item matrix per bundle, else None.
+    ``source`` is checked at any weight, before any text is read. A bundle
+    needs its ``source`` prediction text when ``fuse_text``; re-ranking reads
+    the sparse text, whatever ``source`` is, and needs its item phrases. The
+    texts are picked and checked in bundle order first, so a missing
+    prediction text or an empty item list raises before anything is encoded.
+    Returns ``(texts, items)``: a C-ordered (B, d) matrix of the prediction-text
+    rows, else None, and with ``rerank`` one item matrix per bundle, else None.
     """
+    if source not in ("dense", "sparse"):
+        raise ValueError(f"unknown text source {source!r}")
+    if not (fuse_text or rerank):
+        return None, None
+    source = "sparse" if rerank else source
     needed = []
     for bundle in bundles:
-        text = _pred_text(bundle, "sparse" if rerank else source) if fuse_text or rerank else None
+        text = bundle.dense_pred_text if source == "dense" else bundle.sparse_pred_text
+        if not text:
+            raise MissingPredictionTextError(f"bundle {bundle.image_id!r} has no {source} prediction text")
         phrases = parse_items(text).phrases if rerank else ()
         needed.append((text if fuse_text else None, phrases))
     distinct = list(dict.fromkeys(t for text, phrases in needed for t in (text, *phrases) if t))

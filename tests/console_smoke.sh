@@ -26,6 +26,22 @@ test "$(wc -l < bidir-half.csv)" -eq 12
 # Building the same index twice writes the same bytes.
 f4search build-index --captions corpus/captions_dense.jsonl --out dense-again.f4i --dim 64 --seed 42
 cmp dense.f4i dense-again.f4i
+# The file encoder: caption rows come from an F4E file (here the image embeddings,
+# keyed by the same ids). Two builds write the same bytes; an image finds its own
+# row first, at cosine 1; a text query exits 1, as such an index cannot encode text.
+for out in file.f4i file-again.f4i; do
+  f4search build-index --captions corpus/captions_dense.jsonl --out "$out" \
+    --encoder file --embeddings corpus/images.f4e
+done
+cmp file.f4i file-again.f4i
+f4search search --index file.f4i --image-embedding corpus/images.f4e:d00007 \
+  --w-text 0 --k 2 > file.txt
+test "$(sed -n 2p file.txt | cut -f 2,3)" = "$(printf 'd00007\t1.000000')"
+status=0
+f4search search --index file.f4i --image-embedding corpus/images.f4e:d00007 \
+  --dense-text rice --k 2 2> file.err || status=$?
+test "$status" -eq 1
+grep -F "file-backed encoder specs cannot encode new text" file.err
 # An index cut inside its caption section (the header is 19 bytes): the load exits 1
 # and names the file.
 head -c 40 dense.f4i > cut.f4i

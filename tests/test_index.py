@@ -784,9 +784,48 @@ def test_index_paths_build_no_caption(tmp_path, monkeypatch, corpus42):
     assert len(built) == len(dense) + len(items)
 
 
-def test_constructor_keeps_the_captions_it_was_given():
-    captions = tuple(sample_captions(3))
+def test_constructor_keeps_columns_and_makes_captions_on_first_read(monkeypatch):
+    # CaptionIndex(captions, ...) turns the captions into id and text
+    # columns and keeps no Caption; reading ``captions`` makes them, once.
+    captions = sample_captions(3)
+    built = []
+    monkeypatch.setattr(Caption, "__post_init__", lambda self: built.append(self.id))
     index = CaptionIndex(captions, unit_rows(3, 4, seed=6), "dense", "f")
-    assert index.captions is captions
+    assert built == []
     assert index.ids == ("c000", "c001", "c002")
     assert index.texts == tuple(c.text for c in captions)
+    assert type(index.captions) is tuple and index.captions == tuple(captions)
+    assert index.captions is index.captions
+    assert built == ["c000", "c001", "c002"]
+
+
+def test_constructor_reads_a_one_shot_iterable_like_a_list():
+    captions = sample_captions(3)
+    rows = unit_rows(3, 4, seed=6)
+    from_list = CaptionIndex(captions, rows, "dense", "f")
+    from_generator = CaptionIndex((c for c in captions), rows, "dense", "f")
+    assert from_generator.ids == from_list.ids == ("c000", "c001", "c002")
+    assert from_generator.texts == from_list.texts == tuple(c.text for c in captions)
+    assert from_generator.embeddings.tobytes() == from_list.embeddings.tobytes()
+
+
+@pytest.mark.parametrize("kind", CAPTION_KINDS)
+def test_builders_equal_the_constructor(kind, synthetic_spec):
+    # Both builders hand their captions to CaptionIndex(...): the same
+    # columns, kind, fingerprint and row bytes as calling it directly.
+    captions = sample_captions(7, kind)
+    vectors = encode_texts([c.text for c in captions], synthetic_spec)
+    rows = np.stack([v.values for v in vectors]).astype(np.float32)
+    fingerprint = synthetic_spec.fingerprint()
+    want = CaptionIndex(captions, rows, kind, fingerprint)
+    records = [(c.id, v) for c, v in zip(captions, vectors)]
+    for got in (build_index(captions, synthetic_spec), build_index_from_records(captions, records, fingerprint)):
+        assert type(got) is CaptionIndex
+        assert (got.ids, got.texts, got.kind, got.encoder_fingerprint) == (
+            want.ids, want.texts, want.kind, want.encoder_fingerprint
+        )
+        assert type(got.ids) is type(got.texts) is tuple
+        assert (got.embeddings.dtype, got.embeddings.shape) == (want.embeddings.dtype, want.embeddings.shape)
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+        assert not got.embeddings.flags.writeable
+        assert "captions" not in vars(got)

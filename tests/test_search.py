@@ -223,11 +223,24 @@ class TestFusedSearch:
             search_fused_topk(bundle, index, FusionWeights(0.7, 0.3), k=1,
                               encoder=EncoderSpec("synthetic", 8, seed=0))
 
-    def test_unknown_text_source(self, make_index, synthetic_spec):
+    @pytest.mark.parametrize("texts", [{"dense_pred_text": "rice", "sparse_pred_text": "rice"}, {}],
+                             ids=["with-texts", "no-text"])
+    @pytest.mark.parametrize("weights", [FusionWeights(0.7, 0.3), FusionWeights(1.0, 0.0)], ids=["w0.3", "w0.0"])
+    @pytest.mark.parametrize("search_fn", [search_fused_topk, search_top1_fused, search_bidirectional],
+                             ids=lambda fn: fn.__name__)
+    def test_unknown_text_source(self, make_index, synthetic_spec, monkeypatch, search_fn, weights, texts):
+        # The source is checked at any weight, before a text is read (a
+        # bundle without prediction texts raises this, not a missing text)
+        # and before anything is encoded.
         index = random_index(make_index, 5, 32, seed=14)
-        bundle = QueryBundle("q", unit(np.ones(32)), dense_pred_text="rice", sparse_pred_text="rice")
+        bundle = QueryBundle("q", unit(np.ones(32)), **texts)
+
+        def refuse(texts, spec):
+            raise AssertionError(f"encoded {texts!r}")
+
+        monkeypatch.setattr(search, "_encode", refuse)
         with pytest.raises(ValueError, match="unknown text source 'x'"):
-            search_fused_topk(bundle, index, FusionWeights(0.7, 0.3), "x", synthetic_spec)
+            search_fn(bundle, index, weights, text_source="x", encoder=synthetic_spec)
 
     def test_fusion_recovers_ground_truth(self):
         # Image noise is set so pure-image retrieval misses the GT caption;
