@@ -1,13 +1,12 @@
 """Command-line front door for the retrieval pipeline.
 
-Exit codes are a stable scripting contract: 0 on success, 1 on runtime
-errors (bad data, unreachable services, config conflicts), 2 on usage
-errors (unknown or missing flags).
+Exit codes are a stable scripting contract, mapped once by ``main`` for
+every command: 0 on success, 1 on runtime errors (bad data, unreachable
+services, config conflicts), 2 on usage errors (unknown or missing flags).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -34,19 +33,18 @@ from .synthetic import SyntheticCorpusConfig, generate_corpus
 from .vectors import DEFAULT_INDEX_WEIGHTS, DEFAULT_QUERY_WEIGHTS, EmbeddingVector, FusionWeights, l2_normalize
 
 
-def _runtime_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """``error: <message>`` and exit 1 for a runtime error raised converting a command's options or running it."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (F4SearchError, OSError, ValueError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Training-free multi-modal caption retrieval toolkit."""
 
@@ -59,7 +57,6 @@ def main():
 @click.option("--seed", default=0, show_default=True, help="Synthetic encoder seed.")
 @click.option("--endpoint", default="", help="Remote service endpoint (or F4_ENCODER_ENDPOINT).")
 @click.option("--embeddings", "embeddings_path", type=click.Path(exists=True, dir_okay=False), help="F4E file with one record per caption id (file encoder only).")
-@_runtime_errors
 def cmd_build_index(captions_path, out_path, encoder_kind, dim, seed, endpoint, embeddings_path):
     """Encode a JSONL caption file and persist a searchable F4I index."""
     captions = ingest_captions(captions_path)
@@ -124,7 +121,6 @@ def _parse_image_embedding(value: str) -> EmbeddingVector:
 @click.option("--index-w-text", default=DEFAULT_INDEX_WEIGHTS.w_text, show_default=True, help="Text weight for index-side fusion (bi-directional mode).")
 @click.option("--rerank", "do_rerank", is_flag=True)
 @click.option("--n", "pool_size", default=None, type=int, help="Initial pool size before re-ranking.")
-@_runtime_errors
 def cmd_search(index_path, image_embedding, dense_text, sparse_text, k, w_text,
                text_source, bidirectional, index_w_text, do_rerank, pool_size):
     """One-shot query: print ranked (id, score, text) lines."""
@@ -176,7 +172,6 @@ def _eval_config(index, w_text, index_w_text, text_source, bidirectional, do_rer
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--corpus-name", default="corpus", show_default=True)
-@_runtime_errors
 def cmd_evaluate(index_path, bundles_path, embeddings_path, w_text, text_source,
                  bidirectional, index_w_text, do_rerank, pool_size, out_path, fmt, corpus_name):
     """Evaluate a bundle corpus and print a table-row summary."""
@@ -205,7 +200,6 @@ def cmd_evaluate(index_path, bundles_path, embeddings_path, w_text, text_source,
 @click.option("--rerank", "do_rerank", is_flag=True)
 @click.option("--n", "pool_size", default=None, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_runtime_errors
 def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, metric,
               text_source, bidirectional, index_w_text, do_rerank, pool_size, out_path):
     """Evaluate across a text-weight grid and write a plot-ready CSV."""
@@ -242,7 +236,6 @@ def cmd_sweep(index_path, bundles_path, embeddings_path, grid_text, grid_step, m
 @click.option("--seed", default=42, show_default=True)
 @click.option("--dim", default=64, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@_runtime_errors
 def cmd_gen_synthetic(vocab_size, num_captions, items_per_caption, noise_sigma, dropout, seed, dim, out_dir):
     """Generate a synthetic corpus with a generator-recorded baseline manifest."""
     try:

@@ -91,9 +91,9 @@ def derive_k(gt_sparse_caption: str) -> int:
 class EvalConfig:
     """Pipeline configuration for one evaluation run.
 
-    ``text_source`` picks the prediction text that fusion reads. Re-ranking
-    always reads the sparse prediction text, whatever ``text_source`` is;
-    ``as_dict`` still records the configured value.
+    ``text_source``, "dense" or "sparse" (else encoding raises ``ValueError``),
+    picks the prediction text that fusion reads. Re-ranking always reads the
+    sparse text, whatever ``text_source`` is; ``as_dict`` records the configured value.
 
     ``workers`` is accepted for compatibility and read by nothing:
     evaluation runs on the calling thread. Reports are the same bytes for
@@ -158,13 +158,11 @@ class SweepResult:
 
 
 def _check_mode(index: CaptionIndex, config: EvalConfig):
-    """The rules ``config``'s retrieval mode must meet on ``index``, for every search and evaluation."""
+    """Re-ranking's rules, for every search and evaluation: a sparse index, uni-directional retrieval."""
     if config.rerank and index.kind != "sparse":
         raise ConfigConflictError("re-ranking requires a sparse caption index")
     if config.rerank and config.bidirectional:
         raise ConfigConflictError("re-ranking uses uni-directional initial retrieval")
-    if config.text_source not in ("dense", "sparse"):
-        raise ConfigConflictError(f"unknown text source {config.text_source!r}")
 
 
 def _check_config(bundles: Sequence[QueryBundle], index: CaptionIndex, config: EvalConfig):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,8 +167,9 @@ class CaptionIndex:
         return self.texts[self._row_by_id[caption_id]]
 
 
-def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionIndex:
-    """Encode every caption text and assemble an immutable index."""
+def build_index(captions: Iterable[Caption], encoder: EncoderSpec) -> CaptionIndex:
+    """Encode every caption text and assemble an immutable index; ``captions`` may be any iterable."""
+    captions = tuple(captions)
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
     matrix = _encode([c.text for c in captions], encoder)
@@ -176,11 +177,12 @@ def build_index(captions: Sequence[Caption], encoder: EncoderSpec) -> CaptionInd
 
 
 def build_index_from_records(
-    captions: Sequence[Caption],
-    records: Sequence[Record],
+    captions: Iterable[Caption],
+    records: Iterable[Record],
     fingerprint: str | None = None,
 ) -> CaptionIndex:
-    """Assemble an index from precomputed embedding records, paired by id."""
+    """Assemble an index from precomputed embedding records, paired by id; both may be any iterables."""
+    captions, records = tuple(captions), tuple(records)
     if not captions:
         raise EmptyCorpusError("cannot build an index from zero captions")
     by_id = dict(records)

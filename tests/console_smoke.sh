@@ -116,3 +116,27 @@ f4search evaluate --index dense.f4i --bundles corpus/bundles.jsonl \
 test "$status" -eq 1
 grep -F "zero.f4e: record " zero.err
 grep -F " before byte $(wc -c < zero.f4e): cannot normalize a zero vector" zero.err
+# main maps a runtime error of any command to one "error:" line and exit 1; an
+# unknown flag is a usage error and exits 2.
+status=0
+f4search gen-synthetic --dropout 1.0 --out-dir dropout 2> dropout.err || status=$?
+test "$status" -eq 1
+test "$(grep -c '^error:' dropout.err)" -eq 1
+grep -F "error: dropout must lie in [0, 1)" dropout.err
+status=0
+f4search build-index --captions corpus/captions_dense.jsonl --out no-records.f4i \
+  --encoder file 2> no-records.err || status=$?
+test "$status" -eq 1
+test "$(grep -c '^error:' no-records.err)" -eq 1
+grep -F "error: --encoder file requires --embeddings" no-records.err
+status=0
+f4search sweep --index dense.f4i --bundles corpus/bundles.jsonl \
+  --image-embeddings corpus/images.f4e --grid 0.5,0.5 --out repeat.csv 2> repeat.err || status=$?
+test "$status" -eq 1
+test "$(grep -c '^error:' repeat.err)" -eq 1
+grep -F "error: grid must be strictly increasing" repeat.err
+status=0
+f4search evaluate --index dense.f4i --bundles corpus/bundles.jsonl \
+  --image-embeddings corpus/images.f4e --out workers.json --workers 2 2> workers.err || status=$?
+test "$status" -eq 2
+grep -F -- "--workers" workers.err

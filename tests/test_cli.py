@@ -1,5 +1,6 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -7,6 +8,7 @@ from f4search import remote
 from f4search.cli import main
 from f4search.embfile import load_embedding_file, write_embedding_file
 from f4search.encoders import EncoderSpec, encode_texts
+from f4search.errors import ConfigConflictError
 from f4search.evaluate import EvalConfig, evaluate_corpus, load_bundles, render_report
 from f4search.index import Caption, build_index_from_records, load_index, save_index
 from f4search.remote import ENDPOINT_ENV_VAR
@@ -709,12 +711,47 @@ class TestSweep:
             "search", "--index", str(index), "--image-embedding", ",".join(["0.25"] * 32),
             "--sparse-text", "rice, chicken", "--rerank",
         ], 1, "error: re-ranking requires a sparse caption index"),
+        # os.stat's ValueError, raised while click converts the option, before the command runs.
+        (lambda corpus, index, tmp: ["search", "--index", "a\0b"], 1, "error: embedded null byte"),
     ],
     ids=["file-encoder-without-embeddings", "grid-step-zero", "unparseable-grid",
          "unparseable-items-per-caption", "search-without-text", "bidirectional-search-without-text",
-         "rerank-search-on-dense-index"],
+         "rerank-search-on-dense-index", "nul-byte-in-index-path"],
 )
 def test_guard_exits(runner, corpus_dir, dense_index_path, tmp_path, args, exit_code, message):
     result = runner.invoke(main, args(corpus_dir, dense_index_path, tmp_path))
     assert result.exit_code == exit_code
     assert message in result.output
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+@pytest.mark.parametrize(
+    "error, exit_code",
+    [
+        (ConfigConflictError("conflicting flags"), 1),
+        (OSError("disk gone"), 1),
+        (ValueError("bad value"), 1),
+        (KeyError("no such record"), 1),
+        (click.UsageError("bad usage"), 2),
+    ],
+    ids=["f4search-error", "os-error", "value-error", "key-error", "usage-error"],
+)
+def test_every_command_maps_runtime_errors_once(runner, tmp_path, monkeypatch, name, error, exit_code):
+    # main maps errors once for all commands, so a command added later cannot lose the mapping.
+    command = main.commands[name]
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    args = [name]
+    for param in command.params:
+        if param.required:  # a value that passes conversion: a file, or a directory where files are refused
+            dir_only = isinstance(param.type, click.Path) and not param.type.file_okay
+            args += [param.opts[0], str(tmp_path if dir_only else existing)]
+
+    def fail(**kwargs):
+        raise error
+
+    monkeypatch.setattr(command, "callback", fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code
+    if exit_code == 1:
+        assert result.stderr.splitlines()[-1] == f"error: {error}"

@@ -888,14 +888,22 @@ def _bundles_without_image_id(index, bundle, tmp_path):
     [
         (lambda index, bundle, tmp_path: evaluate_corpus([], index, EvalConfig()),
          ValueError, "no query bundles to evaluate"),
+        # search._encode_bundles owns the text source, at any weight, for evaluations and sweeps as for bundle searches.
         (lambda index, bundle, tmp_path: evaluate_corpus([bundle], index, EvalConfig(text_source="x")),
-         ConfigConflictError, "unknown text source 'x'"),
+         ValueError, "unknown text source 'x'"),
+        (lambda index, bundle, tmp_path: sweep_fusion_weight([bundle], index, [0.0], EvalConfig(text_source="x")),
+         ValueError, "unknown text source 'x'"),
+        # ... checked as the texts are encoded, after the bundles' own checks.
+        (lambda index, bundle, tmp_path: evaluate_corpus([replace(bundle, e_img=unit([1.0, 0.0, 0.0]))], index,
+                                                         EvalConfig(text_source="x")),
+         DimensionMismatchError, "bundle 'q': image dim 3 vs 2 of the index"),
         (lambda index, bundle, tmp_path: sweep_fusion_weight([bundle], index, [0.0], EvalConfig(),
                                                              metric="x"),
          ValueError, "unknown sweep metric 'x'"),
         (_bundles_without_image_id, MalformedLineError, "line 1: expected an object with image_id"),
     ],
-    ids=["no-bundles", "unknown-text-source", "unknown-metric", "no-image-id"],
+    ids=["no-bundles", "unknown-text-source", "sweep-unknown-text-source", "image-dim-before-text-source",
+         "unknown-metric", "no-image-id"],
 )
 def test_guard_raises(make_index, tmp_path, call, error, message):
     index = make_index({"a": [1.0, 0.0], "b": [0.0, 1.0]})

@@ -809,6 +809,24 @@ def test_constructor_reads_a_one_shot_iterable_like_a_list():
     assert from_generator.embeddings.tobytes() == from_list.embeddings.tobytes()
 
 
+def test_builders_read_a_one_shot_iterable_like_a_list(synthetic_spec):
+    captions = sample_captions(4)
+    records = list(zip([c.id for c in captions], encode_texts([c.text for c in captions], synthetic_spec)))
+    encoded, paired = build_index(captions, synthetic_spec), build_index_from_records(captions, records)
+    for want, got in [
+        (encoded, build_index(iter(captions), synthetic_spec)),
+        (paired, build_index_from_records(iter(captions), records)),
+        (paired, build_index_from_records(captions, iter(records))),
+        (paired, build_index_from_records(iter(captions), iter(records))),
+    ]:
+        assert (got.ids, got.texts, got.encoder_fingerprint) == (want.ids, want.texts, want.encoder_fingerprint)
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+    with pytest.raises(EmptyCorpusError, match="cannot build an index from zero captions"):
+        build_index(iter([]), synthetic_spec)
+    with pytest.raises(EmptyCorpusError, match="cannot build an index from zero captions"):
+        build_index_from_records(iter([]), [])
+
+
 @pytest.mark.parametrize("kind", CAPTION_KINDS)
 def test_builders_equal_the_constructor(kind, synthetic_spec):
     # Both builders hand their captions to CaptionIndex(...): the same
