@@ -22,12 +22,12 @@ no ``RankedList`` and no ``EmbeddingVector``. A block of bundles at every
 point of a sweep's grid is fused by ``vectors._fused``, which makes the
 query rows of every bundle search (a text-free point's is its image row),
 and normed (``search._query_norms``) at once, with the bits of one query
-at a time, and one float32 screen (``search._screen``) serves it; each
-query's ground-truth ranks are counted from it on its own; a re-ranking
-screen serves one bundle's points, and ranks are counted in each point's
-pool. An encoder returns each text's vector independently of
-the rest of its batch, and a query's ranks do not depend on its block, so
-the reports are byte-identical to encoding and scoring one bundle at a time.
+at a time, and one float32 screen (``search._screen``) serves it. Each
+query's ground-truth ranks are counted from it on its own or, re-ranked,
+in the query's pool, cut from its bundle's band. An encoder returns each
+text's vector independently of the rest of its batch, and a query's ranks
+do not depend on its block, so the reports are byte-identical to encoding
+and scoring one bundle at a time.
 """
 
 from __future__ import annotations
@@ -204,13 +204,9 @@ def _evaluate_block(
     queries = _fused(images, texts, [p.weights for p in points])  # query j: bundle j // n at point j % n
     qnorms = _query_norms(queries, index)
     if config.rerank:
-        # One pool per bundle: a band union across bundles would score more rows.
-        per_query = []
-        for j, (bundle_items, rows) in enumerate(zip(items, gt_rows)):
-            k_out = max(5, len(rows))
-            pool = config.pool_size if config.pool_size is not None else default_pool_size(k_out)
-            own = slice(j * n, (j + 1) * n)
-            per_query += _rerank_ranks(queries[own], qnorms[own], index, bundle_items, pool, k_out, rows)
+        k_outs = [max(5, len(rows)) for rows in gt_rows]
+        pools = [default_pool_size(k_out) if config.pool_size is None else config.pool_size for k_out in k_outs]
+        per_query = _rerank_ranks(queries, qnorms, index, items, pools, k_outs, gt_rows)
     else:
         # The metrics read only where the ground truth lands: count its ranks, rank no rows.
         w_index = config.index_weights if config.bidirectional else _UNIDIRECTIONAL

@@ -17,14 +17,14 @@ over every row and one full sort, with no partition and no screen.
 
 Every ranking (top-k, bi-directional, re-ranked) is ordered by one routine,
 ``_rank``, and counted by one comparison, ``_ahead``. ``_candidates`` scores
-only the band that ``_band`` keeps around the k-th bound of G queries;
-``_topk`` ranks it for one query, and re-ranked evaluation cuts it to each
-query's top-N set. Only the public functions build a ``RankedList``
-(``_ranked_list``). Other evaluation counts the ground-truth rows' ranks
-from the same bounds (``_gt_ranks``). Both take G queries as one (G, d)
-matrix with its ``_query_norms``, each query owning a row of one image
-matrix, and one ``_screen``: a re-ranked evaluation screens each bundle
-once, other evaluation each block of bundles once.
+only the band that ``_band`` keeps around the k-th bound of G queries, read
+from one float64 copy of its rows; ``_topk`` ranks it for one query, and
+re-ranked evaluation cuts it to each query's top-N set, one band per bundle.
+Only the public functions build a ``RankedList`` (``_ranked_list``). Other
+evaluation counts the ground-truth rows' ranks from the same bounds
+(``_gt_ranks``). Both take G queries as one (G, d) matrix with its
+``_query_norms``, each query owning a row of one image matrix, and one
+query-major ``_screen``, which every evaluation makes once per block of bundles.
 
 Fused queries improve the query side (weighted image+text sum). Every
 bundle search, evaluations included, picks, checks and encodes its query
@@ -246,7 +246,7 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     band could clamp to a tie at -1, so every row is kept. Callers pass a k
     below the row count.
 
-    One delta bounds every row of a column (``_screen``), so this needs no
+    One delta bounds every row for a query (``_screen``), so this needs no
     float64 pass over the rows: L = fl(cheap - delta) is monotone in cheap,
     so lam comes from the k-th largest screen score, and a row with
     cheap < fl(m - delta) has an exact score below m. That rounding moves
@@ -254,35 +254,34 @@ def _band(cheap: np.ndarray, delta, k: int) -> np.ndarray | None:
     more: ``_screen_delta`` is below 2 and spares 2^-41, and the
     bi-directional delta spares more than 2^-42 (1 + delta).
 
-    ``cheap`` and ``delta`` are ``_screen``'s (n, G) screen of G queries
-    and its bounds, one per column: the result is the union of
-    the columns' bands, or None when any column's lam is at most -1. A
-    row outside column j's band clamps strictly below column j's k-th clamped
-    exact score, so scoring the other columns' rows as well never changes
-    column j's top k.
+    ``cheap`` and ``delta`` are ``_screen``'s (G, n) screen of G queries
+    and its bounds: the result is the union of the queries' bands, or None
+    when any query's lam is at most -1. A row outside query j's band clamps
+    strictly below query j's k-th clamped exact score, so scoring the other
+    queries' rows as well never changes query j's top k.
     """
-    n = cheap.shape[0]
-    lam = np.partition(cheap, n - k, axis=0)[n - k].astype(np.float64) - delta
+    n = cheap.shape[1]
+    lam = np.partition(cheap, n - k, axis=1)[:, n - k].astype(np.float64) - delta
     if np.any(lam <= -1.0):
         return None
     # A float64 threshold: under NEP 50 (numpy >= 2.0) the comparison is not rounded to float32.
-    return np.flatnonzero((cheap >= np.minimum(lam, 1.0) - delta).any(axis=1))
+    return np.flatnonzero((cheap >= (np.minimum(lam, 1.0) - delta)[:, None]).any(axis=0))
 
 
 def _screen(queries, qnorms, images, owner, index: "CaptionIndex", w_index: FusionWeights):
-    """An (n, G) screen of every row for G queries, and the bound delta on each column's distance from ``_scores``.
+    """A C-ordered (G, n) screen of every row for G queries, and the bound delta on each query's distance from ``_scores``.
 
     ``queries`` is a (G, d) matrix and ``qnorms`` its ``_query_norms``, and
-    column j belongs to query j. ``images`` is an (M, d) float64 matrix with
-    one row per image, and query j's image is row ``owner[j]``; both are read
-    only at ``w_img > 0``. One float32 GEMM, whose operand is C-ordered (an
-    F-ordered one is several times slower), serves every column. delta is a
-    float64 array of one bound per column, or at ``w_img == 0`` one float
-    that bounds every column.
+    screen row j belongs to query j. ``images`` is an (M, d) float64 matrix
+    with one row per image, and query j's image is row ``owner[j]``; both
+    are read only at ``w_img > 0``. One (n, d) @ (d, G) float32 GEMM with a
+    C-ordered operand serves every query; its product is transposed, as an
+    F-ordered operand or a (G, d) @ (d, n) GEMM is slower. delta is a float64
+    array of one bound per query, or at ``w_img == 0`` one for every query.
 
     At ``w_img == 0`` the GEMM scores every row against the unit directions
     q / qnorm, within ``_screen_delta`` of the exact ``_cosines`` (the proof
-    is there), in every column.
+    is there), for every query.
 
     Otherwise, with a, b the index weights, p a query's image, c = qnorm
     and q' = q / c, the GEMM of the rows with [b q'_1 ... b q'_G, 2ab p_1
@@ -295,7 +294,7 @@ def _screen(queries, qnorms, images, owner, index: "CaptionIndex", w_index: Fusi
     taking |r_i|^2 = 1 from the unit-norm tolerance instead of a stored
     norm. A bound B(hi_i^2) on |s_i - exact_i| falls as hi_i^2 grows, so
     delta, its value at the image's least hi_i^2, bounds every row a
-    posteriori. It does not depend on the query, so it serves every column
+    posteriori. It does not depend on the query, so it serves every query
     of that image.
 
     Proof. Notation as in ``_screen_delta``, whose delta e bounds the error
@@ -348,7 +347,8 @@ def _screen(queries, qnorms, images, owner, index: "CaptionIndex", w_index: Fusi
     # even where q itself would overflow float32.
     units = queries / qnorms[:, None]
     if w_index.w_img == 0.0:
-        return index.embeddings @ np.ascontiguousarray(units.T, np.float32), _screen_delta(index.dim)
+        cheap = index.embeddings @ np.ascontiguousarray(units.T, np.float32)
+        return np.ascontiguousarray(cheap.T), _screen_delta(index.dim)
     a, b, n_q = w_index.w_img, w_index.w_text, len(units)
     columns = np.concatenate([b * units, 2 * a * b * images]).astype(np.float32)
     xy = (index.embeddings @ np.ascontiguousarray(columns.T)).T.astype(np.float64, order="C")
@@ -374,27 +374,28 @@ def _screen(queries, qnorms, images, owner, index: "CaptionIndex", w_index: Fusi
     inv_hi = 1.0 / np.sqrt(np.maximum(h2, 2 * e_den))
     delta = np.where(h2 >= 2 * e_den, inv_hi * (c1 + c3 * inv_hi * inv_hi) + c0, np.inf)
     num *= (1.0 / np.sqrt(np.maximum(hi2, e_den)))[owner]
-    return num.T, delta[owner]
+    return num, delta[owner]
 
 
-def _candidates(queries, qnorms, images, owner, index: "CaptionIndex", w_index: FusionWeights, k: int):
-    """The rows that can reach any query's top k by ``_scores``, and their raw scores.
+def _candidates(queries, qnorms, images, owner, index: "CaptionIndex", w_index: FusionWeights, k: int, screen=None):
+    """The rows that can reach any query's top k by ``_scores``, the matrix of those rows, and their raw scores.
 
-    The arguments are as in ``_screen``. Returns ascending index rows and a
-    (len(rows), G) array, column j for query j. Below a full ranking one
-    ``_screen`` serves every query, and the union of the columns' bands
-    (``_band``) is sliced once and scored.
+    The arguments are as in ``_screen``, whose result for these queries is
+    ``screen``, made here when not given. Returns ascending index rows, their
+    matrix and a (len(rows), G) array, column j for query j. Below a full
+    ranking, the union of the queries' bands (``_band``) is widened to float64
+    once, exactly; a full ranking scores the float32 index, never widened whole.
     """
-    rows = _band(*_screen(queries, qnorms, images, owner, index, w_index), k) if k < len(index) else None
-    block = index.embeddings if rows is None else index.embeddings[rows]
+    rows = _band(*(screen or _screen(queries, qnorms, images, owner, index, w_index)), k) if k < len(index) else None
+    block = index.embeddings if rows is None else index.embeddings[rows].astype(np.float64)
     images = repeat(None) if w_index.w_img == 0.0 else images[owner]  # one per query; none is read at w_img == 0
     scores = [_scores(q, c, p, block, w_index) for q, c, p in zip(queries, qnorms.tolist(), images)]
-    return (np.arange(len(index)) if rows is None else rows), np.stack(scores, axis=1)
+    return (np.arange(len(index)) if rows is None else rows), block, np.stack(scores, axis=1)
 
 
 def _topk(query: np.ndarray, image, index: "CaptionIndex", w_index: FusionWeights, k: int):
     """``_rank`` of the top k rows by ``_scores`` for a (1, d) query and image, scoring only ``_candidates``' rows."""
-    rows, scores = _candidates(query, _query_norms(query, index), image, np.zeros(1, np.intp), index, w_index, k)
+    rows, _, scores = _candidates(query, _query_norms(query, index), image, np.zeros(1, np.intp), index, w_index, k)
     return _rank(index, scores[:, 0], k, rows)
 
 
@@ -410,10 +411,10 @@ def _gt_ranks(queries, qnorms, images, owner, index: "CaptionIndex", w_index: Fu
     of ground-truth index rows per query. A row's rank is one plus the rows
     with a higher clamped exact score plus the rows tied with it whose
     caption id sorts first, so no ranking is built. One ``_screen`` serves
-    every query, and each column's scores and delta give every row's bounds
-    L and U (``_screen_delta``) once. With c a ground-truth row's clamped
-    exact score, a row with L > c scores above c and, when c < 1, clamps
-    above it; a row with U < c clamps below c when c > -1. Only the other
+    every query, and each query's screen row and delta give every row's
+    bounds L and U (``_screen_delta``) once. With c a ground-truth row's
+    clamped exact score, a row with L > c scores above c and, when c < 1,
+    clamps above it; a row with U < c clamps below c when c > -1. Only the other
     rows, which include the ground-truth row itself, are scored exactly and
     compared with the id tie-break; where delta is infinite that is the full
     exact scan. A query's ground-truth rows are scored together; the
@@ -421,13 +422,13 @@ def _gt_ranks(queries, qnorms, images, owner, index: "CaptionIndex", w_index: Fu
     costs more calls than it saves at small indexes.
     """
     cheap, delta = _screen(queries, qnorms, images, owner, index, w_index)
+    cheap = np.asarray(cheap, dtype=np.float64)  # widened once, for both bounds of every query
     images = repeat(None) if w_index.w_img == 0.0 else images[owner]  # one per query; none is read at w_img == 0
-    columns = zip(queries, qnorms.tolist(), images, rows, np.broadcast_to(delta, len(queries)), cheap.T)
+    screened = zip(queries, qnorms.tolist(), images, rows, np.broadcast_to(delta, len(queries)), cheap)
     per_query = []
-    for q, qnorm, p, gt_rows, d, column in columns:
+    for q, qnorm, p, gt_rows, d, row_screen in screened:
         scores = _scores(q, qnorm, p, index.embeddings[gt_rows], w_index)
-        column = np.asarray(column, dtype=np.float64)  # widened once, for both bounds
-        low, up = column - d, column + d
+        low, up = row_screen - d, row_screen + d
         ranks = []
         for row, c in zip(gt_rows, scores.clip(-1.0, 1.0).tolist()):
             not_above = low <= (c if c < 1.0 else np.inf)

@@ -32,7 +32,7 @@ from f4search.evaluate import (
 )
 from f4search.embfile import write_embedding_file
 from f4search.index import Caption, CaptionIndex, build_index
-from f4search.rerank import rerank, retrieve_and_rerank
+from f4search.rerank import default_pool_size, rerank, retrieve_and_rerank
 from f4search.search import (
     QueryBundle,
     RankedList,
@@ -483,7 +483,7 @@ def pool_of(pool, index):
 
 
 class TestRerankSweep:
-    """A re-rank sweep scores each bundle's grid at once; it equals per-point public rankings."""
+    """A re-rank sweep scores each block of bundles at every point at once; it equals per-point public rankings."""
 
     @pytest.mark.parametrize("pool", [5, 7, 20, 50, "n-1", "n", "above-n"])
     @pytest.mark.parametrize("seed", range(10))
@@ -527,6 +527,46 @@ class TestRerankSweep:
         # Fixture guard: some pool's N-th score ties with the first row left out.
         assert cut_ties > 0 or pool in ("n", "above-n")
 
+    def test_one_block_equals_one_bundle_per_block(self, monkeypatch):
+        # One screen serves bundles whose rows of it take different paths:
+        # default pools of 50 and 55 rows, screened; one of 50 whose image
+        # alone scores 12 rows at -1, so its band is None and it takes the
+        # full scan; and pools of n = 60 rows and above n, which need no
+        # screen. The block's reports equal those of one bundle per block.
+        dim, rng = 16, np.random.default_rng(11)
+        spec = EncoderSpec("synthetic", dim, seed=11)
+        images = [unit(rng.standard_normal(dim)) for _ in range(5)]
+        rows = [-images[2].values + 1e-8 * rng.standard_normal(dim) for _ in range(12)]
+        rows += list(rng.standard_normal((46, dim)))
+        rows += [rows[20], rows[30]]  # exact ties
+        ids = [f"c{i:03d}" for i in rng.permutation(len(rows))]
+        matrix = np.array([r / np.linalg.norm(r) for r in rows], dtype=np.float32)
+        index = CaptionIndex(tuple(Caption(cid, "herb oil, rice", "sparse") for cid in ids), matrix,
+                             "sparse", spec.fingerprint())
+        bundles = [
+            QueryBundle(f"q{j}", image, sparse_pred_text=f"dish{j}, herb{j}",
+                        gt_caption_ids=tuple(rng.choice(ids[12:], size, replace=False)))
+            for j, (image, size) in enumerate(zip(images, (1, 11, 1, 12, 13)))
+        ]
+        assert [default_pool_size(max(5, len(b.gt_caption_ids))) for b in bundles] == [50, 55, 50, 60, 65]
+        assert len(index) == 60 and search._block_len(len(index)) // len(GRID) >= len(bundles)  # one block
+        config = EvalConfig(encoder=spec, weights=FusionWeights(1.0, 0.0), rerank=True, text_source="sparse")
+        band, bands = search._band, []
+        monkeypatch.setattr(search, "_band", lambda *a: bands.append(band(*a)) or bands[-1])
+
+        def outputs():
+            bands.clear()
+            got = [render_report(evaluate_corpus(bundles, index, config))]
+            got += [sweep_fusion_weight(bundles, index, GRID, config, m) for m in METRICS]
+            # Fixture guard: in every call, the three screened bundles reach
+            # _band, and only the one whose image meets 12 rows at -1 gets None.
+            assert [b is None for b in bands] == [False, False, True] * len(got)
+            return got
+
+        block = outputs()
+        monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", 8 * len(index))  # one bundle per block
+        assert outputs() == block
+
     def test_corpus_ties_at_the_pool_cut(self):
         # Guard the fixture: at some point, rows tied at the N-th clamped
         # stage-1 score overflow the pool, so the id order picks its members.
@@ -548,7 +588,7 @@ class TestRerankSweep:
         # Guard the fixture: item rows re-rank above 1.0 before clamping.
         spec, index, bundles = tie_corpus(1, "sparse", item_rows=True)
         items = np.stack([encode_text_synthetic(b.sparse_pred_text, spec).values for b in bundles])
-        max_sim = sys.modules["f4search.rerank"]._max_sim(index, np.arange(len(index)), items)
+        max_sim = sys.modules["f4search.rerank"]._max_sim(index.embeddings.astype(np.float64), items)
         assert np.count_nonzero(max_sim > 1.0) >= 2
 
     def test_ranks_nothing(self, monkeypatch):
@@ -645,11 +685,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("mode", ["fused", "bidir-0.3", "rerank"])
     def test_screens_each_block_once(self, mode, monkeypatch):
-        # A plain or bi-directional evaluation screens each block of bundles
-        # once, for every bundle at every point; a re-rank one screens each
-        # bundle once, for its whole grid. Each screen gets one image row per
-        # bundle, and each query is owned by its bundle's row, except that the
-        # uni-directional re-rank screen reads no image and gets none.
+        # Every evaluation, re-ranked or not, screens each block of bundles
+        # once, for every bundle at every point. Each screen gets one image
+        # row per bundle, and each query is owned by its bundle's row, except
+        # that the uni-directional re-rank screen reads no image and gets none.
         spec, index, bundles = tie_corpus(0, "sparse")
         config = EvalConfig(encoder=spec, **SWEEP_MODES[mode])
         assert (config.pool_size or 0) < len(index)  # a pool of every row needs no screen
@@ -677,11 +716,11 @@ class TestSweep:
                 monkeypatch.setattr(search, "_ROW_BLOCK_BYTES", 8 * len(index) * queries)
             calls.clear()
             sweep_fusion_weight(bundles, index, GRID, config)
-            assert [len(a[0]) for a in calls] == ([grid] * n if rerank else sweep_blocks)
+            assert [len(a[0]) for a in calls] == sweep_blocks
             check_owners(grid)
             calls.clear()
             evaluate_corpus(bundles, index, config)
-            assert [len(a[0]) for a in calls] == ([1] * n if rerank else eval_blocks)
+            assert [len(a[0]) for a in calls] == eval_blocks
             check_owners(1)
 
     @pytest.mark.parametrize("queries", [1, 3])

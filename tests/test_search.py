@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,30 @@ class TestScreen:
                 sub = search._cosines(embeddings[rows], q, qnorm)
                 assert sub.view(np.uint64).tolist() == full[rows].view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_widened_rows_keep_the_einsum_bits(self, scale):
+        # _candidates widens a band to float64 once and runs every query's
+        # _cosines einsum on that copy. Widening is exact, but numpy does not
+        # promise that einsum's mixed-dtype buffering reduces alike, so this
+        # pins the float64 operand's bits to the float32 one's, for blocks of
+        # 1 to 9,000 rows, gathered and whole.
+        rng = np.random.default_rng(int(np.log10(scale)) + 200)
+        sizes = (1, 2, 3, 5, 17, 64, 150, 1000, 9000)
+        cases = 0
+        for j, dim in enumerate([*range(1, 70), 127, 128, 129, 255, 256, 257, 512, 768, 1024, 1025]):
+            for n in sorted({sizes[j % 9], sizes[(j + 4) % 9]} if dim < 100 else {sizes[j % 8], 1000}):
+                embeddings = rng.standard_normal((n, dim)).astype(np.float32)
+                embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
+                q = scale * rng.standard_normal(dim)
+                blocks = [embeddings, embeddings[n // 3 :]]
+                blocks += [embeddings[rng.choice(n, size, replace=False)] for size in sorted({1, max(1, n // 7), n})]
+                for block in blocks:
+                    narrow = np.einsum("ij,j->i", block, q)
+                    wide = np.einsum("ij,j->i", block.astype(np.float64), q)
+                    assert wide.tobytes() == narrow.tobytes(), (dim, len(block), scale)
+                    cases += 1
+        assert cases > 600
+
     @pytest.mark.parametrize("k", [1, 5, 37])
     def test_grid_band_is_the_union_of_column_bands(self, k):
         delta = search._screen_delta(64)
@@ -486,20 +512,20 @@ class TestScreen:
             rng = np.random.default_rng(seed)
             units = [query.values, unit(query.values + 0.05 * rng.standard_normal(64)).values]
             units += [unit(rng.standard_normal(64)).values for _ in range(2)]
-            cheap = index.embeddings @ np.stack(units, axis=1).astype(np.float32)
-            columns = [search._band(cheap[:, [j]], delta, k) for j in range(len(units))]
-            want = np.unique(np.concatenate(columns))
+            cheap = (index.embeddings @ np.stack(units, axis=1).astype(np.float32)).T.copy()  # query-major
+            bands = [search._band(cheap[[j]], delta, k) for j in range(len(units))]
+            want = np.unique(np.concatenate(bands))
             assert search._band(cheap, delta, k).tolist() == want.tolist()
-            widened += int(len(want) > max(len(c) for c in columns))
-        # Fixture guard: the columns' bands differ, so the union is wider.
+            widened += int(len(want) > max(len(c) for c in bands))
+        # Fixture guard: the queries' bands differ, so the union is wider.
         assert widened > 0
 
     def test_grid_band_collapses_with_any_column(self):
         delta = search._screen_delta(8)
-        cheap = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 3)).astype(np.float32)
-        cheap[:, 1] = -1.0
-        assert search._band(cheap[:, [0]], delta, 5) is not None
-        assert search._band(cheap[:, [1]], delta, 5) is None
+        cheap = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 20)).astype(np.float32)
+        cheap[1] = -1.0
+        assert search._band(cheap[[0]], delta, 5) is not None
+        assert search._band(cheap[[1]], delta, 5) is None
         assert search._band(cheap, delta, 5) is None
 
     def test_band_stays_near_k(self):
@@ -665,7 +691,7 @@ class TestScreenedRanks:
             else:
                 assert delta.shape == (1,) and delta.dtype == np.float64
             exact = exact_scores(query.values, bundle.e_img.values, index, w_index)
-            assert np.all(np.abs(cheap[:, 0] - exact) < np.broadcast_to(delta, (1,))[0])
+            assert np.all(np.abs(cheap[0] - exact) < np.broadcast_to(delta, (1,))[0])
 
     @pytest.mark.parametrize("collapsing_row", [3, 2 * TestBidirectionalBlocks.BLOCK + 5])
     def test_one_collapsing_row_makes_the_bound_infinite(self, collapsing_row):
@@ -722,7 +748,7 @@ class TestScreenedRanks:
                 raw = exact_scores(q, p, index, w_index)
                 full = unscreened(index, raw, len(index)).ids
                 assert got[j] == sorted(full.index(index.captions[g].id) + 1 for g in gt_rows)
-                assert np.all(np.abs(cheap[:, j] - raw) < delta[j])
+                assert np.all(np.abs(cheap[j] - raw) < delta[j])
             assert delta[1] == delta[3]  # one bound per image
             distinct_bounds += len(set(delta.tolist())) > 1
         # Fixture guard: bi-directionally, the images' bounds differ.
@@ -771,11 +797,11 @@ class TestScreenedRanks:
         assert delta[1] == np.inf and np.all(np.isfinite(delta[[0, 2]]))
         for j in (0, 2):
             raw = exact_scores(images[j], images[j], index, w_index)
-            assert np.all(np.abs(cheap[:, j] - raw) < delta[j])
+            assert np.all(np.abs(cheap[j] - raw) < delta[j])
             full = unscreened(index, raw, len(index)).ids
-            # Counted from the block's own column and bound, every rank is exact.
+            # Counted from the block's own screen row and bound, every rank is exact.
             with monkeypatch.context() as mp:
-                mp.setattr(search, "_screen", lambda *a: (cheap[:, [j]], delta[[j]]))
+                mp.setattr(search, "_screen", lambda *a: (cheap[[j]], delta[[j]]))
                 for gt in range(len(index)):
                     got = search._gt_ranks(*query_block([images[j]], index), images[[j]], [0], index,
                                            w_index, [[gt]])
@@ -868,6 +894,23 @@ class TestResultShape:
         got = rerank(candidates, parse_items("herb07"), index, synthetic_spec)
         assert (got.k, got.stage) == (7, "reranked")
         assert sorted(got.ids) == sorted(candidates.ids)
+
+    def test_full_ranking_never_widens_the_index(self):
+        # A full ranking scores the float32 index in place; a float64 copy of
+        # it would take n * d * 8 bytes, which bounds the whole call's peak.
+        n, dim = 20_000, 64
+        index = block_index(n, dim, seed=5)
+        spec = EncoderSpec("synthetic", dim, seed=5)
+        bundle = QueryBundle("q", unit(np.random.default_rng(6).standard_normal(dim)), dense_pred_text="herb oil")
+        search_fused_topk(bundle, index, encoder=spec, k=n)  # warm the encoder's caches
+        tracemalloc.start()
+        try:
+            got = search_fused_topk(bundle, index, encoder=spec, k=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got.entries) == n
+        assert peak < n * dim * 8
 
     def test_full_ranking_computes_no_screen(self, synthetic_spec, monkeypatch):
         index, bundle = shuffled_case(synthetic_spec)
